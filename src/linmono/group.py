@@ -1,4 +1,4 @@
-"""Small matrix groups over finite fields, explicitly enumerated.
+"""Small matrix groups over finite fields and their cycle-type censuses.
 
 Matrices are plain tuples of row tuples of raw field reps; the Field
 travels alongside as an argument.  That keeps everything hashable and
@@ -15,6 +15,16 @@ verification layer rather than trusted.
 Permutation structure: a matrix acts on the q^n - 1 nonzero column
 vectors, ranked lexicographically; cycle types are sorted tuples of cycle
 lengths of that permutation.
+
+Censuses: the Singer normalizer is enumerated by closure.  GL(n, q) is
+never enumerated on the census path: a cycle type depends only on the
+similarity class, so gl_census walks the classes (one partition per
+monic irreducible f != x, as in Green, "The characters of the finite
+general linear groups", 1955, and Macdonald, Symmetric Functions and
+Hall Polynomials, ch. IV), permutes the vectors once under a
+block-companion representative, and weights the type by the class size
+|GL(n, q)| / |centralizer|.  gl_elements, the row-by-row enumeration of
+every invertible matrix, stays as the brute-force oracle for it.
 """
 
 from __future__ import annotations
@@ -27,10 +37,16 @@ from dataclasses import dataclass
 from . import poly as poly_mod
 from .ff import CapExceededError, Field
 
-# Full general-linear censuses are refused above this many candidate
-# entries (q^(n^2)); row-by-row construction keeps the work far below
-# the bound, but bigger groups stop being desk-checkable.
+# Full general-linear enumeration (gl_elements, the brute-force oracle)
+# is refused above this many candidate entries (q^(n^2)); row-by-row
+# construction keeps the work far below the bound, but bigger groups
+# stop being desk-checkable.
 CENSUS_CAP = 3 ** 9
+
+# Class censuses permute all q^n - 1 nonzero vectors once per similarity
+# class, and there are about q^n classes, so the work grows like q^(2n).
+# The bound admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7).
+CLASS_CENSUS_CAP = 7 ** 3
 
 # Breadth-first closure default bound.
 GROUP_CAP = 1 << 20
@@ -161,6 +177,34 @@ def mat_to_obj(field, A):
     return [[field.rep_to_obj(c) for c in row] for row in A]
 
 
+def companion_matrix(field, f):
+    """Matrix of multiplication by x on field[x]/(f) in the power basis:
+    column j holds the coordinates of x * x^j mod f (f monic)."""
+    n = f.degree
+    z = field.zero_rep
+    cols = []
+    for j in range(n - 1):
+        col = [z] * n
+        col[j + 1] = field.one_rep
+        cols.append(col)
+    cols.append([field.neg(c) for c in f.coeffs[:n]])
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def block_diagonal(field, blocks):
+    """The block-diagonal matrix with the given square blocks in order."""
+    n = sum(len(B) for B in blocks)
+    z = field.zero_rep
+    rows = []
+    at = 0
+    for B in blocks:
+        d = len(B)
+        for row in B:
+            rows.append((z,) * at + tuple(row) + (z,) * (n - at - d))
+        at += d
+    return tuple(rows)
+
+
 # -- Singer model ----------------------------------------------------------
 
 _modulus_cache = {}
@@ -201,16 +245,7 @@ def singer_modulus(n, field, seed=0):
 def singer_generator(n, field, seed=0):
     """Companion matrix of a primitive degree-n polynomial: a cyclic
     generator of order exactly q^n - 1, verified on the matrix itself."""
-    f = singer_modulus(n, field, seed)
-    z = field.zero_rep
-    cols = []
-    # column j = coordinates of x * x^j mod f
-    for j in range(n - 1):
-        col = [z] * n
-        col[j + 1] = field.one_rep
-        cols.append(col)
-    cols.append([field.neg(c) for c in f.coeffs[:n]])
-    S = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    S = companion_matrix(field, singer_modulus(n, field, seed))
     N = field.order ** n - 1
     ident = mat_identity(field, n)
     if mat_pow(field, S, N) != ident:
@@ -388,7 +423,8 @@ def gl_order(n, q):
 
 def gl_elements(n, field):
     """Every invertible n x n matrix over field, built row by row with a
-    linear-independence check.  Refused above the census cap."""
+    linear-independence check: the brute-force oracle for gl_census.
+    Refused above CENSUS_CAP."""
     if field.order ** (n * n) > CENSUS_CAP:
         raise CapExceededError(
             "full general-linear enumeration refused above %d candidate "
@@ -427,8 +463,105 @@ def gl_elements(n, field):
     return out
 
 
+def monic_irreducibles(field, d):
+    """Monic irreducible polynomials of degree d over field other than x,
+    in canonical enumeration order of their coefficients."""
+    reps = [field.rep_at(i) for i in range(field.order)]
+    out = []
+    for tail in itertools.product(reps, repeat=d):
+        if tail[0] == field.zero_rep:
+            continue
+        f = poly_mod.Poly(field, list(tail) + [field.one_rep])
+        if poly_mod.is_irreducible(f):
+            out.append(f)
+    return out
+
+
+def partitions(s, largest=None):
+    """Partitions of s as non-increasing tuples, largest first part
+    first."""
+    if largest is None:
+        largest = s
+    if s == 0:
+        yield ()
+        return
+    for first in range(min(s, largest), 0, -1):
+        for rest in partitions(s - first, first):
+            yield (first,) + rest
+
+
+def primary_centralizer_order(Q, lam):
+    """Order of the centralizer of the f-primary part with partition lam,
+    where Q = q^deg f: Q^(sum lam'_i^2) prod_i prod_{j <= m_i} (1 - Q^-j),
+    m_i the multiplicity of part i (Macdonald, ch. IV, (2.7))."""
+    conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
+    mults = Counter(lam).values()
+    out = Q ** (sum(c * c for c in conj)
+                - sum(m * (m + 1) // 2 for m in mults))
+    for m in mults:
+        for j in range(1, m + 1):
+            out *= Q ** j - 1
+    return out
+
+
+def gl_classes(n, field):
+    """(representative, class size) for every similarity class of
+    GL(n, q).
+
+    A class is a partition lam_f for each monic irreducible f != x with
+    sum deg(f) |lam_f| = n.  The representative is block diagonal with
+    one companion matrix of f^part per part; the class size is
+    |GL(n, q)| over the centralizer order, the product of the primary
+    centralizer orders.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    q = field.order
+    order = gl_order(n, q)
+    irreducibles = [f for d in range(1, n + 1)
+                    for f in monic_irreducibles(field, d)]
+
+    def walk(i, remaining, blocks, cent):
+        if remaining == 0:
+            size, rest = divmod(order, cent)
+            assert rest == 0, "centralizer order does not divide |GL|"
+            yield block_diagonal(field, blocks), size
+            return
+        if i == len(irreducibles) or irreducibles[i].degree > remaining:
+            return
+        f = irreducibles[i]
+        d = f.degree
+        yield from walk(i + 1, remaining, blocks, cent)
+        # companions[e - 1] is the companion matrix of f^e
+        companions = []
+        power = poly_mod.Poly.constant(field, 1)
+        for s in range(1, remaining // d + 1):
+            power = power * f
+            companions.append(companion_matrix(field, power))
+            for lam in partitions(s):
+                yield from walk(
+                    i + 1, remaining - d * s,
+                    blocks + [companions[part - 1] for part in lam],
+                    cent * primary_centralizer_order(q ** d, lam))
+
+    return walk(0, n, [], 1)
+
+
 def gl_census(n, field):
-    return census(field, gl_elements(n, field))
+    """Cycle-type census of GL(n, q), one similarity class at a time:
+    the cycle type of a representative, counted with the class size.
+    Refused above CLASS_CENSUS_CAP vectors."""
+    q = field.order
+    if q ** n > CLASS_CENSUS_CAP:
+        raise CapExceededError(
+            "general-linear census refused above q^n = %d vectors"
+            % CLASS_CENSUS_CAP)
+    ctr = Counter()
+    for A, size in gl_classes(n, field):
+        ctr[cycle_type_of(field, A)] += size
+    order = gl_order(n, q)
+    assert sum(ctr.values()) == order, "class sizes do not sum to |GL|"
+    return CycleCensus(order=order, counts=tuple(sorted(ctr.items())))
 
 
 def normalizer_elements(n, field, seed=0):

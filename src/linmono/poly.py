@@ -543,16 +543,6 @@ def discriminant(f):
 
 # -- serialization ---------------------------------------------------------
 
-def parse_element(field, token):
-    """Element from its string form: a bare int, or a bracketed vector of
-    base-field forms like "[1,2]"."""
-    token = token.strip()
-    if not token:
-        raise ValueError("empty element token")
-    obj = _parse_element_obj(token)
-    return field.elem(field.rep_from_obj(obj))
-
-
 def _parse_element_obj(token):
     token = token.strip()
     if token.startswith("["):

@@ -154,6 +154,32 @@ def test_census_gl23():
         assert sum(row["cycle_type"]) == 8
 
 
+def test_census_beyond_enumeration():
+    code, out, _ = run_cli("census", "--q", "3", "--n", "4")
+    assert code == 0
+    doc = check(json.loads(out))
+    assert doc["group"] == "GL(4,3)"
+    assert doc["order"] == 24261120
+    assert sum(row["count"] for row in doc["census"]) == 24261120
+
+
+def test_census_above_class_cap_exit1():
+    code, out, err = run_cli("census", "--q", "3", "--n", "6")
+    assert code == 1
+    doc = check(json.loads(out))
+    assert "refused" in doc["error"]
+    assert "error" in err
+
+
+def test_verify_alt2_gl52():
+    code, out, _ = run_cli("verify", "alt2", "--q", "2", "--n", "5")
+    assert code == 0
+    doc = check(json.loads(out))
+    assert doc["passed"] is True
+    assert doc["all_even"] is True
+    assert doc["group_order"] == 9999360
+
+
 def test_census_normalizer_only():
     code, out, _ = run_cli("census", "--q", "3", "--n", "2",
                            "--normalizer-only")

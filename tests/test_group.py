@@ -4,16 +4,22 @@ group closure, cycle types, censuses."""
 import pytest
 
 from linmono.ff import CapExceededError, make_field
-from linmono.group import (census, cycle_type_of, frobenius_matrix,
-                           generate_group, gl_census, gl_elements, gl_order,
+from linmono.group import (CLASS_CENSUS_CAP, census, companion_matrix,
+                           cycle_type_of, frobenius_matrix, generate_group,
+                           gl_census, gl_classes, gl_elements, gl_order,
                            mat_det, mat_identity, mat_inv, mat_mul, mat_pow,
-                           mat_vec, normalizer_census, normalizer_elements,
-                           nonzero_vectors, perm_sign, singer_generator,
-                           singer_modulus, stabilizer_order, vector_rank)
-from linmono.poly import is_irreducible
+                           mat_vec, monic_irreducibles, normalizer_census,
+                           normalizer_elements, nonzero_vectors, partitions,
+                           perm_sign, primary_centralizer_order,
+                           singer_generator, singer_modulus,
+                           stabilizer_order, vector_rank)
+from linmono.poly import Poly, is_irreducible, num_irreducible
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
+F5 = make_field(5)
+F7 = make_field(7)
 
 
 def test_matrix_arithmetic_basics():
@@ -210,6 +216,97 @@ def test_normalizer_census_fixed_point_types_all_odd():
 
 
 def test_gl_census_cap():
-    F5 = make_field(5)
     with pytest.raises(CapExceededError):
         gl_elements(3, F5)  # 5^9 > 3^9 cap
+
+
+# -- class census ------------------------------------------------------------
+
+def test_partitions_and_irreducibles():
+    assert list(partitions(0)) == [()]
+    assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
+                                   (1, 1, 1, 1)]
+    assert [len(list(partitions(s))) for s in range(1, 8)] \
+        == [1, 2, 3, 5, 7, 11, 15]
+    for field in (F2, F3, F4):
+        for d in (1, 2, 3):
+            irr = monic_irreducibles(field, d)
+            # x is the one monic irreducible left out
+            assert len(irr) == num_irreducible(field.order, d) - (d == 1)
+            assert all(f.degree == d and is_irreducible(f) for f in irr)
+
+
+def test_primary_centralizer_orders():
+    Q = 5
+    # a regular semisimple part: GL(1, Q)
+    assert primary_centralizer_order(Q, (1,)) == Q - 1
+    # a scalar part: all of GL(2, Q) or GL(3, Q)
+    assert primary_centralizer_order(Q, (1, 1)) == gl_order(2, Q)
+    assert primary_centralizer_order(Q, (1, 1, 1)) == gl_order(3, Q)
+    # a single Jordan block: polynomials in it, Q^(k-1) (Q - 1)
+    assert primary_centralizer_order(Q, (3,)) == Q ** 2 * (Q - 1)
+
+
+def test_companion_matrix_is_a_root_of_its_polynomial():
+    f = Poly(F3, [1, 2, 0, 1])   # x^3 + 2x + 1
+    C = companion_matrix(F3, f)
+    # Horner: acc <- acc * C + c * I, from the leading coefficient down
+    acc = tuple((F3.zero_rep,) * 3 for _ in range(3))
+    for c in reversed(f.coeffs):
+        acc = mat_mul(F3, acc, C)
+        acc = tuple(tuple(F3.add(a, c) if i == j else a
+                          for j, a in enumerate(row))
+                    for i, row in enumerate(acc))
+    assert all(a == F3.zero_rep for row in acc for a in row)
+
+
+@pytest.mark.parametrize("field, n", [(F2, 2), (F3, 2), (F4, 2), (F5, 2),
+                                      (F2, 3), (F3, 3)])
+def test_class_census_equals_enumeration(field, n):
+    """The class census against brute force: every invertible matrix,
+    each permuting every nonzero vector."""
+    assert gl_census(n, field) == census(field, gl_elements(n, field))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7])
+def test_class_counts_and_sizes(field):
+    q = field.order
+    for n, expected in ((1, q - 1), (2, q * q - 1), (3, q ** 3 - q)):
+        classes = list(gl_classes(n, field))
+        assert len(classes) == expected
+        assert sum(size for _, size in classes) == gl_order(n, q)
+        assert all(mat_det(field, A) != field.zero_rep for A, _ in classes)
+
+
+def _fixed_point_test(q, cycle_type):
+    """The points fixed by g^m form a subspace: for every m, 1 plus the
+    points in cycles of length dividing m is a power of q."""
+    for m in range(1, max(cycle_type) + 1):
+        fixed = 1 + sum(c for c in cycle_type if m % c == 0)
+        while fixed % q == 0:
+            fixed //= q
+        if fixed != 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field, n", [(F3, 4), (F2, 5), (F7, 3)])
+def test_class_census_beyond_enumeration(field, n):
+    q = field.order
+    cen = gl_census(n, field)
+    assert cen.order == gl_order(n, q)
+    assert sum(c for _, c in cen.counts) == cen.order
+    assert cen.count_of((1,) * (q ** n - 1)) == 1
+    for t, _ in cen.counts:
+        assert sum(t) == q ** n - 1
+        assert _fixed_point_test(q, t)
+    # a Singer cycle lies in GL(n, q)
+    assert (q ** n - 1,) in cen
+
+
+def test_class_census_cap():
+    assert 3 ** 5 <= CLASS_CENSUS_CAP < 3 ** 6
+    with pytest.raises(CapExceededError):
+        gl_census(6, F3)
+    with pytest.raises(ValueError):
+        list(gl_classes(-1, F3))

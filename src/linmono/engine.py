@@ -43,7 +43,8 @@ from dataclasses import dataclass, field as dc_field
 from . import group as group_mod
 from . import linpoly as lin_mod
 from . import poly as poly_mod
-from .ff import CapExceededError, FieldElement, extend_field, is_prime
+from .ff import (CapExceededError, FieldElement, extend_field, is_prime,
+                 log_tables)
 
 # Fields no larger than this are sampled exhaustively.
 EXHAUST_LIMIT = 2000
@@ -642,35 +643,8 @@ def verify_gmg(field, map_cap=20000):
     total = q ** m - 1
     if total > map_cap:
         raise CapExceededError("%d maps exceed the cap %d" % (total, map_cap))
-    reps = [field.rep_at(i) for i in range(q)]
-    nonzero = reps[1:]
-    squares = {field.mul(x, x) for x in nonzero}
-    # x -> (x^(p^0), ..., x^(p^(m-1))) and 1/x, precomputed per point
-    tables = []
-    for x in nonzero:
-        pows = [x]
-        for _ in range(m - 1):
-            pows.append(field.pow(pows[-1], p))
-        tables.append((pows, field.inv(x)))
-    passing = set()
-    for ci in range(1, q ** m):
-        cs = []
-        v = ci
-        for _ in range(m):
-            cs.append(reps[v % q])
-            v //= q
-        ok = True
-        for pows, xinv in tables:
-            acc = field.zero_rep
-            for c, xp in zip(cs, pows):
-                if c != field.zero_rep:
-                    acc = field.add(acc, field.mul(c, xp))
-            val = field.mul(acc, xinv)
-            if val != field.zero_rep and val not in squares:
-                ok = False
-                break
-        if ok:
-            passing.add(tuple(cs))
+    squares = {field.mul(x, x) for x in map(field.rep_at, range(1, q))}
+    passing = _gmg_passing(field, m, squares)
     expected = set()
     for d in range(m):
         for a in squares:
@@ -689,6 +663,45 @@ def verify_gmg(field, map_cap=20000):
         "extra": [[field.rep_to_obj(c) for c in t] for t in extra],
         "passed": not missing and not extra,
     }
+
+
+def _gmg_passing(field, m, squares):
+    """Coefficient tuples (c_0, ..., c_(m-1)) of the nonzero maps L whose
+    L(x)/x is zero or in squares at every nonzero x.
+
+    Works on ff.log_tables indices: the term c_i x^(p^i) / x has log
+    log c_i + (p^i - 1) log x mod q - 1, and terms are summed by Zech
+    addition.  Maps run in coefficient-index order and points in
+    enumeration order, stopping at a map's first failing point."""
+    exp, log, zech = log_tables(field)
+    q = field.order
+    n = q - 1
+    p = field.p
+    square = [field.rep_at(i) in squares for i in exp]
+    offsets = [tuple((p ** i - 1) * lx % n for i in range(m))
+               for lx in log[1:]]
+    passing = set()
+    for ci in range(1, q ** m):
+        digits = []
+        v = ci
+        for _ in range(m):
+            digits.append(v % q)
+            v //= q
+        terms = [(i, log[d]) for i, d in enumerate(digits) if d]
+        for offs in offsets:
+            acc = None  # log of the partial sum, None for zero
+            for i, lc in terms:
+                t = (lc + offs[i]) % n
+                if acc is None:
+                    acc = t
+                else:
+                    z = zech[(t - acc) % n]
+                    acc = None if z is None else (acc + z) % n
+            if acc is not None and not square[acc]:
+                break
+        else:
+            passing.add(tuple(field.rep_at(d) for d in digits))
+    return passing
 
 
 def verify_disc_lemma(field, n):

@@ -5,7 +5,12 @@ one-step extensions, each defined by a monic irreducible modulus over the
 field below.  Subfield membership, embedding and Frobenius maps are then
 structural walks down the tower instead of isomorphism searches.  Moduli
 are found by a seeded pseudorandom search, so the same (p, degrees, seed)
-always reconstructs bit-identical fields; no lookup tables are involved.
+always reconstructs bit-identical fields.
+
+Field arithmetic itself uses no lookup tables.  log_tables builds, on
+request and cached per field, exp/log/Zech tables over enumeration
+indices for fields of at most TABLE_CAP elements; engine.verify_gmg
+runs its exhaustive loop on them.
 
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base
@@ -26,6 +31,9 @@ CARDINALITY_CAP = 1 << 40
 
 # Exhaustive-enumeration guard for elements().
 ENUM_CAP = 1 << 22
+
+# Largest field log_tables will tabulate.
+TABLE_CAP = 1 << 16
 
 _MODULUS_TRIES = 20000
 
@@ -51,6 +59,21 @@ def is_prime(n):
             return False
         f += 2
     return True
+
+
+def prime_divisors(n):
+    """Distinct prime divisors of n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class Field:
@@ -520,6 +543,48 @@ def _prime_power_split(v):
     if w != 1 or not is_prime(p):
         raise ValueError("%d is not a prime power" % v)
     return p, m
+
+
+# -- index tables ----------------------------------------------------------
+
+_log_tables_cache = {}
+
+
+def log_tables(field):
+    """(exp, log, zech) over enumeration indices, cached per field.
+
+    g is the smallest index of multiplicative order q - 1.  exp[k] is the
+    index of g^k (0 <= k < q - 1); log[i] is its inverse, None at i = 0;
+    zech[k] is log(1 + g^k), None where 1 + g^k = 0 (Zech's logarithm;
+    Lidl & Niederreiter, Finite Fields), so g^i + g^j is
+    g^(i + zech[(j - i) mod (q - 1)]), or 0 where that entry is None.
+    Built from Field.mul (and Field.pow over it) and Field.add only.
+    """
+    cached = _log_tables_cache.get(field)
+    if cached is not None:
+        return cached
+    q = field.order
+    if q > TABLE_CAP:
+        raise CapExceededError("%d elements exceed the table cap %d"
+                               % (q, TABLE_CAP))
+    n = q - 1
+    one = field.one_rep
+    checks = [n // r for r in prime_divisors(n)]
+    gi = next(i for i in range(1, q)
+              if all(field.pow(field.rep_at(i), e) != one for e in checks))
+    g = field.rep_at(gi)
+    powers = [one]
+    for _ in range(n - 1):
+        powers.append(field.mul(powers[-1], g))
+    exp = tuple(field.index_of(x) for x in powers)
+    log = [None] * q
+    for k, i in enumerate(exp):
+        log[i] = k
+    if None in log[1:]:
+        raise AssertionError("g^k misses a nonzero element of %r" % field)
+    zech = tuple(log[field.index_of(field.add(one, x))] for x in powers)
+    cached = _log_tables_cache[field] = (exp, tuple(log), zech)
+    return cached
 
 
 # -- maps ------------------------------------------------------------------

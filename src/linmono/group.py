@@ -35,7 +35,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import poly as poly_mod
-from .ff import CapExceededError, Field
+from .ff import CapExceededError, Field, prime_divisors
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -222,7 +222,7 @@ def singer_modulus(n, field, seed=0):
         raise ValueError("degree must be >= 1")
     q = field.order
     N = q ** n - 1
-    prime_divs = poly_mod._prime_divisors(N) if N > 1 else []
+    prime_divs = prime_divisors(N)
     rng = random.Random("linmono.singer:%s:%d:%d"
                         % (field.spec_string(), n, seed))
     x = poly_mod.Poly.x(field)
@@ -250,7 +250,7 @@ def singer_generator(n, field, seed=0):
     ident = mat_identity(field, n)
     if mat_pow(field, S, N) != ident:
         raise AssertionError("Singer candidate order does not divide q^n - 1")
-    for r in poly_mod._prime_divisors(N) if N > 1 else []:
+    for r in prime_divisors(N):
         if mat_pow(field, S, N // r) == ident:
             raise AssertionError("Singer candidate order below q^n - 1")
     return S

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .ff import Field, FieldElement, FieldMismatchError
+from .ff import Field, FieldElement, FieldMismatchError, prime_divisors
 
 # to_dense-style materialization guard: a dense vector longer than this is
 # a sign the caller wanted the evaluation path instead.
@@ -450,24 +450,10 @@ def is_irreducible(f):
         powers[j] = g
     if powers[n] != x:
         return False
-    for r in _prime_divisors(n):
+    for r in prime_divisors(n):
         if gcd(f, powers[n // r] - x).degree != 0:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def mobius(n):

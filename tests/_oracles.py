@@ -61,3 +61,48 @@ def brute_is_irreducible(f, irreducibles):
         if (f % p).is_zero:
             return False
     return f.degree >= 1
+
+
+def brute_gmg_passing(field, squares=None):
+    """Coefficient tuples of the nonzero p-linearized maps on field whose
+    L(x)/x is zero or in squares (by default the nonzero squares) at every
+    nonzero x, by evaluating every map at every point with tuple-rep
+    arithmetic (no index tables)."""
+    p = field.p
+    q = field.order
+    m = 0
+    w = q
+    while w > 1:
+        w //= p
+        m += 1
+    reps = [field.rep_at(i) for i in range(q)]
+    nonzero = reps[1:]
+    if squares is None:
+        squares = {field.mul(x, x) for x in nonzero}
+    # x -> (x^(p^0), ..., x^(p^(m-1))) and 1/x, precomputed per point
+    tables = []
+    for x in nonzero:
+        pows = [x]
+        for _ in range(m - 1):
+            pows.append(field.pow(pows[-1], p))
+        tables.append((pows, field.inv(x)))
+    passing = set()
+    for ci in range(1, q ** m):
+        cs = []
+        v = ci
+        for _ in range(m):
+            cs.append(reps[v % q])
+            v //= q
+        ok = True
+        for pows, xinv in tables:
+            acc = field.zero_rep
+            for c, xp in zip(cs, pows):
+                if c != field.zero_rep:
+                    acc = field.add(acc, field.mul(c, xp))
+            val = field.mul(acc, xinv)
+            if val != field.zero_rep and val not in squares:
+                ok = False
+                break
+        if ok:
+            passing.add(tuple(cs))
+    return passing

@@ -2,16 +2,19 @@
 decision tree, exhaustive verifiers."""
 
 import math
+import random
 
 import pytest
 
+from _oracles import brute_gmg_passing
+from linmono import engine
 from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             normalizer_incompatibility_witness,
                             order_lcm_evidence, recheck, sample_cycle_types,
                             verdict, verify_alternating_char2,
                             verify_disc_lemma, verify_factor_identity,
                             verify_gmg, verify_normalizer)
-from linmono.ff import make_field
+from linmono.ff import make_field, parse_field_spec
 from linmono.group import gl_census, normalizer_census
 from linmono.linpoly import LinPoly, parse_linpoly
 
@@ -344,6 +347,31 @@ def test_verify_gmg_small():
         assert rep["observed_passing"] == expected
     with pytest.raises(ValueError):
         verify_gmg(F2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_verify_gmg_tables_match_brute_force(q, monkeypatch):
+    field = parse_field_spec(str(q))
+    report = verify_gmg(field)
+    brute = brute_gmg_passing(field)
+    squares = {field.mul(x, x) for x in map(field.rep_at, range(1, q))}
+    assert engine._gmg_passing(field, report["m"], squares) == brute
+    monkeypatch.setattr(engine, "_gmg_passing", lambda f, m, sq: brute)
+    assert verify_gmg(field) == report
+
+
+@pytest.mark.parametrize("q, m", [(9, 2), (25, 2), (27, 3)])
+def test_gmg_passing_other_target_sets(q, m):
+    """With the squares as target, every map with two or more terms fails
+    somewhere, so a slip in the Zech sums could leave the passing set
+    unchanged.  Against a random three-quarters of the nonzero elements
+    some multi-term maps pass, and their sums must be right."""
+    field = parse_field_spec(str(q))
+    nonzero = [field.rep_at(i) for i in range(1, q)]
+    target = set(random.Random(q).sample(nonzero, 3 * (q - 1) // 4))
+    passing = engine._gmg_passing(field, m, target)
+    assert passing == brute_gmg_passing(field, target)
+    assert any(sum(c != field.zero_rep for c in cs) > 1 for cs in passing)
 
 
 def test_verify_disc_lemma():

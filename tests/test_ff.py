@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from linmono.ff import (CapExceededError, FieldElement, FieldMismatchError,
-                        embed, extend_field, frobenius, is_prime, is_square,
-                        make_field, parse_field_spec)
+from linmono.ff import (TABLE_CAP, CapExceededError, Field, FieldElement,
+                        FieldMismatchError, embed, extend_field, frobenius,
+                        is_prime, is_square, log_tables, make_field,
+                        parse_field_spec, prime_divisors)
 
 
 def test_is_prime_small():
@@ -14,6 +15,14 @@ def test_is_prime_small():
               47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101}
     for n in range(-2, 102):
         assert is_prime(n) == (n in primes)
+
+
+def test_prime_divisors():
+    assert prime_divisors(1) == []
+    for n in range(2, 200):
+        divs = prime_divisors(n)
+        assert divs == sorted({d for d in range(2, n + 1)
+                               if n % d == 0 and is_prime(d)})
 
 
 def test_prime_field_basics():
@@ -234,3 +243,51 @@ def test_fieldelement_requires_wrapping():
     F3 = make_field(3)
     e = FieldElement(F3, F3.scalar_rep(2))
     assert e == F3.elem(2)
+
+
+def _mult_order(F, x):
+    k, y = 1, x
+    while y != F.one_rep:
+        y = F.mul(y, x)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "5", "7", "2^2", "2^3", "3^2",
+                                  "2^4", "5^2", "3^3", "7^2", "3^2+2"])
+def test_log_tables_exhaustive(spec):
+    F = parse_field_spec(spec)
+    q, n = F.order, F.order - 1
+    exp, log, zech = log_tables(F)
+    assert log_tables(parse_field_spec(spec)) is log_tables(F)
+    assert len(exp) == len(zech) == n and len(log) == q
+    # exp and log are inverse bijections between Z/(q-1) and indices 1..q-1
+    assert sorted(exp) == list(range(1, q))
+    assert log[0] is None
+    assert all(log[exp[k]] == k for k in range(n))
+    assert exp[0] == F.index_of(F.one_rep)
+    reps = [F.rep_at(i) for i in range(q)]
+    for a in range(1, q):
+        for b in range(1, q):
+            assert (exp[(log[a] + log[b]) % n]
+                    == F.index_of(F.mul(reps[a], reps[b])))
+    for k in range(n):
+        s = F.index_of(F.add(F.one_rep, reps[exp[k]]))
+        assert zech[k] == (None if s == 0 else log[s])
+    # the generator is the smallest index of order q - 1
+    g = exp[1 % n]
+    assert _mult_order(F, reps[g]) == n
+    assert all(_mult_order(F, reps[i]) < n for i in range(1, g))
+
+
+def test_log_tables_cap(monkeypatch):
+    F = make_field(2, 17)
+    assert F.order > TABLE_CAP
+
+    def no_arithmetic(*args):
+        raise AssertionError("table built above the cap")
+
+    for meth in ("add", "mul", "pow", "rep_at", "index_of"):
+        monkeypatch.setattr(Field, meth, no_arithmetic)
+    with pytest.raises(CapExceededError):
+        log_tables(F)

@@ -27,11 +27,18 @@ Everything this module reports is evidence a referee can recheck:
 * NCycleGuarantee / Char2SumCondition / OrderLcm: the bookkeeping facts
   backing the decision tree.
 
+recheck recomputes an item from L and its payload alone.  It takes cycle
+types from the n x n Frobenius matrix of L_alpha
+(linpoly.frobenius_cycle_type), not by factoring, so the sampler and the
+recheck reach each recorded type by different algorithms.
+
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
 prime, or in characteristic 2 the coefficient-sum condition
 a_1 + ... + a_{n-1} + 1 != 0 with L != x^(q^n)); "Inconclusive"
-otherwise, with the sampled evidence attached.
+otherwise, with the sampled evidence attached.  Sampling factors a dense
+polynomial of degree q^n - 1; above the dense cap a decided verdict
+carries a note and no samples, and an undecided one raises.
 """
 
 from __future__ import annotations
@@ -362,6 +369,17 @@ def _char2_sum(Ln):
 
 # -- the verdict -----------------------------------------------------------
 
+def _theorem_decides(Ln, n, p):
+    """True when verdict's decision tree settles the group without any
+    sample: the pure twist, or n an odd prime (in characteristic 2 only
+    with a nonzero coefficient sum)."""
+    if _is_pure_power(Ln):
+        return True
+    if n % 2 == 0 or not is_prime(n):
+        return False
+    return p != 2 or not _char2_sum(Ln).is_zero
+
+
 def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     """Decide the Galois group of (L(x) + tx)/x over F_q(t) when a
     theorem applies, otherwise return Inconclusive with evidence.
@@ -393,7 +411,14 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
         notes.append("a_0 absorbed into the transcendental "
                      "(t -> t - a_0); group unchanged")
 
-    run = sample_cycle_types(Ln, ks, budget=budget, seed=seed)
+    try:
+        run = sample_cycle_types(Ln, ks, budget=budget, seed=seed)
+    except CapExceededError as exc:
+        if not _theorem_decides(Ln, nv, p):
+            raise
+        run = SampleRun(samples=(), skipped=0)
+        notes.append("no cycle-type samples (%s); the verdict rests on "
+                     "the theorem" % exc)
     sample_ev = [s.to_evidence() for s in run.samples]
     skipped = run.skipped
     lcm_ev = None
@@ -475,9 +500,13 @@ def _gl_odd_verdict(Ln, nv, qv, p, run, sample_ev, lcm_ev, notes,
     if witness is None:
         witness = normalizer_incompatibility_witness(run.samples, nv)
     if witness is None and budget < 48:
-        # one deeper sampling pass before giving up on a witness
-        deeper = sample_cycle_types(Ln, ks, budget=48, seed=seed)
-        witness = normalizer_incompatibility_witness(deeper.samples, nv)
+        # one deeper sampling pass before giving up on a witness; a dense
+        # form over the cap leaves the verdict to the theorem alone
+        try:
+            deeper = sample_cycle_types(Ln, ks, budget=48, seed=seed)
+            witness = normalizer_incompatibility_witness(deeper.samples, nv)
+        except CapExceededError:
+            pass
     if witness is not None:
         v.evidence.append(witness)
     else:
@@ -535,11 +564,22 @@ def _gl_char2_verdict(Ln, nv, qv, p, sample_ev, lcm_ev, notes, skipped):
 
 # -- witness rechecking ----------------------------------------------------
 
+def _recheck_cycle_type(Ln, alpha):
+    """Cycle type of the Frobenius at alpha, recomputed from the n x n
+    Frobenius matrix of L_alpha (linpoly.frobenius_cycle_type) rather
+    than by the sampler's dense factoring; None when L(alpha) = 0."""
+    if lin_mod.evaluate(Ln, alpha).is_zero:
+        return None
+    return lin_mod.frobenius_cycle_type(lin_mod.specialize(Ln, alpha))
+
+
 def recheck(L, evidence, seed=0):
     """Independently re-verify one Evidence from (L, payload) alone.
 
     Rebuilds the extension from (k, seed), reconstructs alpha, and
-    recomputes the claimed fact.  Returns True/False.
+    recomputes the claimed fact.  Cycle types are recomputed by linear
+    algebra on the roots (_recheck_cycle_type), a different algorithm
+    from the factoring that produced them.  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)
@@ -547,20 +587,13 @@ def recheck(L, evidence, seed=0):
     pl = evidence.payload
     if kind in ("CycleTypeSample", "FixedPointOddness"):
         E = _field_at(Ln.base, pl["k"], seed)
-        alpha = E.elem(E.rep_from_obj(pl["alpha"]))
-        if lin_mod.evaluate(Ln, alpha).is_zero:
-            return False
-        spec = lin_mod.specialize(Ln, alpha)
-        ct = poly_mod.factor_degrees(lin_mod.reduced(spec))
-        if list(ct) != list(pl["cycle_type"]):
+        ct = _recheck_cycle_type(Ln, E.elem(E.rep_from_obj(pl["alpha"])))
+        if ct is None or list(ct) != list(pl["cycle_type"]):
             return False
         if kind == "FixedPointOddness":
-            n = Ln.qdeg
-            lcm = 1
-            for d in ct:
-                lcm = math.lcm(lcm, d)
+            lcm = math.lcm(*ct)
             return 1 in ct and (any(d % 2 == 0 for d in ct)
-                                or n % lcm != 0)
+                                or Ln.qdeg % lcm != 0)
         return True
     if kind == "DiscWitness":
         E = _field_at(Ln.base, pl["k"], seed)
@@ -574,12 +607,10 @@ def recheck(L, evidence, seed=0):
         lcm = 1
         for k, idx in pl["sample_refs"]:
             E = _field_at(Ln.base, k, seed)
-            alpha = E.element_at(idx)
-            if lin_mod.evaluate(Ln, alpha).is_zero:
+            ct = _recheck_cycle_type(Ln, E.element_at(idx))
+            if ct is None:
                 return False
-            spec = lin_mod.specialize(Ln, alpha)
-            for d in poly_mod.factor_degrees(lin_mod.reduced(spec)):
-                lcm = math.lcm(lcm, d)
+            lcm = math.lcm(lcm, *ct)
         return lcm == pl["lcm"]
     if kind == "NCycleGuarantee":
         N = Ln.q ** Ln.qdeg - 1

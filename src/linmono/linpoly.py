@@ -10,16 +10,22 @@ refused.
 
 The additive structure is what the rest of the package leans on: the
 roots of L form an F_q-vector space (root_space computes it as a kernel),
-and the square class of the discriminant of L(x)/x is readable off the
-constant coefficient (disc_square_class).
+the Frobenius acts on that space as an n x n matrix, so the factor
+degrees of L(x)/x over the coefficient field are its cycle type on the
+nonzero roots (frobenius_cycle_type), and the square class of the
+discriminant of L(x)/x is readable off the constant coefficient
+(disc_square_class).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
+from . import group as group_mod
 from . import poly as poly_mod
-from .ff import Field, FieldElement, FieldMismatchError, is_square
+from .ff import (Field, FieldElement, FieldMismatchError, embed_rep,
+                 is_square, prime_divisors)
 
 
 class SquareClass(enum.Enum):
@@ -177,7 +183,6 @@ def _target_field(L, target):
 
 
 def _up(L, K, rep):
-    from .ff import embed_rep
     if K == L.field:
         return rep
     return embed_rep(K, L.field, rep)
@@ -195,7 +200,6 @@ def evaluate(L, x):
     if not E.has_layer(L.field):
         raise FieldMismatchError(
             "point lies in %r which does not contain %r" % (E, L.field))
-    from .ff import embed_rep
     q = L.q
     t = x.rep
     acc = E.zero_rep
@@ -222,7 +226,6 @@ def specialize(L, alpha):
     if not E.has_layer(L.field):
         raise FieldMismatchError(
             "point lies in %r which does not contain %r" % (E, L.field))
-    from .ff import embed_rep
     ratio = (evaluate(L, alpha) / alpha).rep
     coeffs = [c if E == L.field else embed_rep(E, L.field, c)
               for c in L.coeffs]
@@ -270,11 +273,7 @@ def root_space(L, E):
         raise FieldMismatchError(
             "%r does not contain the coefficient field %r" % (E, L.field))
     K = L.base
-    dim = 1
-    for layer in E.layers():
-        if layer == K:
-            break
-        dim *= layer.degree
+    dim = _degree_over(E, K)
     cols = []
     for j in range(dim):
         flat = [K.zero_rep] * dim
@@ -294,15 +293,30 @@ def root_space(L, E):
     return roots
 
 
+def _degree_over(E, K):
+    """[E : K] for a tower layer K of E."""
+    dim = 1
+    for layer in E.layers():
+        if layer == K:
+            break
+        dim *= layer.degree
+    return dim
+
+
 def _kernel_basis(K, M, n):
-    """Kernel basis of an n x n matrix over K (rows of raw reps)."""
+    """Kernel basis of a matrix over K with n columns (rows of raw reps).
+
+    The basis vector of a free column c is 1 at c and 0 at every other
+    free column and at every pivot after c, so the first one is the first
+    linear dependence among the columns."""
     rows = [list(r) for r in M]
+    nrows = len(rows)
     z = K.zero_rep
     pivots = []
     r = 0
     for c in range(n):
         pr = None
-        for i in range(r, n):
+        for i in range(r, nrows):
             if rows[i][c] != z:
                 pr = i
                 break
@@ -311,14 +325,14 @@ def _kernel_basis(K, M, n):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = K.inv(rows[r][c])
         rows[r] = [K.mul(inv, v) for v in rows[r]]
-        for i in range(n):
+        for i in range(nrows):
             if i != r and rows[i][c] != z:
                 f = rows[i][c]
                 rows[i] = [K.sub(vi, K.mul(f, vr))
                            for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == n:
+        if r == nrows:
             break
     pivot_set = set(pivots)
     basis = []
@@ -331,6 +345,164 @@ def _kernel_basis(K, M, n):
             v[pc] = K.neg(rows[pi][fc])
         basis.append(v)
     return basis
+
+
+# -- Frobenius cycle type --------------------------------------------------
+
+def frobenius_cycle_type(L):
+    """Sorted cycle lengths of the Frobenius v -> v^(q^k) on the nonzero
+    roots of L, where L has coefficients in E = F_{q^k} and a_0 != 0.
+    These are the factor degrees of L(x)/x over E, found by n x n linear
+    algebra over E instead of factoring the degree q^n - 1 polynomial.
+
+    If M is the Moore matrix (row i = q^i-th powers) of a basis of the
+    root space V, then M^(q) = C M with C the companion matrix of the
+    recurrence v^(q^n) = -sum (a_i / a_n) v^(q^i), and applying that k
+    times gives M^(q^k) = N M for N = C^(q^(k-1)) ... C^(q) C, where
+    C^(q) raises each entry to the q-th power.  So N is similar to the
+    Frobenius on V, and its m-th power fixes q^(n - rank(N^m - I))
+    roots.
+
+    The candidate lengths are the divisors of the order of N: the order
+    of x modulo the minimal polynomial mu of N, which has coefficients in
+    F_q.  N^d - I has the kernel of g(N) for g = gcd(x^d - 1, mu).  When
+    deg mu = n (N is cyclic, the usual case) that kernel has dimension
+    deg g; otherwise it is computed from the powers N^j.  Mobius
+    inversion turns the fixed counts into cycle lengths.
+    """
+    E, K = L.field, L.base
+    n, q = L.qdeg, L.q
+    z = E.zero_rep
+    if n < 1 or L.coeffs[0] == z:
+        raise ValueError("need q-degree >= 1 and a_0 != 0")
+    N = _frobenius_matrix(L)
+    # mu of one vector divides mu of N; degree n means they are equal
+    vecs = [(E.one_rep,) + (z,) * (n - 1)]
+    for _ in range(n):
+        vecs.append(group_mod.mat_vec(E, N, vecs[-1]))
+    mu = _first_dependence(L, [list(col) for col in zip(*vecs)])
+    powers = None
+    if mu.degree < n:
+        powers = [group_mod.mat_identity(E, n)]
+        for _ in range(n):
+            powers.append(group_mod.mat_mul(E, powers[-1], N))
+        mu = _first_dependence(
+            L, [[P[i][j] for P in powers] for i in range(n)
+                for j in range(n)])
+    x = poly_mod.Poly.x(K)
+    one = poly_mod.Poly.constant(K, 1)
+    divisors = _divisors(_order_of_x(mu, q, K.p))
+    kernel_dims = {}
+    fixed = {}
+    for d in divisors:
+        g = poly_mod.gcd(poly_mod.pow_mod(x, d, mu) - one, mu)
+        if g not in kernel_dims:
+            kernel_dims[g] = (g.degree if powers is None
+                              else n - _rank_at(E, g, powers))
+        fixed[d] = q ** kernel_dims[g] - 1
+    lengths = []
+    for d in divisors:
+        exact = sum(poly_mod.mobius(d // c) * fixed[c]
+                    for c in divisors if d % c == 0)
+        if exact % d:
+            raise AssertionError("fixed counts are not a cycle type")
+        lengths.extend([d] * (exact // d))
+    if sum(lengths) != q ** n - 1:
+        raise AssertionError("cycle lengths do not cover the nonzero roots")
+    return tuple(lengths)
+
+
+def _first_dependence(L, rows):
+    """The monic polynomial over L.base of the first linear dependence
+    among the columns of rows (column j = N^j applied to something)."""
+    E, K = L.field, L.base
+    dep = _kernel_basis(E, rows, L.qdeg + 1)[0]
+    deg = max(j for j, c in enumerate(dep) if c != E.zero_rep)
+    return poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
+
+
+def _rank_at(E, g, powers):
+    """Rank over E of g(N), g over a tower layer of E, from the powers
+    N^j."""
+    n = len(powers[0])
+    A = [[E.zero_rep] * n for _ in range(n)]
+    for j, c in enumerate(g.coeffs):
+        if c != g.field.zero_rep:
+            c = embed_rep(E, g.field, c)
+            for row, prow in zip(A, powers[j]):
+                for i, v in enumerate(prow):
+                    row[i] = E.add(row[i], E.mul(c, v))
+    return n - len(_kernel_basis(E, A, n))
+
+
+def _frobenius_matrix(L):
+    """The transpose of N = C^(q^(k-1)) ... C^(q) C over L's field.
+    group.companion_matrix of the monic recurrence polynomial is C
+    transposed, so the product runs in the opposite order; a transpose
+    has the same ranks and minimal polynomial."""
+    E = L.field
+    lead = E.inv(L.coeffs[-1])
+    coeffs = [E.mul(c, lead) for c in L.coeffs[:-1]]
+
+    def companion(cs):
+        return group_mod.companion_matrix(
+            E, poly_mod.Poly._mk(E, cs + [E.one_rep]))
+
+    N = companion(coeffs)
+    for _ in range(_degree_over(E, L.base) - 1):
+        coeffs = [E.pow(c, L.q) for c in coeffs]
+        N = group_mod.mat_mul(E, N, companion(coeffs))
+    return N
+
+
+def _order_of_x(mu, q, p):
+    """Multiplicative order of x modulo mu over F_q (mu(0) != 0).
+
+    Starts from an exponent of the unit group of F_q[x]/(mu): a factor
+    f^m of mu contributes q^(deg f) - 1 times the least power of p that
+    is >= m, and deg f, m <= deg mu.  Then divides out each prime while
+    x^e stays 1."""
+    deg = mu.degree
+    e = 1
+    primes = set()
+    for i in range(1, deg + 1):
+        e = math.lcm(e, q ** i - 1)
+        primes.update(prime_divisors(q ** i - 1))
+    pt = 1
+    while pt < deg:
+        pt *= p
+    if pt > 1:
+        e *= pt
+        primes.add(p)
+    x = poly_mod.Poly.x(mu.field)
+    one = poly_mod.Poly.constant(mu.field, 1)
+    if poly_mod.pow_mod(x, e, mu) != one:
+        raise AssertionError("x is not a unit modulo the minimal polynomial")
+    for r in primes:
+        while e % r == 0 and poly_mod.pow_mod(x, e // r, mu) == one:
+            e //= r
+    return e
+
+
+def _divisors(m):
+    """Divisors of m >= 1, ascending."""
+    out = [1]
+    for r in prime_divisors(m):
+        e = 0
+        while m % r ** (e + 1) == 0:
+            e += 1
+        out = [d * r ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def _down(E, K, rep):
+    """The rep over the tower layer K of an element of E lying in K."""
+    while E != K:
+        if any(c != E.base.zero_rep for c in rep[1:]):
+            raise AssertionError("minimal polynomial has a coefficient "
+                                 "outside F_q")
+        E, rep = E.base, rep[0]
+    return rep
 
 
 # -- discriminant square class ---------------------------------------------

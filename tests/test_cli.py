@@ -261,6 +261,39 @@ def test_batch_conflicts_with_lin(tmp_path):
     assert "error" in json.loads(out)
 
 
+def _lin(*coeffs):
+    return ",".join(str(c) for c in coeffs)
+
+
+@pytest.mark.parametrize("lin,verdict,basis", [
+    # x^(2^23) + x: the pure twist after a_0 is absorbed
+    (_lin(1, *[0] * 22, 1), "GammaL", "MainTheorem"),
+    # coefficient sum a_1 + a_2 + a_23 = 1: the characteristic-2 criterion
+    (_lin(0, 1, 1, *[0] * 20, 1), "GL", "Char2Theorem"),
+])
+def test_analyze_decided_above_dense_cap(lin, verdict, basis):
+    """q^n = 2^23 is over the dense cap, so no cycle type is sampled, but
+    a theorem decides the group and the run must not fail on that."""
+    code, out, _ = run_cli("analyze", "--q", "2", "--lin", lin)
+    assert code == 0
+    doc = check(json.loads(out))
+    assert doc["verdict"] == verdict
+    assert doc["basis"] == basis
+    assert not [e for e in doc["evidence"]
+                if e["kind"] == "CycleTypeSample"]
+    assert any(note.startswith("no cycle-type samples")
+               for note in doc["notes"])
+
+
+def test_analyze_inconclusive_above_dense_cap_exit1():
+    # coefficient sum a_1 + a_23 = 0: no theorem applies, so the cap
+    # error stands
+    code, out, _ = run_cli("analyze", "--q", "2", "--lin",
+                           _lin(0, 1, *[0] * 21, 1))
+    assert code == 1
+    assert "dense form" in json.loads(out)["error"]
+
+
 def test_extension_field_analyze():
     code, out, _ = run_cli("analyze", "--q", "9", "--lin", "0,0,1")
     assert code == 0

@@ -16,7 +16,7 @@ from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             verify_gmg, verify_normalizer)
 from linmono.ff import make_field, parse_field_spec
 from linmono.group import gl_census, normalizer_census
-from linmono.linpoly import LinPoly, parse_linpoly
+from linmono.linpoly import LinPoly, evaluate, parse_linpoly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -321,6 +321,57 @@ def test_recheck_rejects_tampered_payloads():
     assert not recheck(X27X3, bad_n)
     with pytest.raises(ValueError):
         recheck(X27X3, Evidence("NoSuchKind", {}, ""))
+
+
+def test_recheck_rejects_genuine_types_at_the_wrong_alpha():
+    """Each tampered item carries a cycle type that some alpha really
+    has, so only a recheck that recomputes the type at the recorded
+    alpha (not one that checks sums, a fixed point or linearity) can
+    refuse it."""
+    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
+    by_type = {s.cycle_type: s for s in run.samples}
+    assert len(by_type) >= 2
+    (t1, s1), (t2, s2) = sorted(by_type.items())[:2]
+    assert 1 in t1 and 1 in t2
+    for s, other in ((s1, t2), (s2, t1)):
+        good = s.to_evidence()
+        assert recheck(X27X3, good)
+        bad = Evidence(good.kind, dict(good.payload,
+                                       cycle_type=list(other)), good.note)
+        assert not recheck(X27X3, bad)
+    w = normalizer_incompatibility_witness(run.samples, 3)
+    assert recheck(X27X3, w)
+    other = t2 if tuple(w.payload["cycle_type"]) == t1 else t1
+    bad = Evidence(w.kind, dict(
+        w.payload, cycle_type=list(other),
+        even_lengths=[d for d in other if d % 2 == 0],
+        order_lcm=math.lcm(*other)), w.note)
+    assert not recheck(X27X3, bad)
+
+
+def test_recheck_recomputes_without_factoring(monkeypatch):
+    evidence = verdict(X27X3, budget=6).evidence
+
+    def refuse(f):
+        raise AssertionError("recheck factored a dense polynomial")
+
+    monkeypatch.setattr(engine.poly_mod, "factor_degrees", refuse)
+    assert {e.kind for e in evidence} >= {"CycleTypeSample", "OrderLcm"}
+    for e in evidence:
+        assert recheck(X27X3, e), e.kind
+
+
+def test_recheck_order_lcm_rejects_a_root_alpha():
+    # x^9 - x^3 vanishes at alpha = 1 in F_3; naming it leaves the lcm
+    # unchanged, so only the L(alpha) = 0 check can refuse the item
+    L = parse_linpoly(F3, "0,2,1")
+    assert evaluate(L, F3.element_at(1)).is_zero
+    ev = next(e for e in verdict(L).evidence if e.kind == "OrderLcm")
+    assert recheck(L, ev)
+    bad = Evidence(ev.kind, dict(
+        ev.payload, sample_refs=ev.payload["sample_refs"] + [[1, 1]]),
+        ev.note)
+    assert not recheck(L, bad)
 
 
 def test_recheck_disc_witness_square_alpha_fails():

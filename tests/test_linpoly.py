@@ -1,13 +1,18 @@
 """q-linearized polynomials: evaluation, specialization, dense forms,
 root spaces, square classes."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
                         parse_field_spec)
 from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
-                             evaluate, parse_linpoly, reduced, root_space,
-                             specialize, square_class, to_poly)
+                             evaluate, frobenius_cycle_type, parse_linpoly,
+                             reduced, root_space, specialize, square_class,
+                             to_poly)
 from linmono.poly import Poly, discriminant, factor_degrees
 
 F2 = make_field(2)
@@ -203,3 +208,93 @@ def test_specialization_factor_degrees_example():
     La = specialize(L, F3.one())
     assert La.coeff_objs() == [2, 0, 1]  # x^9 - x: the shift lands on a_0
     assert factor_degrees(reduced(La)) == (1, 1, 2, 2, 2)
+
+
+BASES = {q: parse_field_spec(str(q)) for q in (2, 3, 4, 5, 7, 9)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
+    """The n x n linear-algebra path and dense distinct-degree factoring
+    agree on random L, k and alpha, over prime fields, F_4 and F_9 (so
+    E is a tower over a non-prime base) and characteristic 2.  Sizes are
+    kept where the dense side stays fast: n = 3 only below q = 7, and
+    k <= 2 once q^n > 27."""
+    q = data.draw(st.sampled_from(sorted(BASES)), label="q")
+    K = BASES[q]
+    n = data.draw(st.integers(1, 3 if q < 7 else 2), label="n")
+    k = data.draw(st.integers(1, 4 if q ** n <= 27 else 2), label="k")
+    coeffs = [data.draw(st.integers(0, q - 1)) for _ in range(n)]
+    coeffs.append(data.draw(st.integers(1, q - 1), label="a_n"))
+    L = LinPoly(K, [K.rep_at(c) for c in coeffs])
+    E = extend_field(K, k)
+    alpha = E.element_at(data.draw(st.integers(1, E.order - 1),
+                                   label="alpha"))
+    La = specialize(L, alpha)
+    if La.coeffs[0] == E.zero_rep:
+        with pytest.raises(ValueError):
+            frobenius_cycle_type(La)
+        return
+    assert frobenius_cycle_type(La) == factor_degrees(reduced(La))
+
+
+@pytest.mark.parametrize("spec,n,kmax", [("2", 3, 3), ("3", 2, 2),
+                                          ("3", 3, 2), ("4", 2, 2)])
+def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
+    """Every monic L with a_0 = 0 and every alpha in F_{q^k}, k <= kmax:
+    the linear path equals dense factoring, cyclic N or not."""
+    K = parse_field_spec(spec)
+    q = K.order
+    for mid in itertools.product(range(q), repeat=n - 1):
+        L = LinPoly(K, [0] + [K.rep_at(c) for c in mid] + [1])
+        for k in range(1, kmax + 1):
+            E = extend_field(K, k)
+            for i in range(1, E.order):
+                La = specialize(L, E.element_at(i))
+                if La.coeffs[0] != E.zero_rep:
+                    assert frobenius_cycle_type(La) \
+                        == factor_degrees(reduced(La)), (mid, k, i)
+
+
+@pytest.mark.parametrize("spec,lin,k", [
+    ("3", "0,1,0,1", 2),     # x^27 + x^3, alpha in F_9
+    ("3", "1,2,1", 2),
+    ("2", "0,1,1,1", 3),     # characteristic 2
+    ("2", "0,1,1,1", 2),     # mu of degree 2 < n: ranks from N^j
+    ("3", "0,2,1,1", 2),     # the same for q = 3
+    ("3", "0,0,1", 2),       # x^9 - x over F_9: N = I
+    ("4", "0,[0,1],1", 2),   # F_16 as a tower over F_4
+    ("5", "0,3,1", 1),
+])
+def test_fixed_counts_equal_root_space_dimensions(spec, lin, k):
+    """The m-th Frobenius power fixes 1 + (sum of the cycle lengths that
+    divide m) roots, and those are exactly the roots of L_alpha in
+    F_{q^(km)}: q^dim root_space."""
+    K = parse_field_spec(spec)
+    L = parse_linpoly(K, lin)
+    E = extend_field(K, k)
+    seen = 0
+    for i in range(1, E.order):
+        La = specialize(L, E.element_at(i))
+        if La.coeffs[0] == E.zero_rep:
+            continue
+        ct = frobenius_cycle_type(La)
+        for m in (1, 2, 3):
+            fixed = 1 + sum(d for d in ct if m % d == 0)
+            assert K.order ** len(root_space(La, extend_field(E, m))) \
+                == fixed, (i, m, ct)
+        seen += 1
+        if seen == 4:
+            break
+    assert seen > 0
+
+
+def test_frobenius_cycle_type_errors():
+    with pytest.raises(ValueError):
+        frobenius_cycle_type(LinPoly(F3, [0, 1, 1]))  # a_0 = 0
+    E = extend_field(F3, 2)
+    # an element of F_9 outside F_3 is an internal failure, not bad input
+    with pytest.raises(AssertionError):
+        linpoly._down(E, F3, E.element_at(4).rep)
+    assert linpoly._down(E, F3, E.element_at(2).rep) == 2

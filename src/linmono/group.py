@@ -14,9 +14,17 @@ verification layer rather than trusted.
 
 Permutation structure: a matrix acts on the q^n - 1 nonzero column
 vectors, ranked lexicographically; cycle types are sorted tuples of cycle
-lengths of that permutation.
+lengths of that permutation.  permutation_of applies one matrix to every
+vector and looks the images up in a vector-to-position dict kept for the
+last (field, n).  A group generated by a few matrices is a permutation
+group on those positions: closure applies only the generators to
+vectors and composes each product's permutation from its factors', and
+orbit_representatives takes the orbits from the generators'
+permutations, so stabilizer orders follow from orbit-stabilizer
+(stabilizer_orders).
 
-Censuses: the Singer normalizer is enumerated by closure.  GL(n, q) is
+Censuses: the Singer normalizer is enumerated by closure, each element's
+cycle type read from its composed permutation.  GL(n, q) is
 never enumerated on the census path: a cycle type depends only on the
 similarity class, so gl_census walks the classes (one partition per
 monic irreducible f != x, as in Green, "The characters of the finite
@@ -284,12 +292,72 @@ def frobenius_matrix(n, field, seed=0):
 
 # -- group generation and permutation structure ----------------------------
 
-def generate_group(field, gens, cap=GROUP_CAP):
-    """Breadth-first closure of the generators under multiplication.
+_points_cache = {}
 
-    Generators must be invertible square matrices of one size; for a
-    finite group the multiplicative closure is the generated subgroup.
-    Raises CapExceededError if more than cap elements appear.
+
+def _points(field, n):
+    """(vectors, position) for F_q^n minus 0: the nonzero vectors in rank
+    order and a dict from each to its position (rank - 1).  Refused
+    above GROUP_CAP vectors.
+
+    Only the last (field, n) is kept.  A census or closure works in one
+    space, and keeping every space would hold up to GROUP_CAP vectors
+    per space for the life of the module."""
+    key = (field, n)
+    cached = _points_cache.get(key)
+    if cached is None:
+        if field.order ** n - 1 > GROUP_CAP:
+            raise CapExceededError("too many vectors to permute")
+        vecs = nonzero_vectors(field, n)
+        cached = (vecs, {v: i for i, v in enumerate(vecs)})
+        _points_cache.clear()
+        _points_cache[key] = cached
+    return cached
+
+
+def permutation_of(field, A):
+    """A acting on the nonzero vectors as a list of positions: the vector
+    at position i (rank i + 1) goes to position perm[i]."""
+    vecs, position = _points(field, len(A))
+    try:
+        return [position[mat_vec(field, A, v)] for v in vecs]
+    except KeyError:
+        raise ValueError("matrix is singular") from None
+
+
+def perm_cycle_type(perm):
+    """Sorted cycle lengths of a permutation given as a list."""
+    seen = bytearray(len(perm))
+    lengths = []
+    for i in range(len(perm)):
+        if not seen[i]:
+            ln = 0
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = perm[j]
+                ln += 1
+            lengths.append(ln)
+    return tuple(sorted(lengths))
+
+
+def cycle_type_of(field, A):
+    """Sorted cycle lengths of A acting on the nonzero vectors."""
+    return perm_cycle_type(permutation_of(field, A))
+
+
+def closure(field, gens, cap=GROUP_CAP):
+    """Breadth-first closure of the generators under multiplication,
+    yielding (A, perm) for each element A as it is expanded, with perm
+    its permutation_of.
+
+    Only the generators are applied to vectors.  The product w = m g
+    acts as m after g, so its permutation is composed from theirs.  The
+    matrices are still multiplied out, so the element list does not rest
+    on the composed permutations.  Generators must be invertible square
+    matrices of one size; for a finite group the multiplicative closure
+    is the generated subgroup.  Raises CapExceededError if more than cap
+    elements appear.
     """
     gens = [tuple(tuple(row) for row in g) for g in gens]
     if not gens:
@@ -300,22 +368,27 @@ def generate_group(field, gens, cap=GROUP_CAP):
             raise ValueError("generators must be square and of one size")
         if mat_det(field, g) == field.zero_rep:
             raise ValueError("generator is singular")
+    gen_perms = [permutation_of(field, g) for g in gens]
     ident = mat_identity(field, n)
     seen = {ident}
-    order_out = [ident]
-    queue = deque([ident])
+    queue = deque([(ident, list(range(len(gen_perms[0]))))])
     while queue:
-        m = queue.popleft()
-        for g in gens:
+        m, pm = queue.popleft()
+        for g, pg in zip(gens, gen_perms):
             w = mat_mul(field, m, g)
             if w not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(
                         "group closure exceeded cap %d" % cap)
                 seen.add(w)
-                order_out.append(w)
-                queue.append(w)
-    return order_out
+                queue.append((w, [pm[i] for i in pg]))
+        yield m, pm
+
+
+def generate_group(field, gens, cap=GROUP_CAP):
+    """Every element of the group the generators generate, in
+    breadth-first order from the identity (see closure)."""
+    return [A for A, _ in closure(field, gens, cap)]
 
 
 def nonzero_vectors(field, n):
@@ -334,30 +407,6 @@ def vector_rank(field, v):
     return r
 
 
-def cycle_type_of(field, A):
-    """Sorted cycle lengths of A acting on the nonzero vectors."""
-    n = len(A)
-    total = field.order ** n
-    if total - 1 > GROUP_CAP:
-        raise CapExceededError("too many vectors to permute")
-    vecs = nonzero_vectors(field, n)
-    perm = [0] * (total - 1)
-    for i, v in enumerate(vecs):
-        perm[i] = vector_rank(field, mat_vec(field, A, v)) - 1
-    seen = bytearray(total - 1)
-    lengths = []
-    for i in range(total - 1):
-        if not seen[i]:
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = perm[j]
-                ln += 1
-            lengths.append(ln)
-    return tuple(sorted(lengths))
-
-
 def perm_sign(cycle_type):
     """+1 or -1: the sign of any permutation with this cycle type."""
     return -1 if sum(d - 1 for d in cycle_type) % 2 else 1
@@ -369,6 +418,52 @@ def stabilizer_order(field, elements, v):
     if all(c == field.zero_rep for c in v):
         raise ValueError("stabilizer of the zero vector is everything")
     return sum(1 for A in elements if mat_vec(field, A, v) == v)
+
+
+def orbit_representatives(perms):
+    """For each point, the smallest point of its orbit under the group
+    the permutations (lists of one length) generate."""
+    rep = [-1] * len(perms[0])
+    for start in range(len(rep)):
+        if rep[start] < 0:
+            rep[start] = start
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for perm in perms:
+                    j = perm[i]
+                    if rep[j] < 0:
+                        rep[j] = start
+                        stack.append(j)
+    return rep
+
+
+def stabilizer_orders(field, gens, elements):
+    """Stabilizer order of every nonzero vector, in rank order, in the
+    group whose full list of elements is given and which gens generate.
+
+    Orbit-stabilizer: the order is len(elements) over the size of the
+    vector's orbit, and the orbits come from the generators'
+    permutations alone.  On each orbit's first vector the stabilizer is
+    also counted directly with stabilizer_order; a disagreement (gens
+    and elements describing different groups, say) raises
+    AssertionError.
+    """
+    vecs, _ = _points(field, len(gens[0]))
+    reps = orbit_representatives([permutation_of(field, g) for g in gens])
+    sizes = Counter(reps)
+    orders = []
+    for i, r in enumerate(reps):
+        order, rest = divmod(len(elements), sizes[r])
+        if r == i:
+            direct = stabilizer_order(field, elements, vecs[i])
+            if rest or direct != order:
+                raise AssertionError(
+                    "orbit of size %d in a group of %d elements, but %d "
+                    "of them fix the vector"
+                    % (sizes[r], len(elements), direct))
+        orders.append(order)
+    return orders
 
 
 # -- censuses --------------------------------------------------------------
@@ -564,13 +659,22 @@ def gl_census(n, field):
     return CycleCensus(order=order, counts=tuple(sorted(ctr.items())))
 
 
-def normalizer_elements(n, field, seed=0):
-    """The full <S, F> (Singer normalizer), n(q^n - 1) matrices."""
+def _normalizer_closure(n, field, seed):
     S = singer_generator(n, field, seed)
     F = frobenius_matrix(n, field, seed)
     expected = n * (field.order ** n - 1)
-    return generate_group(field, [S, F], cap=expected + 1)
+    return closure(field, [S, F], cap=expected + 1)
+
+
+def normalizer_elements(n, field, seed=0):
+    """The full <S, F> (Singer normalizer), n(q^n - 1) matrices."""
+    return [A for A, _ in _normalizer_closure(n, field, seed)]
 
 
 def normalizer_census(n, field, seed=0):
-    return census(field, normalizer_elements(n, field, seed))
+    """Cycle-type census of <S, F>, each element's type read from the
+    permutation the closure composes for it."""
+    ctr = Counter(perm_cycle_type(perm)
+                  for _, perm in _normalizer_closure(n, field, seed))
+    return CycleCensus(order=sum(ctr.values()),
+                       counts=tuple(sorted(ctr.items())))

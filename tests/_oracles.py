@@ -6,7 +6,10 @@ results can be checked against an independent path.
 """
 
 import itertools
+from collections import deque
 
+from linmono.group import (mat_identity, mat_mul, mat_vec, nonzero_vectors,
+                           vector_rank)
 from linmono.poly import Poly
 
 
@@ -106,3 +109,48 @@ def brute_gmg_passing(field, squares=None):
         if ok:
             passing.add(tuple(cs))
     return passing
+
+
+def brute_closure(field, gens):
+    """Breadth-first closure of invertible generators by matrix
+    multiplication, elements in discovery order."""
+    ident = mat_identity(field, len(gens[0]))
+    seen = {ident}
+    out = [ident]
+    queue = deque([ident])
+    while queue:
+        m = queue.popleft()
+        for g in gens:
+            w = mat_mul(field, m, g)
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+                queue.append(w)
+    return out
+
+
+def brute_cycle_type(field, A):
+    """Sorted cycle lengths of A on the nonzero vectors, by applying A to
+    every vector and ranking each image through field.index_of."""
+    vecs = nonzero_vectors(field, len(A))
+    perm = [vector_rank(field, mat_vec(field, A, v)) - 1 for v in vecs]
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        ln = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        if ln:
+            lengths.append(ln)
+    return tuple(sorted(lengths))
+
+
+def brute_stabilizer_orders(field, elements):
+    """For every nonzero vector in rank order, how many of the elements
+    fix it, by applying every element to every vector."""
+    n = len(elements[0])
+    return [sum(1 for A in elements if mat_vec(field, A, v) == v)
+            for v in nonzero_vectors(field, n)]

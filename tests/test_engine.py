@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from _oracles import brute_gmg_passing
+from _oracles import brute_gmg_passing, brute_stabilizer_orders
+from linmono import group as group_mod
 from linmono import engine
 from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             normalizer_incompatibility_witness,
@@ -389,6 +390,31 @@ def test_verify_normalizer_structure():
         assert rep["order"] == n * (field.order ** n - 1)
         assert rep["conjugation_ok"]
         assert rep["stabilizer_violations"] == []
+
+
+@pytest.mark.parametrize("spec, n, power", [("3", 2, 8), ("5", 2, 8),
+                                             ("2", 4, 15), ("9", 2, 80),
+                                             ("2", 3, 7), ("4", 2, 5),
+                                             ("7", 2, 16), ("2", 6, 21)])
+def test_verify_normalizer_orbits_match_brute_force(spec, n, power,
+                                                    monkeypatch):
+    """Replace S by S^power, so <S^power, F> is a proper subgroup with
+    several orbits whose stabilizers differ (power = q^n - 1 leaves <F>
+    alone): the report from orbits, violations and all, equals the one
+    from counting every element on every vector."""
+    field = parse_field_spec(spec)
+    singer = group_mod.singer_generator
+    monkeypatch.setattr(group_mod, "singer_generator",
+                        lambda n, f, seed=0: group_mod.mat_pow(
+                            f, singer(n, f, seed), power))
+    report = verify_normalizer(n, field)
+    assert not report["passed"] and not report["order_ok"]
+    assert report["conjugation_ok"]
+    assert 0 < len(report["stabilizer_violations"]) < field.order ** n - 1
+    monkeypatch.setattr(group_mod, "stabilizer_orders",
+                        lambda f, gens, elements:
+                        brute_stabilizer_orders(f, elements))
+    assert verify_normalizer(n, field) == report
 
 
 def test_verify_gmg_small():

@@ -1,18 +1,25 @@
 """Matrix groups over finite fields: Singer cycles, Frobenius conjugation,
 group closure, cycle types, censuses."""
 
+from collections import Counter
+
 import pytest
 
-from linmono.ff import CapExceededError, make_field
-from linmono.group import (CLASS_CENSUS_CAP, census, companion_matrix,
-                           cycle_type_of, frobenius_matrix, generate_group,
-                           gl_census, gl_classes, gl_elements, gl_order,
-                           mat_det, mat_identity, mat_inv, mat_mul, mat_pow,
-                           mat_vec, monic_irreducibles, normalizer_census,
-                           normalizer_elements, nonzero_vectors, partitions,
-                           perm_sign, primary_centralizer_order,
+from _oracles import (brute_closure, brute_cycle_type,
+                      brute_stabilizer_orders)
+from linmono.ff import (CapExceededError, make_field, parse_field_spec,
+                        prime_divisors)
+from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census, closure,
+                           companion_matrix, cycle_type_of, frobenius_matrix,
+                           generate_group, gl_census, gl_classes, gl_elements,
+                           gl_order, mat_det, mat_identity, mat_inv, mat_mul,
+                           mat_pow, mat_vec, monic_irreducibles,
+                           normalizer_census, normalizer_elements,
+                           nonzero_vectors, orbit_representatives,
+                           partitions, perm_cycle_type, perm_sign,
+                           permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus,
-                           stabilizer_order, vector_rank)
+                           stabilizer_order, stabilizer_orders, vector_rank)
 from linmono.poly import Poly, is_irreducible, num_irreducible
 
 F2 = make_field(2)
@@ -135,6 +142,19 @@ def test_cycle_type_lengths_divide_element_order():
             assert order % d == 0
 
 
+def test_permutation_of_and_cycle_type_against_brute_force():
+    for field, n in ((F3, 2), (F2, 3), (F4, 2)):
+        vecs = nonzero_vectors(field, n)
+        for A in gl_elements(n, field):
+            perm = permutation_of(field, A)
+            assert [vecs[j] for j in perm] == [mat_vec(field, A, v)
+                                               for v in vecs]
+            assert cycle_type_of(field, A) == brute_cycle_type(field, A)
+    with pytest.raises(ValueError):
+        permutation_of(F3, ((F3.one_rep, F3.zero_rep),
+                            (F3.one_rep, F3.zero_rep)))
+
+
 def test_perm_sign():
     assert perm_sign((1, 1, 1)) == 1
     assert perm_sign((2,)) == -1
@@ -149,6 +169,80 @@ def test_stabilizer_orders_in_normalizer():
         els = normalizer_elements(n, field)
         for v in nonzero_vectors(field, n):
             assert stabilizer_order(field, els, v) == n
+
+
+def _normalizer_cases():
+    """(field spec, n) for every prime power q and n >= 1 with
+    q^n <= 81, plus the towers F_16 over F_4 and F_81 over F_9."""
+    qs = [q for q in range(2, 82) if len(prime_divisors(q)) == 1]
+    cases = [(str(q), n) for q in qs for n in range(1, 7) if q ** n <= 81]
+    return cases + [("2^2+2", 1), ("3^2+2", 1)]
+
+
+@pytest.mark.parametrize("spec, n", _normalizer_cases())
+def test_normalizer_census_equals_brute_census(spec, n):
+    """The census read from composed permutations against matrices
+    multiplied out one by one and applied to every vector."""
+    field = parse_field_spec(spec)
+    S = singer_generator(n, field)
+    F = frobenius_matrix(n, field)
+    elements = brute_closure(field, [S, F])
+    assert len(elements) == n * (field.order ** n - 1)
+    pairs = list(closure(field, [S, F]))
+    assert [A for A, _ in pairs] == elements
+    brute = Counter()
+    for A, perm in pairs:
+        brute[brute_cycle_type(field, A)] += 1
+        assert perm_cycle_type(perm) == brute_cycle_type(field, A)
+    assert normalizer_census(n, field) == CycleCensus(
+        order=len(elements), counts=tuple(sorted(brute.items())))
+
+
+def test_normalizer_cases_cover_the_required_fields():
+    specs = {spec for spec, _ in _normalizer_cases()}
+    assert {"4", "8", "9", "16", "27", "81", "2^2+2"} <= specs
+    assert ("2", 6) in _normalizer_cases() and ("3", 4) in _normalizer_cases()
+
+
+def _non_transitive_gens(n, field):
+    """Generating sets with more than one orbit on the nonzero vectors:
+    <F>, and <S^e>, <S^e, F> for the smallest prime e dividing q^n - 1
+    when that is not q^n - 1 itself."""
+    N = field.order ** n - 1
+    S = singer_generator(n, field)
+    F = frobenius_matrix(n, field)
+    out = [[F]]
+    e = min(prime_divisors(N))
+    if e < N:
+        out += [[mat_pow(field, S, e)], [mat_pow(field, S, e), F]]
+    return out
+
+
+@pytest.mark.parametrize("spec, n", [("2", 3), ("2", 4), ("3", 2),
+                                     ("3", 3), ("4", 2), ("5", 2),
+                                     ("9", 2)])
+def test_stabilizer_orders_of_non_transitive_groups(spec, n):
+    field = parse_field_spec(spec)
+    sizes_seen = set()
+    for gens in _non_transitive_gens(n, field):
+        elements = generate_group(field, gens)
+        assert elements == brute_closure(field, gens)
+        orders = stabilizer_orders(field, gens, elements)
+        assert orders == brute_stabilizer_orders(field, elements)
+        sizes_seen.add(len(set(orders)))
+        reps = orbit_representatives(
+            [permutation_of(field, g) for g in gens])
+        assert len(set(reps)) > 1
+        assert all(reps[r] == r <= i for i, r in enumerate(reps))
+    assert max(sizes_seen) > 1  # stabilizers differ between orbits
+
+
+def test_stabilizer_orders_reject_gens_of_another_group():
+    """Orbits of <F> alone against the elements of <S, F>: the orbit
+    count and the direct count disagree, an internal error."""
+    els = normalizer_elements(3, F2)
+    with pytest.raises(AssertionError):
+        stabilizer_orders(F2, [frobenius_matrix(3, F2)], els)
 
 
 def test_gl_order_formula():

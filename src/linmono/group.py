@@ -400,13 +400,6 @@ def nonzero_vectors(field, n):
     return list(it)
 
 
-def vector_rank(field, v):
-    r = 0
-    for c in v:
-        r = r * field.order + field.index_of(c)
-    return r
-
-
 def perm_sign(cycle_type):
     """+1 or -1: the sign of any permutation with this cycle type."""
     return -1 if sum(d - 1 for d in cycle_type) % 2 else 1
@@ -659,22 +652,13 @@ def gl_census(n, field):
     return CycleCensus(order=order, counts=tuple(sorted(ctr.items())))
 
 
-def _normalizer_closure(n, field, seed):
-    S = singer_generator(n, field, seed)
-    F = frobenius_matrix(n, field, seed)
-    expected = n * (field.order ** n - 1)
-    return closure(field, [S, F], cap=expected + 1)
-
-
-def normalizer_elements(n, field, seed=0):
-    """The full <S, F> (Singer normalizer), n(q^n - 1) matrices."""
-    return [A for A, _ in _normalizer_closure(n, field, seed)]
-
-
 def normalizer_census(n, field, seed=0):
     """Cycle-type census of <S, F>, each element's type read from the
     permutation the closure composes for it."""
+    S = singer_generator(n, field, seed)
+    F = frobenius_matrix(n, field, seed)
+    expected = n * (field.order ** n - 1)
     ctr = Counter(perm_cycle_type(perm)
-                  for _, perm in _normalizer_closure(n, field, seed))
+                  for _, perm in closure(field, [S, F], cap=expected + 1))
     return CycleCensus(order=sum(ctr.values()),
                        counts=tuple(sorted(ctr.items())))

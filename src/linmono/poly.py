@@ -5,6 +5,10 @@ stripped; the zero polynomial has an empty tuple).  Degree counting,
 division, gcd, distinct-degree factorization, full factorization with a
 seeded equal-degree split, and resultant-based discriminants all live
 here.  Everything is deterministic given the explicit seeds.
+
+Distinct-degree factoring builds one Frobenius base per input polynomial
+and takes each gcd against the shrinking cofactor, so the base is never
+rebuilt after a split.  Division by a monic polynomial needs no inverse.
 """
 
 from __future__ import annotations
@@ -147,12 +151,14 @@ class Poly:
         z = K.zero_rep
         a = list(self.coeffs)
         b = other.coeffs
-        inv_lc = K.inv(b[-1])
+        # a monic divisor needs no inverse and no per-step scaling
+        inv_lc = None if b[-1] == K.one_rep else K.inv(b[-1])
         q = [z] * (len(a) - db)
         for i in range(len(q) - 1, -1, -1):
             c = a[i + db]
             if c != z:
-                c = K.mul(c, inv_lc)
+                if inv_lc is not None:
+                    c = K.mul(c, inv_lc)
                 q[i] = c
                 for j in range(db):
                     bj = b[j]
@@ -328,11 +334,17 @@ def _frobenius_map(g, f, base):
 def _ddf(f):
     """Distinct-degree split of a monic squarefree f: [(product, d)] with
     d ascending, each product collecting all irreducible factors of degree
-    exactly d."""
+    exactly d.
+
+    One Frobenius base on f serves every step: g = x^(Q^d) mod f advances
+    by one linear map, and each split takes gcd(cur, g - x) against the
+    shrinking cofactor cur.  Since cur divides f, that gcd equals the one
+    against x^(Q^d) - x reduced mod cur.
+    """
     K = f.field
     x = Poly.x(K)
     cur = f
-    base = _frobenius_base(cur)
+    base = _frobenius_base(f)
     g = x
     out = []
     d = 0
@@ -340,15 +352,13 @@ def _ddf(f):
         d += 1
         if 2 * d > cur.degree:
             break
-        g = _frobenius_map(g % cur, cur, base)
+        g = _frobenius_map(g, f, base)
         h = gcd(cur, g - x)
         if h.degree > 0:
             out.append((h, d))
             cur = cur // h
             if cur.degree == 0:
                 break
-            g = g % cur
-            base = _frobenius_base(cur)
     if cur.degree > 0:
         out.append((cur, cur.degree))
     return out

@@ -8,8 +8,8 @@ results can be checked against an independent path.
 import itertools
 from collections import deque
 
-from linmono.group import (mat_identity, mat_mul, mat_vec, nonzero_vectors,
-                           vector_rank)
+from linmono.group import (frobenius_matrix, mat_identity, mat_mul, mat_vec,
+                           nonzero_vectors, singer_generator)
 from linmono.poly import Poly
 
 
@@ -127,6 +127,21 @@ def brute_closure(field, gens):
                 out.append(w)
                 queue.append(w)
     return out
+
+
+def vector_rank(field, v):
+    """1-based position of a nonzero vector in nonzero_vectors order."""
+    r = 0
+    for c in v:
+        r = r * field.order + field.index_of(c)
+    return r
+
+
+def normalizer_elements(n, field, seed=0):
+    """The full Singer normalizer <S, F>, n(q^n - 1) matrices, by
+    brute_closure of its two generators."""
+    return brute_closure(field, [singer_generator(n, field, seed),
+                                 frobenius_matrix(n, field, seed)])
 
 
 def brute_cycle_type(field, A):

@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from _oracles import (brute_closure, brute_cycle_type,
-                      brute_stabilizer_orders)
+                      brute_stabilizer_orders, normalizer_elements,
+                      vector_rank)
 from linmono.ff import (CapExceededError, make_field, parse_field_spec,
                         prime_divisors)
 from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census, closure,
@@ -14,12 +15,12 @@ from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census, closure,
                            generate_group, gl_census, gl_classes, gl_elements,
                            gl_order, mat_det, mat_identity, mat_inv, mat_mul,
                            mat_pow, mat_vec, monic_irreducibles,
-                           normalizer_census, normalizer_elements,
-                           nonzero_vectors, orbit_representatives,
-                           partitions, perm_cycle_type, perm_sign,
+                           normalizer_census, nonzero_vectors,
+                           orbit_representatives, partitions,
+                           perm_cycle_type, perm_sign,
                            permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus,
-                           stabilizer_order, stabilizer_orders, vector_rank)
+                           stabilizer_order, stabilizer_orders)
 from linmono.poly import Poly, is_irreducible, num_irreducible
 
 F2 = make_field(2)

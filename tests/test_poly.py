@@ -1,12 +1,16 @@
 """Dense polynomials: arithmetic, factorization against brute-force
 oracles, irreducibility, resultants, discriminants."""
 
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from linmono.ff import make_field, parse_field_spec
+from linmono import poly
+from linmono.ff import Field, make_field, parse_field_spec
 from linmono.poly import (Poly, discriminant, factor, factor_degrees, gcd,
                           is_irreducible, is_squarefree, mobius,
                           num_irreducible, parse_poly, pow_mod, resultant,
@@ -19,6 +23,8 @@ F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
 F9 = make_field(3, 2)
+F8 = make_field(2, 3)
+F81 = parse_field_spec("3^2+2")  # a tower: F_81 over F_9
 
 
 def _rand_poly(field, degree, rng):
@@ -62,6 +68,34 @@ def test_divmod_inverts_multiplication():
             assert r.is_zero or r.degree < g.degree
     with pytest.raises(ZeroDivisionError):
         divmod(Poly.x(F3), Poly(F3, []))
+
+
+def _raise_on_inv(self, x):
+    raise AssertionError("Field.inv called")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_divmod_property_monic_and_not(data):
+    """q*b + r == a with deg r < deg b, over prime, extension and tower
+    fields; a monic divisor never reaches Field.inv."""
+    field = data.draw(st.sampled_from([F5, F8, F9, F81]), label="field")
+    idx = st.integers(0, field.order - 1)
+    a = Poly(field, [field.rep_at(i)
+                     for i in data.draw(st.lists(idx, max_size=12))])
+    tail = [field.rep_at(i)
+            for i in data.draw(st.lists(idx, max_size=6), label="b")]
+    monic = data.draw(st.booleans(), label="monic")
+    top = field.one_rep if monic else field.rep_at(
+        data.draw(st.integers(1, field.order - 1), label="lc"))
+    b = Poly(field, tail + [top])
+    if monic:
+        with mock.patch.object(Field, "inv", _raise_on_inv):
+            q, r = divmod(a, b)
+    else:
+        q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
 
 
 def test_evaluate_horner():
@@ -203,6 +237,99 @@ def test_factor_degrees_sum_is_degree():
             if f.degree < 1 or not is_squarefree(f):
                 continue
             assert sum(factor_degrees(f)) == f.degree
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_factor_degrees_matches_sympy(p, data):
+    """Random squarefree polynomials of degree up to 40 over F_p: the
+    distinct-degree split gives the degrees sympy's factorization does."""
+    sympy = pytest.importorskip("sympy")
+    field = make_field(p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=2,
+                                max_size=41))
+    f = Poly(field, coeffs)
+    assume(f.degree >= 1 and is_squarefree(f))
+    _, parts = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"),
+                          modulus=p).factor_list()
+    want = sorted(g.degree() for g, m in parts for _ in range(m))
+    assert factor_degrees(f) == tuple(want)
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles_by_degree(spec):
+    """Monic irreducibles over the field, grouped by degree 1..3.
+
+    brute_irreducibles enumerates every degree up to 3 where that is
+    cheap.  Over F_81 it keeps only the linears, and a random monic
+    quadratic or cubic is kept when trial division by those linears
+    finds no factor (a polynomial of degree <= 3 without a root is
+    irreducible).
+    """
+    field = parse_field_spec(spec)
+    if field.order < 81:
+        found = brute_irreducibles(field, 3)
+    else:
+        linears = brute_irreducibles(field, 1)
+        found = list(linears)
+        rng = random.Random(43)
+        for d in (2, 3):
+            while sum(1 for g in found if g.degree == d) < 6:
+                g = _rand_poly(field, d - 1, rng) + Poly(
+                    field, [field.zero_rep] * d + [field.one_rep])
+                if brute_is_irreducible(g, linears):
+                    found.append(g)
+    by_deg = {}
+    for g in found:
+        by_deg.setdefault(g.degree, []).append(g)
+    return field, by_deg
+
+
+def _product(field, polys):
+    out = Poly.constant(field, 1)
+    for g in polys:
+        out = out * g
+    return out
+
+
+@pytest.mark.parametrize("spec", ["4", "8", "9", "3^2+2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ddf_returns_each_degree_slice(spec, data):
+    """f is a product of distinct irreducibles of degrees 1, 2 and 3, so
+    the cofactor shrinks at several degrees while the Frobenius base
+    stays on f; each slice must be exactly the chosen factors of that
+    degree."""
+    field, by_deg = _irreducibles_by_degree(spec)
+    chosen = {}
+    for d in (1, 2, 3):
+        pool = by_deg[d]
+        idxs = data.draw(st.sets(st.integers(0, len(pool) - 1), min_size=1,
+                                 max_size=min(3, len(pool))), label="d%d" % d)
+        chosen[d] = [pool[i] for i in sorted(idxs)]
+    f = _product(field, [g for gs in chosen.values() for g in gs])
+    got = poly._ddf(f)
+    assert [d for _, d in got] == [1, 2, 3]
+    for h, d in got:
+        assert h == _product(field, chosen[d]), d
+
+
+def test_ddf_builds_one_frobenius_base():
+    """Three splits of the cofactor, one base on the input."""
+    field, by_deg = _irreducibles_by_degree("9")
+    f = _product(field, by_deg[1][:2] + by_deg[2][:2] + by_deg[3][:2])
+    calls = []
+    real = poly._frobenius_base
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    with mock.patch.object(poly, "_frobenius_base", counting):
+        got = poly._ddf(f)
+    assert [d for _, d in got] == [1, 2, 3]
+    assert calls == [f]
 
 
 def test_resultant_multiplicative_and_root_product():

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: exit codes, JSON shape (validated against the
-shipped schema), determinism, batch mode, error handling."""
+shipped schema), determinism, golden documents, batch mode, error
+handling."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -313,3 +315,66 @@ def test_seed_recorded_and_exhaust_is_seed_independent():
     assert [s["alpha_index"] for s in da["samples"]] \
         == [s["alpha_index"] for s in db["samples"]]
     assert da["seed"] == 0 and db["seed"] == 1
+
+
+_TWIST_23 = _lin(1, *[0] * 22, 1)
+_CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    # GammaL with the normalizer census, without and with the a_0 shift
+    ("analyze --q 3 --lin 0,0,0,1",
+     "d62f4524cb8a41623ab292b3434dd03da51c71e25e632d2542ab3b53f62f303f"),
+    ("analyze --q 3 --lin 2,0,0,1",
+     "dd819fdcc29a4bcf40be48f47a611c09817efa437c371ae1dfc657e742186c31"),
+    # GammaL above the normalizer census cap
+    ("analyze --q 3 --lin 0,0,0,0,0,0,1 --kmax 1 --budget 4",
+     "e4e668ca2957e685cf13cc9674e2c2b9678624642426d6691e44a6efc5c4e961"),
+    # GL by the main theorem: DiscWitness, one after four skipped alphas
+    ("analyze --q 3 --lin 0,1,0,1",
+     "a107a8ab38be256c3053ea4d597d39c5a90b2642c802a7754dc28b6743418db1"),
+    ("analyze --q 3 --lin 0,1,1,1",
+     "b6be3e70d34b684ec8435057557620cf0629a39ff36529de72515cda1b127355"),
+    # GL with no witness and no samples
+    ("analyze --q 3 --lin 0,2,0,1 --kmax 1",
+     "0556c3580135f271553959907980142e26bab8f5129f98b7f7e6683d700d0ae5"),
+    # Inconclusive, n even
+    ("analyze --q 3 --lin 0,1,1",
+     "68317324a5857b2dc33587f11099d47d04cb5a4d3ebeaabe646c1dfbbb20ab5f"),
+    ("analyze --q 3 --lin 0,2,1",
+     "8aee2e838989e2e6c1436d3cfffa109ddd6e52979d0fa3a60752f2a5761d5e50"),
+    # error document
+    ("analyze --q 3 --lin 0,0,0,1 --kmax 0",
+     "148f87e8116e65722c0262a35df67425fe788fcd5bc627ba77f610b9b3687b5f"),
+    # GL by the main theorem: FixedPointOddness
+    ("analyze --q 7 --lin 0,1,0,1 --kmax 1",
+     "479925fff613016b3b5087799e34245ce056e85b4a3f8f3c06905f817ded79ce"),
+    # characteristic 2: nonzero and vanishing coefficient sum, n = 4
+    ("analyze --q 2 --lin 0,1,1,1",
+     "464f2896a5c5fdfd2d1eca5ec6708121dafc52e0d2779d06e7fbadf7220ebea6"),
+    ("analyze --q 2 --lin 0,1,0,1",
+     "8f5b945238877a86ffa8fca0a43dd046ab77cdc38ef2403da2dcc26bc8a59b06"),
+    ("analyze --q 2 --lin 0,1,0,0,1",
+     "5bc1b8dd996697c580c6a8d15a1cacce548bdcff9c13c256fec311e4e472f8f1"),
+    ("analyze --q 2^2+2 --lin 0,1,1",
+     "c535103ab751e11f00f82f59a1a81b9e7c37d500dfbc63f818884d543fa098c8"),
+    # decided above the dense cap: cap note, no samples
+    ("analyze --q 2 --lin " + _TWIST_23,
+     "16338c49e69ea6af8db177207d7649829f1009ffbc2ed6d700a07f414c752a9f"),
+    ("analyze --q 2 --lin " + _CHAR2_23,
+     "867f163eb78e92dd178b0a6eccbd4cb99adbbc7d9efb840a33b3084c9c8e1473"),
+    ("sample --q 3 --lin 0,1,0,1 --kmax 4 --budget 50",
+     "014297839fd9d40e2dad6bf32d6739194255fbcf57f24c32b95c0587c4d28c35"),
+    # every alpha skipped
+    ("sample --q 3 --lin 0,2,1 --kmax 1 --budget 5",
+     "00ca893b30acd7b451229e6da310323cf5a7b2b93f61e3c488b407d23fd59e4e"),
+    # seeded draws in F_81
+    ("sample --q 9 --lin 1,2,1 --seed 3 --budget 40",
+     "1eb0f39d85f10ccaf36cf60c85d775e7d0b25bd3c7c57d06624ca3f5983856a6"),
+])
+def test_golden_documents(argv, digest):
+    """sha256 of the exit code and stdout, pinned across versions: the
+    same argv and seed must keep producing the same document."""
+    code, out, _ = run_cli(*argv.split())
+    assert hashlib.sha256(("%d\n" % code + out).encode()).hexdigest() \
+        == digest

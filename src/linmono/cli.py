@@ -166,10 +166,7 @@ def _sample_doc(field, L, args):
         "command": "sample", "field": field.spec_string(),
         "q": L.q, "n": L.qdeg, "lin": L.coeff_objs(),
         "kmax": kmax, "budget": args.budget, "seed": args.seed,
-        "samples": [{"k": s.k, "alpha_index": s.alpha_index,
-                     "alpha": s.alpha,
-                     "cycle_type": list(s.cycle_type)}
-                    for s in run.samples],
+        "samples": [s.to_json() for s in run.samples],
         "skipped_alphas": run.skipped,
         "notes": notes,
     }, 0

@@ -36,9 +36,14 @@ Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
 prime, or in characteristic 2 the coefficient-sum condition
 a_1 + ... + a_{n-1} + 1 != 0 with L != x^(q^n)); "Inconclusive"
-otherwise, with the sampled evidence attached.  Sampling factors a dense
-polynomial of degree q^n - 1; above the dense cap a decided verdict
-carries a note and no samples, and an undecided one raises.
+otherwise, with the sampled evidence attached.  The decision tree lives
+in _decide alone; verdict samples, runs the rule's own step (normalizer
+census or witness search) and assembles the document in one place.
+Sampling and witness search draw their alphas from one stream (_alphas)
+under the same budget and exhaustion rule, on separate seeded streams.
+Sampling factors a dense polynomial of degree q^n - 1; above the dense
+cap a decided verdict carries a note and no samples, and an undecided
+one raises.
 """
 
 from __future__ import annotations
@@ -84,10 +89,12 @@ class Sample:
     alpha: object  # serialized element form
     cycle_type: tuple
 
+    def to_json(self):
+        return {"k": self.k, "alpha_index": self.alpha_index,
+                "alpha": self.alpha, "cycle_type": list(self.cycle_type)}
+
     def to_evidence(self, extra=None):
-        payload = {"k": self.k, "alpha_index": self.alpha_index,
-                   "alpha": self.alpha,
-                   "cycle_type": list(self.cycle_type)}
+        payload = self.to_json()
         if extra:
             payload.update(extra)
         return Evidence("CycleTypeSample", payload,
@@ -207,6 +214,35 @@ def _field_at(base, k, seed):
     return f
 
 
+def _alphas(Ln, k_range, budget, seed, salt):
+    """The alpha stream shared by sampling and witness search: yields
+    (k, alpha index, alpha, L(alpha)) in ascending (k, index) order.
+
+    Per-k targets come from _allocate; a k stops once it has yielded its
+    target of alphas with L(alpha) != 0.  Those with L(alpha) = 0 are
+    yielded too, for the caller to count as skipped.  The seeded draws
+    come from the "linmono.<salt>:<seed>" stream."""
+    ks = sorted(set(int(k) for k in k_range))
+    if not ks:
+        raise ValueError("need at least one extension degree")
+    if any(k < 1 for k in ks):
+        raise ValueError("extension degrees must be >= 1")
+    rng = random.Random("linmono.%s:%d" % (salt, seed))
+    for k, want in _allocate(ks, Ln.q, budget):
+        if want <= 0:
+            continue
+        E = _field_at(Ln.base, k, seed)
+        got = 0
+        for idx in _alpha_indices(E.order, want, rng):
+            if got >= want:
+                break
+            alpha = E.element_at(idx)
+            v = lin_mod.evaluate(Ln, alpha)
+            if not v.is_zero:
+                got += 1
+            yield k, idx, alpha, v
+
+
 def sample_cycle_types(L, k_range, budget=500, seed=0):
     """Cycle types of Frobenius elements, by factoring specializations.
 
@@ -220,32 +256,16 @@ def sample_cycle_types(L, k_range, budget=500, seed=0):
     """
     _require_plain(L)
     Ln, _ = normalize(L)
-    q = Ln.q
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise ValueError("need at least one extension degree")
-    if any(k < 1 for k in ks):
-        raise ValueError("extension degrees must be >= 1")
-    rng = random.Random("linmono.sample:%d" % seed)
     samples = []
     skipped = 0
-    for k, want in _allocate(ks, q, budget):
-        if want <= 0:
+    for k, idx, alpha, v in _alphas(Ln, k_range, budget, seed, "sample"):
+        if v.is_zero:
+            skipped += 1
             continue
-        E = _field_at(Ln.base, k, seed)
-        got = []
-        for idx in _alpha_indices(E.order, want, rng):
-            if len(got) >= want:
-                break
-            alpha = E.element_at(idx)
-            if lin_mod.evaluate(Ln, alpha).is_zero:
-                skipped += 1
-                continue
-            spec = lin_mod.specialize(Ln, alpha)
-            ct = poly_mod.factor_degrees(lin_mod.reduced(spec))
-            got.append(Sample(k=k, alpha_index=idx,
-                              alpha=alpha.to_obj(), cycle_type=ct))
-        samples.extend(sorted(got, key=lambda s: s.alpha_index))
+        spec = lin_mod.specialize(Ln, alpha)
+        ct = poly_mod.factor_degrees(lin_mod.reduced(spec))
+        samples.append(Sample(k=k, alpha_index=idx, alpha=alpha.to_obj(),
+                              cycle_type=ct))
     return SampleRun(samples=tuple(samples), skipped=skipped)
 
 
@@ -278,25 +298,20 @@ def normalizer_incompatibility_witness(samples, n):
             lcm = math.lcm(lcm, d)
         evens = [d for d in s.cycle_type if d % 2 == 0]
         if evens or n % lcm != 0:
-            payload = {"k": s.k, "alpha_index": s.alpha_index,
-                       "alpha": s.alpha,
-                       "cycle_type": list(s.cycle_type),
-                       "even_lengths": evens, "order_lcm": lcm}
             return Evidence(
-                "FixedPointOddness", payload,
+                "FixedPointOddness",
+                dict(s.to_json(), even_lengths=evens, order_lcm=lcm),
                 "fixed point present but cycle structure impossible in "
                 "the Singer normalizer (stabilizers have order %d)" % n)
     return None
 
 
-def _disc_class_at(Ln, alpha):
-    """Square class of the discriminant of L_alpha(x)/x over alpha's
-    field: class of (-1)^((q^n-1)/2) * c with c = -L(alpha)/alpha (a_0 is
-    already zero).  Returns None when L(alpha) = 0 (not squarefree)."""
-    v = lin_mod.evaluate(Ln, alpha)
-    if v.is_zero:
-        return None
-    c = -(v / alpha)
+def _disc_class_at(Ln, alpha, value):
+    """(square class, c) for the discriminant of L_alpha(x)/x over
+    alpha's field, given value = L(alpha) != 0: the class of
+    (-1)^((q^n-1)/2) * c with c = -L(alpha)/alpha (a_0 is already
+    zero)."""
+    c = -(value / alpha)
     parity = ((Ln.q ** Ln.qdeg - 1) // 2) % 2
     val = -c if parity else c
     return lin_mod.square_class(val), c
@@ -305,45 +320,32 @@ def _disc_class_at(Ln, alpha):
 def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
     """Search for alpha making the discriminant of L_alpha(x)/x a
     nonsquare in F_{q^k}.  Cheap per alpha: one evaluation plus one Euler
-    criterion.  Returns Evidence or None; same budget semantics as
-    sample_cycle_types; odd characteristic only."""
+    criterion.  Returns Evidence or None; same budget semantics and
+    k_range checks as sample_cycle_types; odd characteristic only."""
     _require_plain(L)
     if L.base.p == 2:
         raise ValueError("discriminant witnesses need odd characteristic")
     Ln, _ = normalize(L)
-    q = Ln.q
-    ks = sorted(set(int(k) for k in k_range))
-    rng = random.Random("linmono.disc:%d" % seed)
     skipped = 0
-    for k, want in _allocate(ks, q, budget):
-        if want <= 0:
+    for k, idx, alpha, v in _alphas(Ln, k_range, budget, seed, "disc"):
+        if v.is_zero:
+            skipped += 1
             continue
-        E = _field_at(Ln.base, k, seed)
-        tried = 0
-        for idx in _alpha_indices(E.order, want, rng):
-            if tried >= want:
-                break
-            alpha = E.element_at(idx)
-            res = _disc_class_at(Ln, alpha)
-            if res is None:
-                skipped += 1
-                continue
-            tried += 1
-            cls, c = res
-            if cls is lin_mod.SquareClass.NONSQUARE:
-                payload = {"k": k, "alpha_index": idx,
-                           "alpha": alpha.to_obj(),
-                           "constant_term": c.to_obj(),
-                           "square_class": cls.value,
-                           "skipped_before_hit": skipped}
-                return Evidence(
-                    "DiscWitness", payload,
-                    "discriminant of the specialization is a nonsquare "
-                    "in F_{q^%d}, so its Frobenius element is an odd "
-                    "permutation that fixes a root; inside the Singer "
-                    "normalizer a fixed-point element has only odd "
-                    "cycle lengths and would be even -- so the group "
-                    "is not inside the normalizer" % k)
+        cls, c = _disc_class_at(Ln, alpha, v)
+        if cls is lin_mod.SquareClass.NONSQUARE:
+            payload = {"k": k, "alpha_index": idx,
+                       "alpha": alpha.to_obj(),
+                       "constant_term": c.to_obj(),
+                       "square_class": cls.value,
+                       "skipped_before_hit": skipped}
+            return Evidence(
+                "DiscWitness", payload,
+                "discriminant of the specialization is a nonsquare "
+                "in F_{q^%d}, so its Frobenius element is an odd "
+                "permutation that fixes a root; inside the Singer "
+                "normalizer a fixed-point element has only odd "
+                "cycle lengths and would be even -- so the group "
+                "is not inside the normalizer" % k)
     return None
 
 
@@ -369,26 +371,89 @@ def _char2_sum(Ln):
 
 # -- the verdict -----------------------------------------------------------
 
-def _theorem_decides(Ln, n, p):
-    """True when verdict's decision tree settles the group without any
-    sample: the pure twist, or n an odd prime (in characteristic 2 only
-    with a nonzero coefficient sum)."""
+def _decide(Ln, n, q, p):
+    """The decision tree, before any sampling: (family, basis, order,
+    lead evidence, rule notes).  The pure twist gives GammaL(1, q^n); n
+    an odd prime gives GL(n, q), by the main theorem for q odd and by the
+    coefficient-sum condition for q even; everything else is
+    Inconclusive."""
     if _is_pure_power(Ln):
-        return True
+        return ("GammaL", BASIS_MAIN, n * (q ** n - 1), [], [
+            "the splitting field of x^(q^n - 1) + t is "
+            "F_{q^n}(t^(1/(q^n-1)))",
+            "geometric monodromy: cyclic of order q^n - 1 (reported, not "
+            "computed)"])
+    gl_note = "geometric monodromy: GL(%d,%d) (reported, not computed)" \
+        % (n, q)
+    cycle_note = ("q^n - 1 = %d divides the group order and a "
+                  "(q^n - 1)-cycle is present" % (q ** n - 1))
     if n % 2 == 0 or not is_prime(n):
-        return False
-    return p != 2 or not _char2_sum(Ln).is_zero
+        return ("Inconclusive", BASIS_EVIDENCE, None, [], [
+            "no applicable theorem for q = %d, n = %d (need n an odd "
+            "prime for the decided cases)" % (q, n), cycle_note])
+    if p != 2:
+        return "GL", BASIS_MAIN, group_mod.gl_order(n, q), [], [gl_note]
+    s = _char2_sum(Ln)
+    cond = Evidence(
+        "Char2SumCondition",
+        {"coefficient_sum": s.to_obj(), "nonzero": not s.is_zero},
+        "a_1 + ... + a_(n-1) + 1 %s 0 in F_%d"
+        % ("!=" if not s.is_zero else "=", q))
+    if s.is_zero:
+        return ("Inconclusive", BASIS_EVIDENCE, None, [cond], [
+            "coefficient sum vanishes: the characteristic-2 criterion "
+            "does not apply", cycle_note])
+    return ("GL", BASIS_CHAR2, group_mod.gl_order(n, q), [cond], [
+        "nonzero coefficient sum: some specialization over F_q has an "
+        "irreducible factor of degree not dividing n, which rules the "
+        "group out of the Singer normalizer", gl_note])
+
+
+def _normalizer_census_flags(Ln, n, order, samples, seed):
+    """GammaL step: (per-sample membership in the Singer-normalizer
+    census or None, note).  The census is skipped above
+    NORMALIZER_CENSUS_CAP."""
+    if order > NORMALIZER_CENSUS_CAP:
+        return None, ("normalizer census skipped: order %d above the "
+                      "verdict-evidence cap" % order)
+    try:
+        cen = group_mod.normalizer_census(n, Ln.base, seed)
+    except CapExceededError:
+        return None, "normalizer census skipped (cap)"
+    flags = [s.cycle_type in cen for s in samples]
+    if all(flags):
+        return flags, ("all %d sampled cycle types occur in the order-%d "
+                       "Singer-normalizer census" % (len(samples), order))
+    return flags, ("WARNING: a sampled cycle type is missing from the "
+                   "normalizer census")
+
+
+def _gl_witness(Ln, n, ks, samples, budget, seed):
+    """GL step for q odd: a DiscWitness, else a FixedPointOddness among
+    the samples, else one from a deeper sampling pass at budget 48 (when
+    the run had less and the dense form is under the cap); None when all
+    three come up empty."""
+    witness = disc_nonsquare_witness(Ln, ks, seed=seed)
+    if witness is None:
+        witness = normalizer_incompatibility_witness(samples, n)
+    if witness is None and budget < 48:
+        try:
+            deeper = sample_cycle_types(Ln, ks, budget=48, seed=seed)
+            witness = normalizer_incompatibility_witness(deeper.samples, n)
+        except CapExceededError:
+            pass
+    return witness
 
 
 def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     """Decide the Galois group of (L(x) + tx)/x over F_q(t) when a
     theorem applies, otherwise return Inconclusive with evidence.
 
-    L must be monic with coefficients in its base F_q.  Decision tree:
-    the pure twist x^(q^n) gives GammaL(1, q^n); q odd with n an odd
-    prime gives GL(n, q) with a concrete witness attached when the
-    search finds one inside kmax; q even with n an odd prime decides by
-    the coefficient-sum condition; everything else is Inconclusive.
+    L must be monic with coefficients in its base F_q.  Decision tree
+    (_decide): the pure twist x^(q^n) gives GammaL(1, q^n); q odd with
+    n an odd prime gives GL(n, q) with a concrete witness attached when
+    the search finds one inside kmax; q even with n an odd prime decides
+    by the coefficient-sum condition; everything else is Inconclusive.
     """
     _require_plain(L)
     if not L.is_monic:
@@ -406,6 +471,7 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     ks = range(1, kmax + 1)
     p = L.base.p
     Ln, shifted = normalize(L)
+    family, basis, order, lead, rule_notes = _decide(Ln, nv, qv, p)
     notes = []
     if shifted:
         notes.append("a_0 absorbed into the transcendental "
@@ -414,152 +480,41 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     try:
         run = sample_cycle_types(Ln, ks, budget=budget, seed=seed)
     except CapExceededError as exc:
-        if not _theorem_decides(Ln, nv, p):
+        if family == "Inconclusive":
             raise
         run = SampleRun(samples=(), skipped=0)
         notes.append("no cycle-type samples (%s); the verdict rests on "
                      "the theorem" % exc)
-    sample_ev = [s.to_evidence() for s in run.samples]
-    skipped = run.skipped
-    lcm_ev = None
+    notes.extend(rule_notes)
+
+    extras = [None] * len(run.samples)
+    if family == "GammaL":
+        flags, note = _normalizer_census_flags(Ln, nv, order, run.samples,
+                                               seed)
+        notes.append(note)
+        if flags is not None:
+            extras = [{"in_normalizer_census": ok} for ok in flags]
+    elif family == "GL" and p != 2:
+        witness = _gl_witness(Ln, nv, ks, run.samples, budget, seed)
+        if witness is not None:
+            lead.append(witness)
+        else:
+            notes.append(
+                "witness search exhausted its budget (kmax = %d); the "
+                "verdict stands on the theorem, but no specialization "
+                "witness is attached -- raise kmax to find one" % kmax)
+
+    evidence = lead + [_ncycle_evidence(qv, nv, p)]
     if run.samples:
-        lcm = order_lcm_evidence(run.samples)
-        lcm_ev = Evidence(
+        evidence.append(Evidence(
             "OrderLcm",
-            {"lcm": lcm,
+            {"lcm": order_lcm_evidence(run.samples),
              "sample_refs": [[s.k, s.alpha_index] for s in run.samples]},
-            "lcm of sampled cycle types divides the group order")
-
-    if _is_pure_power(Ln):
-        return _gamma_verdict(Ln, nv, qv, p, run, sample_ev, lcm_ev,
-                              notes, skipped, seed)
-
-    if p != 2 and nv % 2 == 1 and is_prime(nv):
-        return _gl_odd_verdict(Ln, nv, qv, p, run, sample_ev, lcm_ev,
-                               notes, skipped, ks, budget, seed)
-
-    if p == 2 and nv % 2 == 1 and is_prime(nv):
-        return _gl_char2_verdict(Ln, nv, qv, p, sample_ev, lcm_ev,
-                                 notes, skipped)
-
-    v = Verdict("Inconclusive", nv, qv, None, BASIS_EVIDENCE,
-                skipped_alphas=skipped)
-    v.evidence.append(_ncycle_evidence(qv, nv, p))
-    if lcm_ev:
-        v.evidence.append(lcm_ev)
-    v.evidence.extend(sample_ev)
-    v.notes = notes + [
-        "no applicable theorem for q = %d, n = %d (need n an odd prime "
-        "for the decided cases)" % (qv, nv),
-        "q^n - 1 = %d divides the group order and a (q^n - 1)-cycle is "
-        "present" % (qv ** nv - 1)]
-    return v
-
-
-def _gamma_verdict(Ln, nv, qv, p, run, sample_ev, lcm_ev, notes,
-                   skipped, seed):
-    order = nv * (qv ** nv - 1)
-    v = Verdict("GammaL", nv, qv, order, BASIS_MAIN,
-                skipped_alphas=skipped)
-    v.evidence.append(_ncycle_evidence(qv, nv, p))
-    # check the sampled types against the actual normalizer census when
-    # the group is small enough to enumerate quickly
-    if order <= NORMALIZER_CENSUS_CAP:
-        try:
-            cen = group_mod.normalizer_census(nv, Ln.base, seed)
-            contained = [s.cycle_type in cen for s in run.samples]
-            sample_ev = [
-                s.to_evidence({"in_normalizer_census": bool(ok)})
-                for s, ok in zip(run.samples, contained)]
-            v.notes.append(
-                "all %d sampled cycle types occur in the order-%d "
-                "Singer-normalizer census" % (len(run.samples), order)
-                if all(contained) else
-                "WARNING: a sampled cycle type is missing from the "
-                "normalizer census")
-        except CapExceededError:
-            v.notes.append("normalizer census skipped (cap)")
-    else:
-        v.notes.append("normalizer census skipped: order %d above the "
-                       "verdict-evidence cap" % order)
-    if lcm_ev:
-        v.evidence.append(lcm_ev)
-    v.evidence.extend(sample_ev)
-    v.notes = notes + [
-        "the splitting field of x^(q^n - 1) + t is F_{q^n}(t^(1/(q^n-1)))",
-        "geometric monodromy: cyclic of order q^n - 1 (reported, not "
-        "computed)"] + v.notes
-    return v
-
-
-def _gl_odd_verdict(Ln, nv, qv, p, run, sample_ev, lcm_ev, notes,
-                    skipped, ks, budget, seed):
-    v = Verdict("GL", nv, qv, group_mod.gl_order(nv, qv), BASIS_MAIN,
-                skipped_alphas=skipped)
-    witness = disc_nonsquare_witness(Ln, ks, seed=seed)
-    if witness is None:
-        witness = normalizer_incompatibility_witness(run.samples, nv)
-    if witness is None and budget < 48:
-        # one deeper sampling pass before giving up on a witness; a dense
-        # form over the cap leaves the verdict to the theorem alone
-        try:
-            deeper = sample_cycle_types(Ln, ks, budget=48, seed=seed)
-            witness = normalizer_incompatibility_witness(deeper.samples, nv)
-        except CapExceededError:
-            pass
-    if witness is not None:
-        v.evidence.append(witness)
-    else:
-        v.notes.append(
-            "witness search exhausted its budget (kmax = %d); the "
-            "verdict stands on the theorem, but no specialization "
-            "witness is attached -- raise kmax to find one"
-            % max(ks))
-    v.evidence.append(_ncycle_evidence(qv, nv, p))
-    if lcm_ev:
-        v.evidence.append(lcm_ev)
-    v.evidence.extend(sample_ev)
-    v.notes = notes + [
-        "geometric monodromy: GL(%d,%d) (reported, not computed)"
-        % (nv, qv)] + v.notes
-    return v
-
-
-def _gl_char2_verdict(Ln, nv, qv, p, sample_ev, lcm_ev, notes, skipped):
-    s = _char2_sum(Ln)
-    cond = Evidence(
-        "Char2SumCondition",
-        {"coefficient_sum": s.to_obj(), "nonzero": not s.is_zero},
-        "a_1 + ... + a_(n-1) + 1 %s 0 in F_%d"
-        % ("!=" if not s.is_zero else "=", qv))
-    if not s.is_zero:
-        v = Verdict("GL", nv, qv, group_mod.gl_order(nv, qv), BASIS_CHAR2,
-                    skipped_alphas=skipped)
-        v.evidence.append(cond)
-        v.evidence.append(_ncycle_evidence(qv, nv, p))
-        if lcm_ev:
-            v.evidence.append(lcm_ev)
-        v.evidence.extend(sample_ev)
-        v.notes = notes + [
-            "nonzero coefficient sum: some specialization over F_q has "
-            "an irreducible factor of degree not dividing n, which "
-            "rules the group out of the Singer normalizer",
-            "geometric monodromy: GL(%d,%d) (reported, not computed)"
-            % (nv, qv)]
-        return v
-    v = Verdict("Inconclusive", nv, qv, None, BASIS_EVIDENCE,
-                skipped_alphas=skipped)
-    v.evidence.append(cond)
-    v.evidence.append(_ncycle_evidence(qv, nv, p))
-    if lcm_ev:
-        v.evidence.append(lcm_ev)
-    v.evidence.extend(sample_ev)
-    v.notes = notes + [
-        "coefficient sum vanishes: the characteristic-2 criterion does "
-        "not apply",
-        "q^n - 1 = %d divides the group order and a (q^n - 1)-cycle is "
-        "present" % (qv ** nv - 1)]
-    return v
+            "lcm of sampled cycle types divides the group order"))
+    evidence.extend(s.to_evidence(extra)
+                    for s, extra in zip(run.samples, extras))
+    return Verdict(family, nv, qv, order, basis, evidence=evidence,
+                   notes=notes, skipped_alphas=run.skipped)
 
 
 # -- witness rechecking ----------------------------------------------------
@@ -598,10 +553,10 @@ def recheck(L, evidence, seed=0):
     if kind == "DiscWitness":
         E = _field_at(Ln.base, pl["k"], seed)
         alpha = E.elem(E.rep_from_obj(pl["alpha"]))
-        res = _disc_class_at(Ln, alpha)
-        if res is None:
+        v = lin_mod.evaluate(Ln, alpha)
+        if v.is_zero:
             return False
-        cls, _ = res
+        cls, _ = _disc_class_at(Ln, alpha, v)
         return cls is lin_mod.SquareClass.NONSQUARE
     if kind == "OrderLcm":
         lcm = 1

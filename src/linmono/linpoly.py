@@ -33,15 +33,6 @@ class SquareClass(enum.Enum):
     SQUARE = "Square"
     NONSQUARE = "NonSquare"
 
-    def __mul__(self, other):
-        if not isinstance(other, SquareClass):
-            return NotImplemented
-        if self is SquareClass.ZERO or other is SquareClass.ZERO:
-            return SquareClass.ZERO
-        if self is other:
-            return SquareClass.SQUARE
-        return SquareClass.NONSQUARE
-
 
 def square_class(a):
     """SquareClass of a field element (odd characteristic only)."""

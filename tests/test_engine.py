@@ -91,6 +91,11 @@ def test_sample_rejects_bad_k_range():
         sample_cycle_types(X27, [], budget=5)
     with pytest.raises(ValueError):
         sample_cycle_types(X27, [0, 1], budget=5)
+    # the witness search shares the alpha stream and its checks
+    with pytest.raises(ValueError):
+        disc_nonsquare_witness(X27X3, [])
+    with pytest.raises(ValueError):
+        disc_nonsquare_witness(X27X3, [0, 1])
 
 
 def test_sample_requires_base_coefficients():

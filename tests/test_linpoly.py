@@ -150,11 +150,13 @@ def test_square_class_partition():
     ns = {i for i, c in classes.items() if c is SquareClass.NONSQUARE}
     assert sq == {1, 4}
     assert ns == {2, 3}
-    assert SquareClass.SQUARE * SquareClass.NONSQUARE \
-        is SquareClass.NONSQUARE
-    assert SquareClass.NONSQUARE * SquareClass.NONSQUARE \
-        is SquareClass.SQUARE
-    assert SquareClass.ZERO * SquareClass.NONSQUARE is SquareClass.ZERO
+    # classes of products multiply like signs, zero absorbing
+    sign = {SquareClass.ZERO: 0, SquareClass.SQUARE: 1,
+            SquareClass.NONSQUARE: -1}
+    for i in range(5):
+        for j in range(5):
+            prod = square_class(F5.element_at(i) * F5.element_at(j))
+            assert sign[prod] == sign[classes[i]] * sign[classes[j]]
 
 
 def test_disc_square_class_matches_resultant_discriminant():

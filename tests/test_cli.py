@@ -371,6 +371,25 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
     # seeded draws in F_81
     ("sample --q 9 --lin 1,2,1 --seed 3 --budget 40",
      "1eb0f39d85f10ccaf36cf60c85d775e7d0b25bd3c7c57d06624ca3f5983856a6"),
+    # GL class censuses: prime fields, a tower, and the cap refusal
+    ("census --q 3 --n 3",
+     "e62e9dd5f40a587ba82c97873edd98f24e63dd1cd53f427737cf90274e8814ab"),
+    ("census --q 7 --n 3",
+     "517bf532a87ae759094ca3bcd2176981c722a201a2d5df3b000255842b22c182"),
+    ("census --q 2^2+2 --n 2",
+     "b7dfb701974b9e1fdee1ecc803fb656db4e0dbc73b279a28294f8adcb3dc5628"),
+    ("census --q 3 --n 6",
+     "6e632ba3a884853dcce5d3874b1744f7c519d777f2e22b669702fe0ac27c06cf"),
+    # alternating containment, read off GL censuses
+    ("verify alt2 --q 2 --n 3",
+     "ad210133d1222edee4f54f78e69a3871014d977d68c362139a3f8d5d56dd643e"),
+    ("verify alt2 --q 8 --n 2",
+     "467618a31e23869c553246bb17c17da15791946e7614fea591b029f395ae7cc2"),
+    # the Singer conjugation check, in both places it is reported
+    ("singer --q 5 --n 3",
+     "0347a74071fc74fca2d4b75fa8fcf3d3a8ff12440eaf1d8ea394c72e45cae6a8"),
+    ("verify normalizer --q 9 --n 2",
+     "302fc4de5c3f0920339328fdd25b665c1f09b439e47e16655f77154e22fc5d37"),
 ])
 def test_golden_documents(argv, digest):
     """sha256 of the exit code and stdout, pinned across versions: the

@@ -192,8 +192,6 @@ def _singer_doc(field, args):
     f = group_mod.singer_modulus(n, field, args.seed)
     S = group_mod.singer_generator(n, field, args.seed)
     F = group_mod.frobenius_matrix(n, field, args.seed)
-    conj = group_mod.mat_mul(field, group_mod.mat_mul(field, F, S),
-                             group_mod.mat_inv(field, F))
     return {
         "command": "singer", "field": field.spec_string(),
         "q": q, "n": n, "seed": args.seed,
@@ -203,7 +201,7 @@ def _singer_doc(field, args):
         "singer_order": q ** n - 1,
         "frobenius_order": n,
         "normalizer_order": n * (q ** n - 1),
-        "conjugation_ok": conj == group_mod.mat_pow(field, S, q),
+        "conjugation_ok": group_mod.conjugation_ok(field, S, F),
     }, 0
 
 

@@ -416,10 +416,7 @@ def _normalizer_census_flags(Ln, n, order, samples, seed):
     if order > NORMALIZER_CENSUS_CAP:
         return None, ("normalizer census skipped: order %d above the "
                       "verdict-evidence cap" % order)
-    try:
-        cen = group_mod.normalizer_census(n, Ln.base, seed)
-    except CapExceededError:
-        return None, "normalizer census skipped (cap)"
+    cen = group_mod.normalizer_census(n, Ln.base, seed)
     flags = [s.cycle_type in cen for s in samples]
     if all(flags):
         return flags, ("all %d sampled cycle types occur in the order-%d "
@@ -597,9 +594,7 @@ def verify_normalizer(n, field, seed=0):
     expected = n * (q ** n - 1)
     elements = group_mod.generate_group(field, [S, F], cap=expected + 8)
     order_ok = len(elements) == expected
-    conj = group_mod.mat_mul(field, group_mod.mat_mul(field, F, S),
-                             group_mod.mat_inv(field, F))
-    conj_ok = conj == group_mod.mat_pow(field, S, q)
+    conj_ok = group_mod.conjugation_ok(field, S, F)
     orders = group_mod.stabilizer_orders(field, [S, F], elements)
     stab_bad = [{"vector": [field.rep_to_obj(c) for c in v], "order": so}
                 for v, so in zip(group_mod.nonzero_vectors(field, n), orders)
@@ -694,6 +689,22 @@ def _gmg_passing(field, m, squares):
     return passing
 
 
+def _monic_lins(field, n, a0_reps):
+    """Every monic q-linearized L of q-degree n over F_q whose a_0 is one
+    of a0_reps: a_0 in the given order, and for each a_0 the middle
+    coefficients a_1, ..., a_(n-1) as the base-q digits of a counter,
+    least significant first."""
+    q = field.order
+    for a0 in a0_reps:
+        for rest in range(q ** (n - 1)):
+            coeffs = [a0]
+            for _ in range(n - 1):
+                coeffs.append(field.rep_at(rest % q))
+                rest //= q
+            coeffs.append(field.one_rep)
+            yield lin_mod.LinPoly(field, coeffs)
+
+
 def verify_disc_lemma(field, n):
     """Exhaustively compare, over all monic q-linearized L of q-degree n
     over F_q with a_0 != 0, the resultant-based discriminant of L(x)/x
@@ -703,26 +714,17 @@ def verify_disc_lemma(field, n):
     q = field.order
     count = 0
     mismatches = []
-    for a0i in range(1, q):
-        for rest in range(q ** (n - 1)):
-            coeffs = [field.rep_at(a0i)]
-            v = rest
-            for _ in range(n - 1):
-                coeffs.append(field.rep_at(v % q))
-                v //= q
-            coeffs.append(field.one_rep)
-            L = lin_mod.LinPoly(field, coeffs)
-            G = lin_mod.reduced(L)
-            D = poly_mod.discriminant(G)
-            direct = lin_mod.square_class(D)
-            formula = lin_mod.disc_square_class(L)
-            count += 1
-            if direct is not formula:
-                mismatches.append({
-                    "lin": L.coeff_objs(),
-                    "resultant_class": direct.value,
-                    "formula_class": formula.value,
-                })
+    for L in _monic_lins(field, n, map(field.rep_at, range(1, q))):
+        direct = lin_mod.square_class(
+            poly_mod.discriminant(lin_mod.reduced(L)))
+        formula = lin_mod.disc_square_class(L)
+        count += 1
+        if direct is not formula:
+            mismatches.append({
+                "lin": L.coeff_objs(),
+                "resultant_class": direct.value,
+                "formula_class": formula.value,
+            })
     return {
         "check": "disc",
         "q": q, "n": n,
@@ -758,14 +760,7 @@ def verify_factor_identity(field, n):
     skipped_L = 0
     violations = []
     forced = []
-    for rest in range(q ** (n - 1)):
-        coeffs = [field.zero_rep]
-        v = rest
-        for _ in range(n - 1):
-            coeffs.append(field.rep_at(v % q))
-            v //= q
-        coeffs.append(field.one_rep)
-        L = lin_mod.LinPoly(field, coeffs)
+    for L in _monic_lins(field, n, [field.zero_rep]):
         usable = False
         for ai in range(1, q):
             alpha = field.element_at(ai)

@@ -7,7 +7,8 @@ cheap, which is what the breadth-first closures and full censuses want.
 The centerpiece is the Singer model: a companion matrix S of a primitive
 degree-n polynomial (a generator of a cyclic group of order q^n - 1
 acting irreducibly on F_q^n) and the matrix F of v -> v^q in the same
-field model F_q[x]/(f), so that F S F^(-1) = S^q holds on the nose.  The
+field model F_q[x]/(f), so that F S F^(-1) = S^q holds on the nose
+(conjugation_ok checks it as F S = S^q F, with no inverse).  The
 normalizer <S, F> has order n(q^n - 1) and every nonzero-vector
 stabilizer in it has order n; both facts are checked directly by the
 verification layer rather than trusted.
@@ -25,19 +26,23 @@ permutations, so stabilizer orders follow from orbit-stabilizer
 
 Censuses: the Singer normalizer is enumerated by closure, each element's
 cycle type read from its composed permutation.  GL(n, q) is
-never enumerated on the census path: a cycle type depends only on the
-similarity class, so gl_census walks the classes (one partition per
-monic irreducible f != x, as in Green, "The characters of the finite
-general linear groups", 1955, and Macdonald, Symmetric Functions and
-Hall Polynomials, ch. IV), permutes the vectors once under a
-block-companion representative, and weights the type by the class size
-|GL(n, q)| / |centralizer|.  gl_elements, the row-by-row enumeration of
-every invertible matrix, stays as the brute-force oracle for it.
+never enumerated on the census path, and no matrix is built for it: a
+cycle type depends only on the similarity class, so gl_census walks the
+classes (one partition lam_f per monic irreducible f != x, as in Green,
+"The characters of the finite general linear groups", 1955, and
+Macdonald, Symmetric Functions and Hall Polynomials, ch. IV), reads
+each class's cycle type off (f, lam_f) (class_cycle_type), and weights
+it by the class size |GL(n, q)| / |centralizer|.  A class's fixed-space
+dimensions are known in closed form, and fixed_space_cycle_type, the
+Mobius step that linpoly.frobenius_cycle_type also runs, turns them into
+cycle lengths.  gl_elements, the row-by-row enumeration of every
+invertible matrix, stays as the brute-force oracle for it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -51,9 +56,12 @@ from .ff import CapExceededError, Field, prime_divisors
 # stop being desk-checkable.
 CENSUS_CAP = 3 ** 9
 
-# Class censuses permute all q^n - 1 nonzero vectors once per similarity
-# class, and there are about q^n classes, so the work grows like q^(2n).
-# The bound admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7).
+# Class censuses walk about q^n similarity classes and read each one's
+# cycle type off its class data, one fixed-space count per divisor of
+# the class's order; listing the irreducibles of degree <= n tests about
+# q^n candidates.  So the work grows like q^n, not q^(2n).  The bound
+# admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7); raising it would change
+# which argv are refused.
 CLASS_CENSUS_CAP = 7 ** 3
 
 # Breadth-first closure default bound.
@@ -116,69 +124,16 @@ def mat_vec(field, A, v):
 
 
 def mat_pow(field, A, e):
-    n = len(A)
-    r = mat_identity(field, n)
+    """A^e for e >= 0 by square and multiply."""
     if e < 0:
-        A = mat_inv(field, A)
-        e = -e
+        raise ValueError("negative exponent")
+    r = mat_identity(field, len(A))
     while e:
         if e & 1:
             r = mat_mul(field, r, A)
         A = mat_mul(field, A, A)
         e >>= 1
     return r
-
-
-def mat_det(field, A):
-    n = len(A)
-    rows = [list(r) for r in A]
-    z = field.zero_rep
-    det = field.one_rep
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != z:
-                pr = i
-                break
-        if pr is None:
-            return z
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = field.neg(det)
-        det = field.mul(det, rows[c][c])
-        inv = field.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c] != z:
-                f = field.mul(rows[i][c], inv)
-                rows[i] = [field.sub(vi, field.mul(f, vc))
-                           for vi, vc in zip(rows[i], rows[c])]
-    return det
-
-
-def mat_inv(field, A):
-    n = len(A)
-    z, o = field.zero_rep, field.one_rep
-    rows = [list(r) + [o if i == j else z for j in range(n)]
-            for i, r in enumerate(A)]
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if rows[i][c] != z:
-                pr = i
-                break
-        if pr is None:
-            raise ZeroDivisionError("matrix is singular")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != z:
-                f = rows[i][c]
-                rows[i] = [field.sub(vi, field.mul(f, vr))
-                           for vi, vr in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_to_obj(field, A):
@@ -197,20 +152,6 @@ def companion_matrix(field, f):
         cols.append(col)
     cols.append([field.neg(c) for c in f.coeffs[:n]])
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def block_diagonal(field, blocks):
-    """The block-diagonal matrix with the given square blocks in order."""
-    n = sum(len(B) for B in blocks)
-    z = field.zero_rep
-    rows = []
-    at = 0
-    for B in blocks:
-        d = len(B)
-        for row in B:
-            rows.append((z,) * at + tuple(row) + (z,) * (n - at - d))
-        at += d
-    return tuple(rows)
 
 
 # -- Singer model ----------------------------------------------------------
@@ -290,6 +231,12 @@ def frobenius_matrix(n, field, seed=0):
     return F
 
 
+def conjugation_ok(field, S, F):
+    """True when F S F^(-1) = S^q, tested as F S = S^q F (no inverse)."""
+    return mat_mul(field, F, S) == mat_mul(
+        field, mat_pow(field, S, field.order), F)
+
+
 # -- group generation and permutation structure ----------------------------
 
 _points_cache = {}
@@ -356,7 +303,8 @@ def closure(field, gens, cap=GROUP_CAP):
     matrices are still multiplied out, so the element list does not rest
     on the composed permutations.  Generators must be invertible square
     matrices of one size; for a finite group the multiplicative closure
-    is the generated subgroup.  Raises CapExceededError if more than cap
+    is the generated subgroup; a singular generator raises ValueError
+    (from permutation_of).  Raises CapExceededError if more than cap
     elements appear.
     """
     gens = [tuple(tuple(row) for row in g) for g in gens]
@@ -366,8 +314,6 @@ def closure(field, gens, cap=GROUP_CAP):
     for g in gens:
         if len(g) != n or any(len(r) != n for r in g):
             raise ValueError("generators must be square and of one size")
-        if mat_det(field, g) == field.zero_rep:
-            raise ValueError("generator is singular")
     gen_perms = [permutation_of(field, g) for g in gens]
     ident = mat_identity(field, n)
     seen = {ident}
@@ -593,12 +539,11 @@ def primary_centralizer_order(Q, lam):
 
 
 def gl_classes(n, field):
-    """(representative, class size) for every similarity class of
-    GL(n, q).
+    """(parts, class size) for every similarity class of GL(n, q).
 
     A class is a partition lam_f for each monic irreducible f != x with
-    sum deg(f) |lam_f| = n.  The representative is block diagonal with
-    one companion matrix of f^part per part; the class size is
+    sum deg(f) |lam_f| = n; parts is the tuple of pairs (f, lam_f) with
+    lam_f nonempty, in enumeration order of f.  The class size is
     |GL(n, q)| over the centralizer order, the product of the primary
     centralizer orders.
     """
@@ -609,44 +554,101 @@ def gl_classes(n, field):
     irreducibles = [f for d in range(1, n + 1)
                     for f in monic_irreducibles(field, d)]
 
-    def walk(i, remaining, blocks, cent):
+    def walk(i, remaining, parts, cent):
         if remaining == 0:
             size, rest = divmod(order, cent)
             assert rest == 0, "centralizer order does not divide |GL|"
-            yield block_diagonal(field, blocks), size
+            yield tuple(parts), size
             return
         if i == len(irreducibles) or irreducibles[i].degree > remaining:
             return
         f = irreducibles[i]
         d = f.degree
-        yield from walk(i + 1, remaining, blocks, cent)
-        # companions[e - 1] is the companion matrix of f^e
-        companions = []
-        power = poly_mod.Poly.constant(field, 1)
+        yield from walk(i + 1, remaining, parts, cent)
         for s in range(1, remaining // d + 1):
-            power = power * f
-            companions.append(companion_matrix(field, power))
             for lam in partitions(s):
                 yield from walk(
-                    i + 1, remaining - d * s,
-                    blocks + [companions[part - 1] for part in lam],
+                    i + 1, remaining - d * s, parts + [(f, lam)],
                     cent * primary_centralizer_order(q ** d, lam))
 
     return walk(0, n, [], 1)
 
 
+def fixed_space_cycle_type(q, n, order, dim):
+    """Sorted cycle lengths of an invertible linear map A of the given
+    order on the nonzero vectors of F_q^n, from dim(d), the dimension of
+    the fixed space of A^d, for each divisor d of the order.
+
+    A^d fixes q^dim(d) - 1 nonzero vectors, and Mobius inversion over
+    the divisors counts the vectors in cycles of each exact length.
+    Counts that are not a cycle type of F_q^n minus 0 are an internal
+    error (AssertionError)."""
+    divisors = [1]
+    for r in prime_divisors(order):
+        e = 0
+        while order % r ** (e + 1) == 0:
+            e += 1
+        divisors = [d * r ** i for d in divisors for i in range(e + 1)]
+    divisors.sort()
+    fixed = {d: q ** dim(d) - 1 for d in divisors}
+    lengths = []
+    for d in divisors:
+        exact = sum(poly_mod.mobius(d // c) * fixed[c]
+                    for c in divisors if d % c == 0)
+        if exact % d:
+            raise AssertionError("fixed counts are not a cycle type")
+        lengths.extend([d] * (exact // d))
+    if sum(lengths) != q ** n - 1:
+        raise AssertionError("cycle lengths do not cover the nonzero "
+                             "vectors")
+    return tuple(lengths)
+
+
+def class_cycle_type(field, parts, ords):
+    """Cycle type on the nonzero vectors of the similarity class with
+    primary parts ((f, lam_f), ...), as gl_classes yields them.
+
+    On F_q[x]/(f^e), x^d - 1 has f-adic valuation p^v_p(d) when ord(f)
+    divides d and 0 otherwise, so the fixed space of A^d has dimension
+    sum_f [ord(f) | d] deg(f) sum_(e in lam_f) min(e, p^v_p(d)), and A
+    has order lcm_f ord(f) times the least power of p that is >= every
+    part.  ords is a dict from f to ord(f), filled as needed, so that
+    calls for one census share the orders."""
+    q, p = field.order, field.p
+    for f, _ in parts:
+        if f not in ords:
+            e = q ** f.degree - 1
+            ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
+    top = max((lam[0] for _, lam in parts), default=1)
+    pt = 1
+    while pt < top:
+        pt *= p
+    order = math.lcm(*(ords[f] for f, _ in parts)) * pt
+
+    def dim(d):
+        pv = 1
+        while d % (pv * p) == 0:
+            pv *= p
+        return sum(f.degree * sum(min(e, pv) for e in lam)
+                   for f, lam in parts if d % ords[f] == 0)
+
+    n = sum(f.degree * sum(lam) for f, lam in parts)
+    return fixed_space_cycle_type(q, n, order, dim)
+
+
 def gl_census(n, field):
     """Cycle-type census of GL(n, q), one similarity class at a time:
-    the cycle type of a representative, counted with the class size.
-    Refused above CLASS_CENSUS_CAP vectors."""
+    the class's cycle type from its class data, counted with the class
+    size.  Refused above CLASS_CENSUS_CAP vectors."""
     q = field.order
     if q ** n > CLASS_CENSUS_CAP:
         raise CapExceededError(
             "general-linear census refused above q^n = %d vectors"
             % CLASS_CENSUS_CAP)
+    ords = {}
     ctr = Counter()
-    for A, size in gl_classes(n, field):
-        ctr[cycle_type_of(field, A)] += size
+    for parts, size in gl_classes(n, field):
+        ctr[class_cycle_type(field, parts, ords)] += size
     order = gl_order(n, q)
     assert sum(ctr.values()) == order, "class sizes do not sum to |GL|"
     return CycleCensus(order=order, counts=tuple(sorted(ctr.items())))

@@ -358,8 +358,9 @@ def frobenius_cycle_type(L):
     of x modulo the minimal polynomial mu of N, which has coefficients in
     F_q.  N^d - I has the kernel of g(N) for g = gcd(x^d - 1, mu).  When
     deg mu = n (N is cyclic, the usual case) that kernel has dimension
-    deg g; otherwise it is computed from the powers N^j.  Mobius
-    inversion turns the fixed counts into cycle lengths.
+    deg g; otherwise it is computed from the powers N^j.
+    group.fixed_space_cycle_type turns the kernel dimensions into cycle
+    lengths by Mobius inversion.
     """
     E, K = L.field, L.base
     n, q = L.qdeg, L.q
@@ -382,25 +383,17 @@ def frobenius_cycle_type(L):
                 for j in range(n)])
     x = poly_mod.Poly.x(K)
     one = poly_mod.Poly.constant(K, 1)
-    divisors = _divisors(_order_of_x(mu, q, K.p))
     kernel_dims = {}
-    fixed = {}
-    for d in divisors:
+
+    def dim(d):
         g = poly_mod.gcd(poly_mod.pow_mod(x, d, mu) - one, mu)
         if g not in kernel_dims:
             kernel_dims[g] = (g.degree if powers is None
                               else n - _rank_at(E, g, powers))
-        fixed[d] = q ** kernel_dims[g] - 1
-    lengths = []
-    for d in divisors:
-        exact = sum(poly_mod.mobius(d // c) * fixed[c]
-                    for c in divisors if d % c == 0)
-        if exact % d:
-            raise AssertionError("fixed counts are not a cycle type")
-        lengths.extend([d] * (exact // d))
-    if sum(lengths) != q ** n - 1:
-        raise AssertionError("cycle lengths do not cover the nonzero roots")
-    return tuple(lengths)
+        return kernel_dims[g]
+
+    return group_mod.fixed_space_cycle_type(
+        q, n, _order_of_x(mu, q, K.p), dim)
 
 
 def _first_dependence(L, rows):
@@ -451,8 +444,8 @@ def _order_of_x(mu, q, p):
 
     Starts from an exponent of the unit group of F_q[x]/(mu): a factor
     f^m of mu contributes q^(deg f) - 1 times the least power of p that
-    is >= m, and deg f, m <= deg mu.  Then divides out each prime while
-    x^e stays 1."""
+    is >= m, and deg f, m <= deg mu.  poly.order_of_x then divides
+    out each prime while x^e stays 1."""
     deg = mu.degree
     e = 1
     primes = set()
@@ -465,25 +458,7 @@ def _order_of_x(mu, q, p):
     if pt > 1:
         e *= pt
         primes.add(p)
-    x = poly_mod.Poly.x(mu.field)
-    one = poly_mod.Poly.constant(mu.field, 1)
-    if poly_mod.pow_mod(x, e, mu) != one:
-        raise AssertionError("x is not a unit modulo the minimal polynomial")
-    for r in primes:
-        while e % r == 0 and poly_mod.pow_mod(x, e // r, mu) == one:
-            e //= r
-    return e
-
-
-def _divisors(m):
-    """Divisors of m >= 1, ascending."""
-    out = [1]
-    for r in prime_divisors(m):
-        e = 0
-        while m % r ** (e + 1) == 0:
-            e += 1
-        out = [d * r ** i for d in out for i in range(e + 1)]
-    return sorted(out)
+    return poly_mod.order_of_x(mu, e, primes)
 
 
 def _down(E, K, rep):

@@ -8,8 +8,9 @@ results can be checked against an independent path.
 import itertools
 from collections import deque
 
-from linmono.group import (frobenius_matrix, mat_identity, mat_mul, mat_vec,
-                           nonzero_vectors, singer_generator)
+from linmono.group import (companion_matrix, frobenius_matrix, mat_identity,
+                           mat_mul, mat_pow, mat_vec, nonzero_vectors,
+                           singer_generator)
 from linmono.poly import Poly
 
 
@@ -169,3 +170,93 @@ def brute_stabilizer_orders(field, elements):
     n = len(elements[0])
     return [sum(1 for A in elements if mat_vec(field, A, v) == v)
             for v in nonzero_vectors(field, n)]
+
+
+def mat_det(field, A):
+    """Determinant by Gaussian elimination."""
+    n = len(A)
+    rows = [list(r) for r in A]
+    z = field.zero_rep
+    det = field.one_rep
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if rows[i][c] != z:
+                pr = i
+                break
+        if pr is None:
+            return z
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = field.neg(det)
+        det = field.mul(det, rows[c][c])
+        inv = field.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if rows[i][c] != z:
+                f = field.mul(rows[i][c], inv)
+                rows[i] = [field.sub(vi, field.mul(f, vc))
+                           for vi, vc in zip(rows[i], rows[c])]
+    return det
+
+
+def mat_inv(field, A):
+    """Inverse by Gauss-Jordan elimination; ZeroDivisionError when A is
+    singular."""
+    n = len(A)
+    z, o = field.zero_rep, field.one_rep
+    rows = [list(r) + [o if i == j else z for j in range(n)]
+            for i, r in enumerate(A)]
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, n):
+            if rows[i][c] != z:
+                pr = i
+                break
+        if pr is None:
+            raise ZeroDivisionError("matrix is singular")
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != z:
+                f = rows[i][c]
+                rows[i] = [field.sub(vi, field.mul(f, vr))
+                           for vi, vr in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def mat_pow_signed(field, A, e):
+    """A^e for any integer e, negative powers through mat_inv."""
+    if e < 0:
+        return mat_pow(field, mat_inv(field, A), -e)
+    return mat_pow(field, A, e)
+
+
+def block_diagonal(field, blocks):
+    """The block-diagonal matrix with the given square blocks in order."""
+    n = sum(len(B) for B in blocks)
+    z = field.zero_rep
+    rows = []
+    at = 0
+    for B in blocks:
+        d = len(B)
+        for row in B:
+            rows.append((z,) * at + tuple(row) + (z,) * (n - at - d))
+        at += d
+    return tuple(rows)
+
+
+def class_representative(field, parts):
+    """A matrix in the similarity class with primary parts
+    ((f, lam_f), ...), as linmono.group.gl_classes yields them: block
+    diagonal with one companion matrix of f^e per part e of lam_f."""
+    blocks = []
+    for f, lam in parts:
+        for e in lam:
+            power = Poly.constant(field, 1)
+            for _ in range(e):
+                power = power * f
+            blocks.append(companion_matrix(field, power))
+    return block_diagonal(field, blocks)

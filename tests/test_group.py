@@ -6,14 +6,16 @@ from collections import Counter
 import pytest
 
 from _oracles import (brute_closure, brute_cycle_type,
-                      brute_stabilizer_orders, normalizer_elements,
+                      brute_stabilizer_orders, class_representative,
+                      mat_det, mat_inv, mat_pow_signed, normalizer_elements,
                       vector_rank)
 from linmono.ff import (CapExceededError, make_field, parse_field_spec,
                         prime_divisors)
-from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census, closure,
-                           companion_matrix, cycle_type_of, frobenius_matrix,
+from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census,
+                           class_cycle_type, closure, companion_matrix,
+                           conjugation_ok, cycle_type_of, frobenius_matrix,
                            generate_group, gl_census, gl_classes, gl_elements,
-                           gl_order, mat_det, mat_identity, mat_inv, mat_mul,
+                           gl_order, mat_identity, mat_mul,
                            mat_pow, mat_vec, monic_irreducibles,
                            normalizer_census, nonzero_vectors,
                            orbit_representatives, partitions,
@@ -38,8 +40,11 @@ def test_matrix_arithmetic_basics():
     assert mat_mul(F3, I, A) == A
     assert mat_pow(F3, A, 0) == I
     assert mat_pow(F3, A, 3) == mat_mul(F3, A, mat_mul(F3, A, A))
+    with pytest.raises(ValueError):
+        mat_pow(F3, A, -1)
     Ainv = mat_inv(F3, A)
     assert mat_mul(F3, A, Ainv) == I
+    assert mat_mul(F3, mat_pow_signed(F3, A, -3), mat_pow(F3, A, 3)) == I
     assert mat_det(F3, A) == F3.scalar_rep(1)
     singular = ((F3.scalar_rep(1), F3.scalar_rep(2)),
                 (F3.scalar_rep(2), F3.scalar_rep(1)))
@@ -91,6 +96,9 @@ def test_frobenius_conjugation_relation():
         F = frobenius_matrix(n, field)
         lhs = mat_mul(field, mat_mul(field, F, S), mat_inv(field, F))
         assert lhs == mat_pow(field, S, q)
+        assert conjugation_ok(field, S, F)
+        # S^q != S, so the identity does not conjugate S to S^q
+        assert not conjugation_ok(field, S, mat_identity(field, n))
         assert mat_pow(field, F, n) == mat_identity(field, n)
 
 
@@ -370,7 +378,22 @@ def test_class_counts_and_sizes(field):
         classes = list(gl_classes(n, field))
         assert len(classes) == expected
         assert sum(size for _, size in classes) == gl_order(n, q)
-        assert all(mat_det(field, A) != field.zero_rep for A, _ in classes)
+        assert all(sum(f.degree * sum(lam) for f, lam in parts) == n
+                   for parts, _ in classes)
+        assert all(mat_det(field, class_representative(field, parts))
+                   != field.zero_rep for parts, _ in classes)
+
+
+@pytest.mark.parametrize("spec, n", _normalizer_cases())
+def test_class_cycle_type_equals_representative(spec, n):
+    """The cycle type read off class data against a block-companion
+    representative of the class applied to every vector."""
+    field = parse_field_spec(spec)
+    ords = {}
+    for parts, _ in gl_classes(n, field):
+        A = class_representative(field, parts)
+        assert class_cycle_type(field, parts, ords) \
+            == cycle_type_of(field, A)
 
 
 def _fixed_point_test(q, cycle_type):

@@ -715,8 +715,9 @@ def verify_disc_lemma(field, n):
     count = 0
     mismatches = []
     for L in _monic_lins(field, n, map(field.rep_at, range(1, q))):
-        direct = lin_mod.square_class(
-            poly_mod.discriminant(lin_mod.reduced(L)))
+        G = lin_mod.reduced(L)
+        D = poly_mod.discriminant(G)
+        direct = lin_mod.square_class(D)
         formula = lin_mod.disc_square_class(L)
         count += 1
         if direct is not formula:

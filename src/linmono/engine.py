@@ -27,10 +27,14 @@ Everything this module reports is evidence a referee can recheck:
 * NCycleGuarantee / Char2SumCondition / OrderLcm: the bookkeeping facts
   backing the decision tree.
 
-recheck recomputes an item from L and its payload alone.  It takes cycle
-types from the n x n Frobenius matrix of L_alpha
-(linpoly.frobenius_cycle_type), not by factoring, so the sampler and the
-recheck reach each recorded type by different algorithms.
+recheck re-verifies an item from L and its payload alone.  It checks a
+claimed cycle type (or an OrderLcm's lcm) against the n x n Frobenius
+matrix of L_alpha (linpoly.frobenius_cycle_type): the claimed lcm must
+be a multiple of the matrix's order, and the exact type, found from that
+lcm down, must match.  Nothing is factored, so the sampler and the
+recheck reach each recorded type by different algorithms.  Exact types
+are kept for the current L, so the items of one document compute each
+(k, alpha) once.
 
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
@@ -516,31 +520,66 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
 
 # -- witness rechecking ----------------------------------------------------
 
-def _recheck_cycle_type(Ln, alpha):
+# Exact cycle types recomputed by recheck, for one L at a time:
+# {(L's field, L's coefficients): {(alpha's field, alpha's rep): type}}.
+# The key names the F_{q^k} modulus through the field, so two seeds that
+# build different extensions never share an entry.
+_recheck_types = {}
+
+
+def _recheck_cycle_type(Ln, alpha, claim):
     """Cycle type of the Frobenius at alpha, recomputed from the n x n
     Frobenius matrix of L_alpha (linpoly.frobenius_cycle_type) rather
-    than by the sampler's dense factoring; None when L(alpha) = 0."""
-    if lin_mod.evaluate(Ln, alpha).is_zero:
-        return None
-    return lin_mod.frobenius_cycle_type(lin_mod.specialize(Ln, alpha))
+    than by the sampler's dense factoring, if every length divides the
+    claimed exponent; None when it does not or when L(alpha) = 0.
+
+    Types are exact whatever the claim, so they are kept for the current
+    L and shared by every item that names the same alpha; a kept type
+    is still checked against each new claim."""
+    key = (Ln.field, Ln.coeffs)
+    memo = _recheck_types.get(key)
+    if memo is None:
+        _recheck_types.clear()
+        memo = _recheck_types[key] = {}
+    at = (alpha.field, alpha.rep)
+    ct = memo.get(at)
+    if ct is None:
+        if lin_mod.evaluate(Ln, alpha).is_zero:
+            return None
+        ct = lin_mod.frobenius_cycle_type(lin_mod.specialize(Ln, alpha),
+                                          claim)
+        if ct is None:
+            return None
+        memo[at] = ct
+    return ct if all(claim % d == 0 for d in ct) else None
 
 
 def recheck(L, evidence, seed=0):
     """Independently re-verify one Evidence from (L, payload) alone.
 
-    Rebuilds the extension from (k, seed), reconstructs alpha, and
-    recomputes the claimed fact.  Cycle types are recomputed by linear
-    algebra on the roots (_recheck_cycle_type), a different algorithm
-    from the factoring that produced them.  Returns True/False.
+    Rebuilds the extension from (k, seed), reconstructs alpha, and checks
+    the claimed fact.  A claimed cycle type, or an OrderLcm's lcm, is
+    checked rather than searched for: its lcm must be a multiple of the
+    order of the Frobenius at alpha, and the exact type, found from that
+    lcm down by linear algebra on the roots (_recheck_cycle_type), must
+    match.  That is a different algorithm from the factoring that
+    produced the types.  Exact types are kept while L stays the same, so
+    rechecking a document's items one by one computes each (k, alpha)
+    once.  Malformed claims are refused.  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)
     kind = evidence.kind
     pl = evidence.payload
     if kind in ("CycleTypeSample", "FixedPointOddness"):
+        claim = pl["cycle_type"]
+        if not (isinstance(claim, (list, tuple))
+                and all(type(d) is int and d > 0 for d in claim)):
+            return False
         E = _field_at(Ln.base, pl["k"], seed)
-        ct = _recheck_cycle_type(Ln, E.elem(E.rep_from_obj(pl["alpha"])))
-        if ct is None or list(ct) != list(pl["cycle_type"]):
+        ct = _recheck_cycle_type(Ln, E.elem(E.rep_from_obj(pl["alpha"])),
+                                 math.lcm(*claim))
+        if ct != tuple(claim):
             return False
         if kind == "FixedPointOddness":
             lcm = math.lcm(*ct)
@@ -556,14 +595,17 @@ def recheck(L, evidence, seed=0):
         cls, _ = _disc_class_at(Ln, alpha, v)
         return cls is lin_mod.SquareClass.NONSQUARE
     if kind == "OrderLcm":
+        claim = pl["lcm"]
+        if type(claim) is not int or claim < 1:
+            return False
         lcm = 1
         for k, idx in pl["sample_refs"]:
             E = _field_at(Ln.base, k, seed)
-            ct = _recheck_cycle_type(Ln, E.element_at(idx))
+            ct = _recheck_cycle_type(Ln, E.element_at(idx), claim)
             if ct is None:
                 return False
             lcm = math.lcm(lcm, *ct)
-        return lcm == pl["lcm"]
+        return lcm == claim
     if kind == "NCycleGuarantee":
         N = Ln.q ** Ln.qdeg - 1
         return (pl["cycle_length"] == N

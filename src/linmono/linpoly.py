@@ -340,7 +340,7 @@ def _kernel_basis(K, M, n):
 
 # -- Frobenius cycle type --------------------------------------------------
 
-def frobenius_cycle_type(L):
+def frobenius_cycle_type(L, exponent=None):
     """Sorted cycle lengths of the Frobenius v -> v^(q^k) on the nonzero
     roots of L, where L has coefficients in E = F_{q^k} and a_0 != 0.
     These are the factor degrees of L(x)/x over E, found by n x n linear
@@ -361,6 +361,13 @@ def frobenius_cycle_type(L):
     deg g; otherwise it is computed from the powers N^j.
     group.fixed_space_cycle_type turns the kernel dimensions into cycle
     lengths by Mobius inversion.
+
+    exponent, when given, is a claimed multiple of the order (the lcm of
+    a claimed cycle type).  If x^exponent != 1 modulo mu the claim is
+    false and the result is None; otherwise the order is found by
+    dividing primes out of the claim (cut down to its gcd with a
+    unit-group exponent of F_q[x]/(mu)) instead of out of that generic
+    exponent, and the exact cycle type is returned.
     """
     E, K = L.field, L.base
     n, q = L.qdeg, L.q
@@ -368,21 +375,32 @@ def frobenius_cycle_type(L):
     if n < 1 or L.coeffs[0] == z:
         raise ValueError("need q-degree >= 1 and a_0 != 0")
     N = _frobenius_matrix(L)
-    # mu of one vector divides mu of N; degree n means they are equal
+    # mu of one vector divides mu of N; degree n means they are equal.
+    # Below degree n it may have coefficients outside F_q, so it is only
+    # taken down to F_q at degree n.
     vecs = [(E.one_rep,) + (z,) * (n - 1)]
     for _ in range(n):
         vecs.append(group_mod.mat_vec(E, N, vecs[-1]))
-    mu = _first_dependence(L, [list(col) for col in zip(*vecs)])
+    dep = _kernel_basis(E, [list(col) for col in zip(*vecs)], n + 1)[0]
     powers = None
-    if mu.degree < n:
+    if dep[n] == z:
         powers = [group_mod.mat_identity(E, n)]
         for _ in range(n):
             powers.append(group_mod.mat_mul(E, powers[-1], N))
-        mu = _first_dependence(
-            L, [[P[i][j] for P in powers] for i in range(n)
-                for j in range(n)])
+        dep = _kernel_basis(E, [[P[i][j] for P in powers]
+                                for i in range(n) for j in range(n)],
+                            n + 1)[0]
+    deg = max(j for j, c in enumerate(dep) if c != z)
+    mu = poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
     x = poly_mod.Poly.x(K)
     one = poly_mod.Poly.constant(K, 1)
+    if exponent is None:
+        order = _order_of_x(mu, q, K.p)
+    else:
+        e = math.gcd(exponent, _unit_exponent(mu.degree, q, K.p))
+        if poly_mod.pow_mod(x, e, mu) != one:
+            return None
+        order = poly_mod.order_of_x(mu, e, prime_divisors(e))
     kernel_dims = {}
 
     def dim(d):
@@ -392,17 +410,7 @@ def frobenius_cycle_type(L):
                               else n - _rank_at(E, g, powers))
         return kernel_dims[g]
 
-    return group_mod.fixed_space_cycle_type(
-        q, n, _order_of_x(mu, q, K.p), dim)
-
-
-def _first_dependence(L, rows):
-    """The monic polynomial over L.base of the first linear dependence
-    among the columns of rows (column j = N^j applied to something)."""
-    E, K = L.field, L.base
-    dep = _kernel_basis(E, rows, L.qdeg + 1)[0]
-    deg = max(j for j, c in enumerate(dep) if c != E.zero_rep)
-    return poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
+    return group_mod.fixed_space_cycle_type(q, n, order, dim)
 
 
 def _rank_at(E, g, powers):
@@ -439,26 +447,28 @@ def _frobenius_matrix(L):
     return N
 
 
-def _order_of_x(mu, q, p):
-    """Multiplicative order of x modulo mu over F_q (mu(0) != 0).
-
-    Starts from an exponent of the unit group of F_q[x]/(mu): a factor
-    f^m of mu contributes q^(deg f) - 1 times the least power of p that
-    is >= m, and deg f, m <= deg mu.  poly.order_of_x then divides
-    out each prime while x^e stays 1."""
-    deg = mu.degree
+def _unit_exponent(deg, q, p):
+    """An exponent of the unit group of F_q[x]/(mu) for every mu of
+    degree deg with mu(0) != 0: a factor f^m of mu contributes
+    q^(deg f) - 1 times the least power of p that is >= m, and deg f,
+    m <= deg."""
     e = 1
-    primes = set()
     for i in range(1, deg + 1):
         e = math.lcm(e, q ** i - 1)
-        primes.update(prime_divisors(q ** i - 1))
     pt = 1
     while pt < deg:
         pt *= p
-    if pt > 1:
-        e *= pt
-        primes.add(p)
-    return poly_mod.order_of_x(mu, e, primes)
+    return e * pt
+
+
+def _order_of_x(mu, q, p):
+    """Multiplicative order of x modulo mu over F_q (mu(0) != 0), with no
+    claim to start from: poly.order_of_x divides each prime out of
+    _unit_exponent while x^e stays 1."""
+    primes = {p}.union(*(prime_divisors(q ** i - 1)
+                         for i in range(1, mu.degree + 1)))
+    return poly_mod.order_of_x(mu, _unit_exponent(mu.degree, q, p),
+                               primes)
 
 
 def _down(E, K, rep):

@@ -11,6 +11,9 @@ import jsonschema
 import pytest
 
 from linmono.cli import schema_text
+from linmono.engine import Evidence, recheck
+from linmono.ff import make_field
+from linmono.linpoly import parse_linpoly
 
 
 def run_cli(*args):
@@ -303,6 +306,22 @@ def test_extension_field_analyze():
     assert doc["verdict"] == "GammaL"
     assert doc["group"] == "GammaL(1,81)"
     assert doc["order"] == 160
+
+
+def test_analyze_document_rechecks_where_mu_of_e0_leaves_f_q():
+    """x^16 + x^8 + x^4 + x over F_2: at k = 3 the first dependence of
+    e_0 under N has coefficients outside F_2 at alpha-indices 2, 4 and 7
+    (type (1,7,7)), and every item of the document still rechecks."""
+    code, out, _ = run_cli("analyze", "--q", "2", "--lin", "1,0,1,1,1")
+    doc = check(json.loads(out))
+    L = parse_linpoly(make_field(2), "1,0,1,1,1")
+    samples = {(e["payload"]["k"], e["payload"]["alpha_index"])
+               for e in doc["evidence"] if e["kind"] == "CycleTypeSample"}
+    assert {(3, 2), (3, 4), (3, 7)} <= samples
+    assert "OrderLcm" in {e["kind"] for e in doc["evidence"]}
+    for e in doc["evidence"]:
+        assert recheck(L, Evidence(e["kind"], e["payload"], e["note"]),
+                       seed=doc["seed"]), e
 
 
 def test_seed_recorded_and_exhaust_is_seed_independent():

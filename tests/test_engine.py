@@ -17,7 +17,10 @@ from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             verify_gmg, verify_normalizer)
 from linmono.ff import make_field, parse_field_spec
 from linmono.group import gl_census, normalizer_census
-from linmono.linpoly import LinPoly, evaluate, parse_linpoly
+from linmono import linpoly as lin_mod
+from linmono.linpoly import (LinPoly, evaluate, parse_linpoly, reduced,
+                             specialize)
+from linmono.poly import factor_degrees
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -386,6 +389,133 @@ def test_recheck_disc_witness_square_alpha_fails():
     # F_9 has L(a)/a = a^26 + a^2 = ... verified Square by the recheck
     bad = Evidence(w.kind, dict(w.payload, k=2, alpha=[2, 0]), w.note)
     assert not recheck(X27X3, bad)
+
+
+def _same_lcm_other_type(ct):
+    """ct with one copy of a repeated length d > 1 split into d ones:
+    the same sum and lcm, a different multiset."""
+    d = next(d for d in ct if d > 1 and ct.count(d) > 1)
+    out = list(ct)
+    out.remove(d)
+    return sorted(out + [1] * d)
+
+
+def test_recheck_refuses_malformed_claims():
+    """Claims no cycle type can have, and false claims that keep the
+    lcm or name a multiple of it, are refused, never raised on."""
+    v = verdict(X27X3, budget=12)
+    sample = next(e for e in v.evidence if e.kind == "CycleTypeSample")
+    olcm = next(e for e in v.evidence if e.kind == "OrderLcm")
+    ct = sample.payload["cycle_type"]
+    lcm = olcm.payload["lcm"]
+    assert recheck(X27X3, sample) and recheck(X27X3, olcm)
+    for claim in ([], [0], [0] + ct, [-1] + ct[1:], [-ct[-1]] + ct[:-1],
+                  ["1"] + ct[1:], [1.0] + ct[1:], [True] + ct[1:],
+                  [None], 26, "1,1,8", _same_lcm_other_type(ct),
+                  ct[:-1] + [ct[-1] * (2 ** 89 - 1)]):
+        bad = Evidence(sample.kind, dict(sample.payload, cycle_type=claim),
+                       sample.note)
+        assert recheck(X27X3, bad) is False, claim
+    for claim in (0, -lcm, 2 * lcm, lcm * (2 ** 89 - 1), lcm // 2,
+                  float(lcm), str(lcm), None):
+        bad = Evidence(olcm.kind, dict(olcm.payload, lcm=claim), olcm.note)
+        assert recheck(X27X3, bad) is False, claim
+
+
+def test_recheck_keeps_types_apart_across_polynomials_and_seeds():
+    """The same (k, alpha_index) under two L, and under two seeds whose
+    F_9 moduli differ, has its own type each time: a type computed for
+    one never answers for the other."""
+    L1, L2 = parse_linpoly(F3, "0,1,1,1"), parse_linpoly(F3, "0,0,2,1")
+
+    def item(L, seed, idx):
+        alpha = engine._field_at(F3, 2, seed).element_at(idx)
+        if evaluate(L, alpha).is_zero:
+            return None
+        ct = factor_degrees(reduced(specialize(L, alpha)))
+        return Evidence("CycleTypeSample",
+                        {"k": 2, "alpha_index": idx,
+                         "alpha": alpha.to_obj(), "cycle_type": list(ct)},
+                        "")
+
+    assert engine._field_at(F3, 2, 0) != engine._field_at(F3, 2, 2)
+    cases = [(L, seed, item(L, seed, idx))
+             for idx in range(1, 9) for L in (L1, L2) for seed in (0, 2)]
+    cases = [c for c in cases if c[2] is not None]
+    for _ in range(2):
+        assert all(recheck(L, e, seed=seed) for L, seed, e in cases)
+    apart = 0
+    for L, seed, e in cases:
+        for L_, seed_, e_ in cases:
+            if (e_.payload["alpha_index"] == e.payload["alpha_index"]
+                    and e_.payload != e.payload
+                    and e_.payload["alpha"] == e.payload["alpha"]):
+                assert not recheck(L_, e, seed=seed_)
+                apart += 1
+    assert apart >= 8
+
+
+def test_recheck_refuses_a_tampered_item_after_a_good_one():
+    """A type kept from a good item answers only claims it satisfies:
+    a tampered item at the same alpha, or an OrderLcm whose lcm drops a
+    prime, is still refused, in either order of the evidence."""
+    evidence = verdict(X27X3, budget=12).evidence
+    olcm = next(e for e in evidence if e.kind == "OrderLcm")
+    lcm = olcm.payload["lcm"]
+    items = list(evidence)
+    for e in evidence:
+        if e.kind == "CycleTypeSample":
+            ct = e.payload["cycle_type"]
+            items.append(Evidence(e.kind, dict(
+                e.payload, cycle_type=_same_lcm_other_type(ct)), e.note))
+            items.append(Evidence(e.kind, dict(
+                e.payload, cycle_type=[1] * sum(ct)), e.note))
+    assert lcm % 2 == 0
+    items.append(Evidence(olcm.kind, dict(olcm.payload, lcm=lcm // 2),
+                          olcm.note))
+    forward = [recheck(X27X3, e) for e in items]
+    assert forward == [True] * len(evidence) \
+        + [False] * (len(items) - len(evidence))
+    engine._recheck_types.clear()
+    backward = [recheck(X27X3, e) for e in reversed(items)]
+    assert backward[::-1] == forward
+
+
+def test_recheck_checks_the_claim_without_an_order_search(monkeypatch):
+    """Every cycle type recheck needs comes from the claimed lcm down,
+    never from the generic exponent search."""
+    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
+    evidence = verdict(X27X3, budget=12).evidence + [
+        normalizer_incompatibility_witness(run.samples, 3)]
+
+    def refuse(*args):
+        raise AssertionError("recheck searched for the order")
+
+    monkeypatch.setattr(engine, "_recheck_types", {})
+    monkeypatch.setattr(lin_mod, "_order_of_x", refuse)
+    assert {e.kind for e in evidence} >= {"CycleTypeSample", "OrderLcm",
+                                          "FixedPointOddness"}
+    for e in evidence:
+        assert recheck(X27X3, e), e.kind
+
+
+def test_recheck_computes_each_alpha_once_per_document(monkeypatch):
+    L = parse_linpoly(F2, "1,0,1,1,1")
+    evidence = verdict(L, budget=24).evidence
+    calls = []
+    inner = lin_mod.frobenius_cycle_type
+
+    def counted(La, exponent=None):
+        calls.append(La)
+        return inner(La, exponent)
+
+    monkeypatch.setattr(engine, "_recheck_types", {})
+    monkeypatch.setattr(lin_mod, "frobenius_cycle_type", counted)
+    alphas = {(e.payload["k"], e.payload["alpha_index"]) for e in evidence
+              if e.kind in ("CycleTypeSample", "FixedPointOddness")}
+    assert len(alphas) > 10
+    assert all(recheck(L, e) for e in evidence)
+    assert len(calls) == len(alphas)
 
 
 def test_verify_normalizer_structure():

@@ -2,13 +2,14 @@
 root spaces, square classes."""
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
-                        parse_field_spec)
+                        parse_field_spec, prime_divisors)
 from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
                              evaluate, frobenius_cycle_type, parse_linpoly,
                              reduced, root_space, specialize, square_class,
@@ -242,10 +243,14 @@ def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
 
 
 @pytest.mark.parametrize("spec,n,kmax", [("2", 3, 3), ("3", 2, 2),
-                                          ("3", 3, 2), ("4", 2, 2)])
+                                          ("3", 3, 2), ("4", 2, 2),
+                                          ("2", 4, 3)])
 def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
     """Every monic L with a_0 = 0 and every alpha in F_{q^k}, k <= kmax:
-    the linear path equals dense factoring, cyclic N or not."""
+    the linear path equals dense factoring, cyclic N or not, with and
+    without the lcm as a claimed exponent.  At q = 2, n = 4, k = 3 some
+    e_0 is not a cyclic vector of N and its first dependence has
+    coefficients outside F_q (x^16 + x^8 + x^4 and x^16 + x^4 + x^2)."""
     K = parse_field_spec(spec)
     q = K.order
     for mid in itertools.product(range(q), repeat=n - 1):
@@ -255,8 +260,37 @@ def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
             for i in range(1, E.order):
                 La = specialize(L, E.element_at(i))
                 if La.coeffs[0] != E.zero_rep:
-                    assert frobenius_cycle_type(La) \
-                        == factor_degrees(reduced(La)), (mid, k, i)
+                    dense = factor_degrees(reduced(La))
+                    assert frobenius_cycle_type(La) == dense, (mid, k, i)
+                    assert frobenius_cycle_type(La, math.lcm(*dense)) \
+                        == dense, (mid, k, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frobenius_cycle_type_checks_a_claimed_exponent(data):
+    """With a claimed exponent the result is the dense type when every
+    dense length divides it, and None otherwise; the lcm itself passes
+    and the lcm over any of its primes does not."""
+    q = data.draw(st.sampled_from(sorted(BASES)), label="q")
+    K = BASES[q]
+    n = data.draw(st.integers(1, 3 if q < 7 else 2), label="n")
+    k = data.draw(st.integers(1, 3 if q ** n <= 27 else 2), label="k")
+    coeffs = [data.draw(st.integers(0, q - 1)) for _ in range(n)]
+    coeffs.append(data.draw(st.integers(1, q - 1), label="a_n"))
+    L = LinPoly(K, [K.rep_at(c) for c in coeffs])
+    E = extend_field(K, k)
+    La = specialize(L, E.element_at(data.draw(
+        st.integers(1, E.order - 1), label="alpha")))
+    assume(La.coeffs[0] != E.zero_rep)
+    dense = factor_degrees(reduced(La))
+    lcm = math.lcm(*dense)
+    assert frobenius_cycle_type(La, lcm) == dense
+    for r in prime_divisors(lcm):
+        assert frobenius_cycle_type(La, lcm // r) is None
+    claim = data.draw(st.integers(1, 4 * lcm), label="claim")
+    want = dense if all(claim % d == 0 for d in dense) else None
+    assert frobenius_cycle_type(La, claim) == want
 
 
 @pytest.mark.parametrize("spec,lin,k", [

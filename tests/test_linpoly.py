@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
@@ -223,7 +223,9 @@ def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
     agree on random L, k and alpha, over prime fields, F_4 and F_9 (so
     E is a tower over a non-prime base) and characteristic 2.  Sizes are
     kept where the dense side stays fast: n = 3 only below q = 7, and
-    k <= 2 once q^n > 27."""
+    k <= 2 once q^n > 27.  With a claimed exponent the result is the
+    dense type when every dense length divides it and None otherwise:
+    the lcm passes, the lcm over any of its primes does not."""
     q = data.draw(st.sampled_from(sorted(BASES)), label="q")
     K = BASES[q]
     n = data.draw(st.integers(1, 3 if q < 7 else 2), label="n")
@@ -239,7 +241,15 @@ def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
         with pytest.raises(ValueError):
             frobenius_cycle_type(La)
         return
-    assert frobenius_cycle_type(La) == factor_degrees(reduced(La))
+    dense = factor_degrees(reduced(La))
+    assert frobenius_cycle_type(La) == dense
+    lcm = math.lcm(*dense)
+    assert frobenius_cycle_type(La, lcm) == dense
+    for r in prime_divisors(lcm):
+        assert frobenius_cycle_type(La, lcm // r) is None
+    claim = data.draw(st.integers(1, 4 * lcm), label="claim")
+    want = dense if all(claim % d == 0 for d in dense) else None
+    assert frobenius_cycle_type(La, claim) == want
 
 
 @pytest.mark.parametrize("spec,n,kmax", [("2", 3, 3), ("3", 2, 2),
@@ -264,33 +274,6 @@ def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
                     assert frobenius_cycle_type(La) == dense, (mid, k, i)
                     assert frobenius_cycle_type(La, math.lcm(*dense)) \
                         == dense, (mid, k, i)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_frobenius_cycle_type_checks_a_claimed_exponent(data):
-    """With a claimed exponent the result is the dense type when every
-    dense length divides it, and None otherwise; the lcm itself passes
-    and the lcm over any of its primes does not."""
-    q = data.draw(st.sampled_from(sorted(BASES)), label="q")
-    K = BASES[q]
-    n = data.draw(st.integers(1, 3 if q < 7 else 2), label="n")
-    k = data.draw(st.integers(1, 3 if q ** n <= 27 else 2), label="k")
-    coeffs = [data.draw(st.integers(0, q - 1)) for _ in range(n)]
-    coeffs.append(data.draw(st.integers(1, q - 1), label="a_n"))
-    L = LinPoly(K, [K.rep_at(c) for c in coeffs])
-    E = extend_field(K, k)
-    La = specialize(L, E.element_at(data.draw(
-        st.integers(1, E.order - 1), label="alpha")))
-    assume(La.coeffs[0] != E.zero_rep)
-    dense = factor_degrees(reduced(La))
-    lcm = math.lcm(*dense)
-    assert frobenius_cycle_type(La, lcm) == dense
-    for r in prime_divisors(lcm):
-        assert frobenius_cycle_type(La, lcm // r) is None
-    claim = data.draw(st.integers(1, 4 * lcm), label="claim")
-    want = dense if all(claim % d == 0 for d in dense) else None
-    assert frobenius_cycle_type(La, claim) == want
 
 
 @pytest.mark.parametrize("spec,lin,k", [

@@ -23,7 +23,8 @@ Everything this module reports is evidence a referee can recheck:
   its cycle lengths are all odd and it is even -- contradiction, hence
   the group is not inside N(C).  The discriminant class is
   (-1)^((q^n-1)/2) * c modulo squares, where c is the constant term of
-  L_alpha(x)/x, namely -L(alpha)/alpha.
+  L_alpha(x)/x, namely -L(alpha)/alpha: linpoly.disc_square_class of
+  L_alpha, the formula verify_disc_lemma checks exhaustively.
 * NCycleGuarantee / Char2SumCondition / OrderLcm: the bookkeeping facts
   backing the decision tree.
 
@@ -34,7 +35,9 @@ be a multiple of the matrix's order, and the exact type, found from that
 lcm down, must match.  Nothing is factored, so the sampler and the
 recheck reach each recorded type by different algorithms.  Exact types
 are kept for the current L, so the items of one document compute each
-(k, alpha) once.
+(k, alpha) once.  The recorded fields beside the claim (alpha_index, a
+DiscWitness's constant term and class, a FixedPointOddness's even
+lengths and lcm) must equal their recomputed values.
 
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
@@ -225,7 +228,10 @@ def _alphas(Ln, k_range, budget, seed, salt):
     Per-k targets come from _allocate; a k stops once it has yielded its
     target of alphas with L(alpha) != 0.  Those with L(alpha) = 0 are
     yielded too, for the caller to count as skipped.  The seeded draws
-    come from the "linmono.<salt>:<seed>" stream."""
+    come from the "linmono.<salt>:<seed>" stream.  A negative budget is
+    refused (ValueError)."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0, got %d" % budget)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("need at least one extension degree")
@@ -310,22 +316,13 @@ def normalizer_incompatibility_witness(samples, n):
     return None
 
 
-def _disc_class_at(Ln, alpha, value):
-    """(square class, c) for the discriminant of L_alpha(x)/x over
-    alpha's field, given value = L(alpha) != 0: the class of
-    (-1)^((q^n-1)/2) * c with c = -L(alpha)/alpha (a_0 is already
-    zero)."""
-    c = -(value / alpha)
-    parity = ((Ln.q ** Ln.qdeg - 1) // 2) % 2
-    val = -c if parity else c
-    return lin_mod.square_class(val), c
-
-
 def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
     """Search for alpha making the discriminant of L_alpha(x)/x a
-    nonsquare in F_{q^k}.  Cheap per alpha: one evaluation plus one Euler
-    criterion.  Returns Evidence or None; same budget semantics and
-    k_range checks as sample_cycle_types; odd characteristic only."""
+    nonsquare in F_{q^k}.  Cheap per alpha: the specialization L_alpha
+    and one Euler criterion on its constant term, by
+    linpoly.disc_square_class, the formula verify disc checks.  Returns
+    Evidence or None; same budget semantics and k_range checks as
+    sample_cycle_types; odd characteristic only."""
     _require_plain(L)
     if L.base.p == 2:
         raise ValueError("discriminant witnesses need odd characteristic")
@@ -335,11 +332,12 @@ def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
         if v.is_zero:
             skipped += 1
             continue
-        cls, c = _disc_class_at(Ln, alpha, v)
+        spec = lin_mod.specialize(Ln, alpha)
+        cls = lin_mod.disc_square_class(spec)
         if cls is lin_mod.SquareClass.NONSQUARE:
             payload = {"k": k, "alpha_index": idx,
                        "alpha": alpha.to_obj(),
-                       "constant_term": c.to_obj(),
+                       "constant_term": spec.coefficient(0).to_obj(),
                        "square_class": cls.value,
                        "skipped_before_hit": skipped}
             return Evidence(
@@ -554,6 +552,25 @@ def _recheck_cycle_type(Ln, alpha, claim):
     return ct if all(claim % d == 0 for d in ct) else None
 
 
+def _same(claimed, value):
+    """claimed == value with the types matching all the way down, so a
+    claimed True or 2.0 never stands for a recomputed 1 or 2."""
+    if isinstance(value, list):
+        return (type(claimed) is list and len(claimed) == len(value)
+                and all(map(_same, claimed, value)))
+    return type(claimed) is type(value) and claimed == value
+
+
+def _recorded_alpha(Ln, pl, seed):
+    """The item's alpha, rebuilt in F_{q^k} from its k and alpha, or None
+    when it is zero or its alpha_index is not its index."""
+    E = _field_at(Ln.base, pl["k"], seed)
+    alpha = E.elem(E.rep_from_obj(pl["alpha"]))
+    if alpha.is_zero or not _same(pl["alpha_index"], alpha.index()):
+        return None
+    return alpha
+
+
 def recheck(L, evidence, seed=0):
     """Independently re-verify one Evidence from (L, payload) alone.
 
@@ -565,7 +582,11 @@ def recheck(L, evidence, seed=0):
     match.  That is a different algorithm from the factoring that
     produced the types.  Exact types are kept while L stays the same, so
     rechecking a document's items one by one computes each (k, alpha)
-    once.  Malformed claims are refused.  Returns True/False.
+    once.  An item is also refused when its alpha_index is not alpha's
+    index, when a DiscWitness's constant_term or square_class or a
+    FixedPointOddness's even_lengths or order_lcm differs from the
+    recomputed one, and when its claim is malformed.  Returns
+    True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)
@@ -576,24 +597,31 @@ def recheck(L, evidence, seed=0):
         if not (isinstance(claim, (list, tuple))
                 and all(type(d) is int and d > 0 for d in claim)):
             return False
-        E = _field_at(Ln.base, pl["k"], seed)
-        ct = _recheck_cycle_type(Ln, E.elem(E.rep_from_obj(pl["alpha"])),
-                                 math.lcm(*claim))
+        alpha = _recorded_alpha(Ln, pl, seed)
+        if alpha is None:
+            return False
+        ct = _recheck_cycle_type(Ln, alpha, math.lcm(*claim))
         if ct != tuple(claim):
             return False
         if kind == "FixedPointOddness":
             lcm = math.lcm(*ct)
-            return 1 in ct and (any(d % 2 == 0 for d in ct)
-                                or Ln.qdeg % lcm != 0)
+            evens = [d for d in ct if d % 2 == 0]
+            return (_same(pl["even_lengths"], evens)
+                    and _same(pl["order_lcm"], lcm)
+                    and 1 in ct and (bool(evens) or Ln.qdeg % lcm != 0))
         return True
     if kind == "DiscWitness":
-        E = _field_at(Ln.base, pl["k"], seed)
-        alpha = E.elem(E.rep_from_obj(pl["alpha"]))
-        v = lin_mod.evaluate(Ln, alpha)
-        if v.is_zero:
+        alpha = _recorded_alpha(Ln, pl, seed)
+        if alpha is None:
             return False
-        cls, _ = _disc_class_at(Ln, alpha, v)
-        return cls is lin_mod.SquareClass.NONSQUARE
+        spec = lin_mod.specialize(Ln, alpha)
+        c = spec.coefficient(0)  # -L(alpha)/alpha
+        if c.is_zero:  # alpha is a root of L
+            return False
+        cls = lin_mod.disc_square_class(spec)
+        return (cls is lin_mod.SquareClass.NONSQUARE
+                and _same(pl["square_class"], cls.value)
+                and _same(pl["constant_term"], c.to_obj()))
     if kind == "OrderLcm":
         claim = pl["lcm"]
         if type(claim) is not int or claim < 1:
@@ -625,19 +653,22 @@ def verify_normalizer(n, field, seed=0):
     n(q^n - 1), F S F^(-1) = S^q, and every nonzero vector's stabilizer
     has order exactly n.
 
-    The closure lists every element.  Stabilizer orders come from
-    orbit-stabilizer, |<S, F>| over the size of the vector's orbit,
-    with the orbits taken from the permutations of S and F alone; the
-    first vector of each orbit is also checked against a direct count
-    (group.stabilizer_orders).  Violations are listed in rank order."""
+    One pass over the closure that normalizer_census reads: each element
+    is counted, and each position its permutation fixes adds one to that
+    vector's stabilizer order.  Violations are listed in rank order."""
     q = field.order
     S = group_mod.singer_generator(n, field, seed)
     F = group_mod.frobenius_matrix(n, field, seed)
     expected = n * (q ** n - 1)
-    elements = group_mod.generate_group(field, [S, F], cap=expected + 8)
-    order_ok = len(elements) == expected
+    order = 0
+    orders = [0] * (q ** n - 1)
+    for _, perm in group_mod.closure(field, [S, F], cap=expected + 8):
+        order += 1
+        for i, j in enumerate(perm):
+            if i == j:
+                orders[i] += 1
+    order_ok = order == expected
     conj_ok = group_mod.conjugation_ok(field, S, F)
-    orders = group_mod.stabilizer_orders(field, [S, F], elements)
     stab_bad = [{"vector": [field.rep_to_obj(c) for c in v], "order": so}
                 for v, so in zip(group_mod.nonzero_vectors(field, n), orders)
                 if so != n]
@@ -645,7 +676,7 @@ def verify_normalizer(n, field, seed=0):
     return {
         "check": "normalizer",
         "n": n, "q": q,
-        "order": len(elements), "expected_order": expected,
+        "order": order, "expected_order": expected,
         "order_ok": order_ok,
         "conjugation_ok": conj_ok,
         "stabilizer_violations": stab_bad,
@@ -751,6 +782,8 @@ def verify_disc_lemma(field, n):
     """Exhaustively compare, over all monic q-linearized L of q-degree n
     over F_q with a_0 != 0, the resultant-based discriminant of L(x)/x
     against the closed form (-1)^((q^n-1)/2) a_0 modulo squares."""
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     if field.p == 2:
         raise ValueError("discriminant classes need odd characteristic")
     q = field.order
@@ -783,6 +816,8 @@ def verify_factor_identity(field, n):
     dividing n with necklace-formula counts; and whenever a specialized
     L_alpha (a_0 = 0, alpha in F_q^*, L(alpha) != 0) has all factor
     degrees dividing n, it literally equals x^(q^n) - x."""
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     q = field.order
     f = (lin_mod.to_poly(lin_mod.LinPoly(
         field, [0] * n + [1]))

@@ -19,13 +19,11 @@ lengths of that permutation.  permutation_of applies one matrix to every
 vector and looks the images up in a vector-to-position dict kept for the
 last (field, n).  A group generated by a few matrices is a permutation
 group on those positions: closure applies only the generators to
-vectors and composes each product's permutation from its factors', and
-orbit_representatives takes the orbits from the generators'
-permutations, so stabilizer orders follow from orbit-stabilizer
-(stabilizer_orders).
+vectors and composes each product's permutation from its factors'.
 
 Censuses: the Singer normalizer is enumerated by closure, each element's
-cycle type read from its composed permutation.  GL(n, q) is
+cycle type read from its composed permutation (engine.verify_normalizer
+counts the fixed points of the same permutations).  GL(n, q) is
 never enumerated on the census path, and no matrix is built for it: a
 cycle type depends only on the similarity class, so gl_census walks the
 classes (one partition lam_f per monic irreducible f != x, as in Green,
@@ -359,52 +357,6 @@ def stabilizer_order(field, elements, v):
     return sum(1 for A in elements if mat_vec(field, A, v) == v)
 
 
-def orbit_representatives(perms):
-    """For each point, the smallest point of its orbit under the group
-    the permutations (lists of one length) generate."""
-    rep = [-1] * len(perms[0])
-    for start in range(len(rep)):
-        if rep[start] < 0:
-            rep[start] = start
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for perm in perms:
-                    j = perm[i]
-                    if rep[j] < 0:
-                        rep[j] = start
-                        stack.append(j)
-    return rep
-
-
-def stabilizer_orders(field, gens, elements):
-    """Stabilizer order of every nonzero vector, in rank order, in the
-    group whose full list of elements is given and which gens generate.
-
-    Orbit-stabilizer: the order is len(elements) over the size of the
-    vector's orbit, and the orbits come from the generators'
-    permutations alone.  On each orbit's first vector the stabilizer is
-    also counted directly with stabilizer_order; a disagreement (gens
-    and elements describing different groups, say) raises
-    AssertionError.
-    """
-    vecs, _ = _points(field, len(gens[0]))
-    reps = orbit_representatives([permutation_of(field, g) for g in gens])
-    sizes = Counter(reps)
-    orders = []
-    for i, r in enumerate(reps):
-        order, rest = divmod(len(elements), sizes[r])
-        if r == i:
-            direct = stabilizer_order(field, elements, vecs[i])
-            if rest or direct != order:
-                raise AssertionError(
-                    "orbit of size %d in a group of %d elements, but %d "
-                    "of them fix the vector"
-                    % (sizes[r], len(elements), direct))
-        orders.append(order)
-    return orders
-
-
 # -- censuses --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -613,12 +565,17 @@ def class_cycle_type(field, parts, ords):
     sum_f [ord(f) | d] deg(f) sum_(e in lam_f) min(e, p^v_p(d)), and A
     has order lcm_f ord(f) times the least power of p that is >= every
     part.  ords is a dict from f to ord(f), filled as needed, so that
-    calls for one census share the orders."""
+    calls for one census share the orders; ord(f) divides q^deg(f) - 1,
+    so a None from poly.order_of_x is an internal error
+    (AssertionError)."""
     q, p = field.order, field.p
     for f, _ in parts:
         if f not in ords:
             e = q ** f.degree - 1
             ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
+            if ords[f] is None:
+                raise AssertionError("x^%d is not 1 modulo the "
+                                     "irreducible %s" % (e, f))
     top = max((lam[0] for _, lam in parts), default=1)
     pt = 1
     while pt < top:

@@ -392,15 +392,15 @@ def frobenius_cycle_type(L, exponent=None):
                             n + 1)[0]
     deg = max(j for j, c in enumerate(dep) if c != z)
     mu = poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
-    x = poly_mod.Poly.x(K)
-    one = poly_mod.Poly.constant(K, 1)
     if exponent is None:
         order = _order_of_x(mu, q, K.p)
     else:
         e = math.gcd(exponent, _unit_exponent(mu.degree, q, K.p))
-        if poly_mod.pow_mod(x, e, mu) != one:
-            return None
         order = poly_mod.order_of_x(mu, e, prime_divisors(e))
+        if order is None:
+            return None
+    x = poly_mod.Poly.x(K)
+    one = poly_mod.Poly.constant(K, 1)
     kernel_dims = {}
 
     def dim(d):
@@ -464,11 +464,17 @@ def _unit_exponent(deg, q, p):
 def _order_of_x(mu, q, p):
     """Multiplicative order of x modulo mu over F_q (mu(0) != 0), with no
     claim to start from: poly.order_of_x divides each prime out of
-    _unit_exponent while x^e stays 1."""
+    _unit_exponent while x^e stays 1.  That exponent is a true multiple
+    of the order, so a None from poly.order_of_x is an internal error
+    (AssertionError)."""
     primes = {p}.union(*(prime_divisors(q ** i - 1)
                          for i in range(1, mu.degree + 1)))
-    return poly_mod.order_of_x(mu, _unit_exponent(mu.degree, q, p),
-                               primes)
+    order = poly_mod.order_of_x(mu, _unit_exponent(mu.degree, q, p),
+                                primes)
+    if order is None:
+        raise AssertionError("x^e is not 1 modulo %s for the unit-group "
+                             "exponent e" % mu)
+    return order
 
 
 def _down(E, K, rep):

@@ -238,14 +238,14 @@ def pow_mod(a, e, m):
 
 
 def order_of_x(f, e, primes):
-    """Multiplicative order of x modulo f, from an exponent e with
+    """Multiplicative order of x modulo f, from a claimed exponent e with
     x^e = 1 mod f: each of the given primes (every prime that may divide
-    e over the order) is divided out of e while x^e stays 1.  An e with
-    x^e != 1 is an internal error (AssertionError)."""
+    e over the order) is divided out of e while x^e stays 1.  None when
+    x^e != 1, so the claim is false."""
     x = Poly.x(f.field)
     one = Poly.constant(f.field, 1)
     if pow_mod(x, e, f) != one:
-        raise AssertionError("x^%d is not 1 modulo %s" % (e, f))
+        return None
     for r in primes:
         while e % r == 0 and pow_mod(x, e // r, f) == one:
             e //= r

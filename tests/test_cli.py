@@ -228,6 +228,24 @@ def test_verify_missing_n_exit1():
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv, word", [
+    ("verify disc --q 3 --n 0", "n must be >= 1"),
+    ("verify disc --q 3 --n -1", "n must be >= 1"),
+    ("verify identity --q 3 --n 0", "n must be >= 1"),
+    ("verify identity --q 3 --n -1", "n must be >= 1"),
+    ("sample --q 3 --lin 0,1,0,1 --budget -3", "budget must be >= 0"),
+    ("analyze --q 3 --lin 0,1,0,1 --budget -1", "budget must be >= 0"),
+    ("analyze --q 3 --lin 0,1,1 --budget -1", "budget must be >= 0"),
+])
+def test_out_of_range_n_and_budget_exit1(argv, word):
+    """Refused up front with an error naming the flag, not an internal
+    error from deeper down and not an empty document."""
+    code, out, err = run_cli(*argv.split())
+    assert code == 1
+    assert word in check(json.loads(out))["error"]
+    assert word in err
+
+
 def test_batch_mixed(tmp_path):
     src = tmp_path / "batch.txt"
     src.write_text("0,0,0,1\n# comment\n\n0,1,0,1\n0,1,0,2\n",

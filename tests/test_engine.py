@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from _oracles import brute_gmg_passing, brute_stabilizer_orders
+from _oracles import (brute_closure, brute_gmg_passing,
+                      brute_stabilizer_orders)
 from linmono import group as group_mod
 from linmono import engine
 from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
@@ -391,6 +392,60 @@ def test_recheck_disc_witness_square_alpha_fails():
     assert not recheck(X27X3, bad)
 
 
+def _x27x3_items():
+    """A CycleTypeSample, a FixedPointOddness and a DiscWitness of
+    x^27 + x^3 that recheck True."""
+    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
+    items = [run.samples[0].to_evidence(),
+             normalizer_incompatibility_witness(run.samples, 3),
+             disc_nonsquare_witness(X27X3, range(1, 3))]
+    assert [e.kind for e in items] == ["CycleTypeSample",
+                                       "FixedPointOddness", "DiscWitness"]
+    assert all(recheck(X27X3, e) is True for e in items)
+    return items
+
+
+def _tampered(e, **fields):
+    return Evidence(e.kind, dict(e.payload, **fields), e.note)
+
+
+def test_recheck_refuses_a_tampered_alpha_index():
+    for e in _x27x3_items():
+        idx = e.payload["alpha_index"]
+        assert idx == 1
+        for bad in (2, 0, 4, -1, True, 1.0, "1", None):
+            assert recheck(X27X3, _tampered(e, alpha_index=bad)) is False, \
+                (e.kind, bad)
+
+
+def test_recheck_refuses_a_tampered_disc_constant_term():
+    w = _x27x3_items()[2]
+    assert w.payload["constant_term"] == 1
+    for bad in (2, 0, True, 1.0, [1], None):
+        assert recheck(X27X3, _tampered(w, constant_term=bad)) is False, bad
+
+
+def test_recheck_refuses_a_tampered_disc_square_class():
+    w = _x27x3_items()[2]
+    assert w.payload["square_class"] == "NonSquare"
+    for bad in ("Square", "Zero", "nonsquare", None):
+        assert recheck(X27X3, _tampered(w, square_class=bad)) is False, bad
+
+
+def test_recheck_refuses_tampered_even_lengths():
+    f = _x27x3_items()[1]
+    assert f.payload["even_lengths"] == [8, 8, 8]
+    for bad in ([], [8, 8], [8, 8, 8, 8], [8.0, 8, 8], [2, 4, 8], "8,8,8"):
+        assert recheck(X27X3, _tampered(f, even_lengths=bad)) is False, bad
+
+
+def test_recheck_refuses_a_tampered_order_lcm():
+    f = _x27x3_items()[1]
+    assert f.payload["order_lcm"] == 8
+    for bad in (999, 16, 4, 8.0, "8", None):
+        assert recheck(X27X3, _tampered(f, order_lcm=bad)) is False, bad
+
+
 def _same_lcm_other_type(ct):
     """ct with one copy of a repeated length d > 1 split into d ones:
     the same sum and lcm, a different multiset."""
@@ -535,8 +590,9 @@ def test_verify_normalizer_orbits_match_brute_force(spec, n, power,
                                                     monkeypatch):
     """Replace S by S^power, so <S^power, F> is a proper subgroup with
     several orbits whose stabilizers differ (power = q^n - 1 leaves <F>
-    alone): the report from orbits, violations and all, equals the one
-    from counting every element on every vector."""
+    alone): the order and the violations, read off the closure's
+    permutations, equal those from applying every element of the brute
+    closure to every vector."""
     field = parse_field_spec(spec)
     singer = group_mod.singer_generator
     monkeypatch.setattr(group_mod, "singer_generator",
@@ -546,10 +602,14 @@ def test_verify_normalizer_orbits_match_brute_force(spec, n, power,
     assert not report["passed"] and not report["order_ok"]
     assert report["conjugation_ok"]
     assert 0 < len(report["stabilizer_violations"]) < field.order ** n - 1
-    monkeypatch.setattr(group_mod, "stabilizer_orders",
-                        lambda f, gens, elements:
-                        brute_stabilizer_orders(f, elements))
-    assert verify_normalizer(n, field) == report
+    elements = brute_closure(field, [group_mod.singer_generator(n, field),
+                                     group_mod.frobenius_matrix(n, field)])
+    orders = brute_stabilizer_orders(field, elements)
+    assert report["order"] == len(elements)
+    assert report["stabilizer_violations"] == [
+        {"vector": [field.rep_to_obj(c) for c in v], "order": so}
+        for v, so in zip(group_mod.nonzero_vectors(field, n), orders)
+        if so != n]
 
 
 def test_verify_gmg_small():

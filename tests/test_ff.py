@@ -162,13 +162,14 @@ def test_element_obj_roundtrip():
 
 def test_cross_field_operations_raise():
     F9a = make_field(3, 2)
-    F9b = make_field(3, 2, seed=99)
-    if F9a.modulus == F9b.modulus:
-        pytest.skip("seeds landed on one modulus; nothing to distinguish")
+    F9b = make_field(3, 2, seed=1)
+    assert F9a.modulus != F9b.modulus
     a = F9a.one()
     b = F9b.one()
     with pytest.raises(FieldMismatchError):
         _ = a + b
+    with pytest.raises(FieldMismatchError):
+        _ = a * b
     with pytest.raises(FieldMismatchError):
         _ = a == b
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from linmono import poly
-from linmono.ff import Field, make_field, parse_field_spec
+from linmono.ff import Field, make_field, parse_field_spec, prime_divisors
 from linmono.poly import (Poly, discriminant, factor, factor_degrees, gcd,
                           is_irreducible, is_squarefree, mobius,
-                          num_irreducible, parse_poly, pow_mod, resultant,
-                          squarefree_decomposition)
+                          num_irreducible, order_of_x, parse_poly, pow_mod,
+                          resultant, squarefree_decomposition)
 
 from _oracles import (all_monic, brute_factor, brute_irreducibles,
                       brute_is_irreducible)
@@ -124,6 +124,24 @@ def test_pow_mod_is_plain_pow():
         for _ in range(e):
             acc = (acc * f) % m
         assert pow_mod(f, e, m) == acc
+
+
+def test_order_of_x_descends_from_a_true_claim_and_refuses_a_false_one():
+    """Against the least d with x^d = 1, for every monic f over F_3 of
+    degree <= 3 with f(0) != 0: a multiple of the order gives the order,
+    and an exponent that is not one gives None."""
+    x = Poly.x(F3)
+    one = Poly.constant(F3, 1)
+    for d in range(1, 4):
+        for f in all_monic(F3, d):
+            if f.coeffs[0] == F3.zero_rep:
+                continue
+            order = next(e for e in itertools.count(1)
+                         if pow_mod(x, e, f) == one)
+            for e in (order, 2 * order, 6 * order, 13 * order):
+                assert order_of_x(f, e, prime_divisors(e)) == order, str(f)
+            for e in range(1, order):
+                assert order_of_x(f, e, prime_divisors(e)) is None, str(f)
 
 
 @pytest.mark.parametrize("field,max_deg", [(F2, 6), (F3, 4), (F5, 3)])

@@ -172,13 +172,20 @@ def _sample_doc(field, L, args):
     }, 0
 
 
+def _positive_n(n):
+    """n, refused up front when below 1."""
+    if n < 1:
+        raise ValueError("--n must be >= 1, got %d" % n)
+    return n
+
+
 def _census_doc(field, args):
     n = args.n
     if args.normalizer_only:
         cen = group_mod.normalizer_census(n, field, args.seed)
         label = "SingerNormalizer(%d,%d)" % (n, field.order)
     else:
-        cen = group_mod.gl_census(n, field)
+        cen = group_mod.gl_census(_positive_n(n), field)
         label = "GL(%d,%d)" % (n, field.order)
     doc = {"command": "census", "field": field.spec_string(),
            "q": field.order, "n": n, "seed": args.seed, "group": label}
@@ -217,7 +224,8 @@ def _verify_doc(field, args):
         elif check == "identity":
             rep = engine.verify_factor_identity(field, args.n)
         elif check == "alt2":
-            rep = engine.verify_alternating_char2(field, args.n)
+            rep = engine.verify_alternating_char2(field,
+                                                  _positive_n(args.n))
         else:
             rep = engine.verify_normalizer(args.n, field, args.seed)
     doc = {"command": "verify", "field": field.spec_string(),

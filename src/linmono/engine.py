@@ -552,6 +552,24 @@ def _recheck_cycle_type(Ln, alpha, claim):
     return ct if all(claim % d == 0 for d in ct) else None
 
 
+# Cycle types of the Singer-normalizer census that recheck compares
+# in_normalizer_census flags with, for the last (field, n) only, like
+# group._points: {(field, n): set of types, or None when refused by a cap}.
+_normalizer_types = {}
+
+
+def _normalizer_types_of(field, n):
+    key = (field, n)
+    if key not in _normalizer_types:
+        try:
+            types = group_mod.normalizer_census(n, field).types()
+        except CapExceededError:
+            types = None
+        _normalizer_types.clear()
+        _normalizer_types[key] = types
+    return _normalizer_types[key]
+
+
 def _same(claimed, value):
     """claimed == value with the types matching all the way down, so a
     claimed True or 2.0 never stands for a recomputed 1 or 2."""
@@ -583,10 +601,11 @@ def recheck(L, evidence, seed=0):
     produced the types.  Exact types are kept while L stays the same, so
     rechecking a document's items one by one computes each (k, alpha)
     once.  An item is also refused when its alpha_index is not alpha's
-    index, when a DiscWitness's constant_term or square_class or a
-    FixedPointOddness's even_lengths or order_lcm differs from the
-    recomputed one, and when its claim is malformed.  Returns
-    True/False.
+    index, when a DiscWitness's constant_term or square_class, a
+    FixedPointOddness's even_lengths or order_lcm, or a CycleTypeSample's
+    in_normalizer_census differs from the recomputed one (a normalizer
+    census refused by a cap refuses the item), and when its claim is
+    malformed.  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)
@@ -609,6 +628,10 @@ def recheck(L, evidence, seed=0):
             return (_same(pl["even_lengths"], evens)
                     and _same(pl["order_lcm"], lcm)
                     and 1 in ct and (bool(evens) or Ln.qdeg % lcm != 0))
+        if "in_normalizer_census" in pl:
+            types = _normalizer_types_of(Ln.base, Ln.qdeg)
+            return types is not None and _same(pl["in_normalizer_census"],
+                                               ct in types)
         return True
     if kind == "DiscWitness":
         alpha = _recorded_alpha(Ln, pl, seed)

@@ -21,19 +21,21 @@ last (field, n).  A group generated by a few matrices is a permutation
 group on those positions: closure applies only the generators to
 vectors and composes each product's permutation from its factors'.
 
-Censuses: the Singer normalizer is enumerated by closure, each element's
-cycle type read from its composed permutation (engine.verify_normalizer
-counts the fixed points of the same permutations).  GL(n, q) is
-never enumerated on the census path, and no matrix is built for it: a
-cycle type depends only on the similarity class, so gl_census walks the
-classes (one partition lam_f per monic irreducible f != x, as in Green,
-"The characters of the finite general linear groups", 1955, and
-Macdonald, Symmetric Functions and Hall Polynomials, ch. IV), reads
-each class's cycle type off (f, lam_f) (class_cycle_type), and weights
-it by the class size |GL(n, q)| / |centralizer|.  A class's fixed-space
-dimensions are known in closed form, and fixed_space_cycle_type, the
-Mobius step that linpoly.frobenius_cycle_type also runs, turns them into
-cycle lengths.  gl_elements, the row-by-row enumeration of every
+Censuses enumerate no group and build no matrix; both count fixed-space
+dimensions in closed form, and fixed_space_cycle_type, the Mobius step
+that linpoly.frobenius_cycle_type also runs, turns them into cycle
+lengths.  The Singer normalizer is GammaL(1, q^n), whose elements
+x -> g^t x^(q^i) have fixed spaces read off exponent arithmetic
+(normalizer_census); only engine.verify_normalizer, which checks the
+matrices themselves, walks the closure.  For GL(n, q) a cycle type
+depends only on the similarity class, so gl_census walks the classes
+(one partition lam_f per monic irreducible f != x, as in Green, "The
+characters of the finite general linear groups", 1955, and Macdonald,
+Symmetric Functions and Hall Polynomials, ch. IV), reads each class's
+cycle type off (f, lam_f) (class_cycle_type), and weights it by the
+class size |GL(n, q)| / |centralizer|.  The irreducibles and their
+orders come from one primitive element of each F_(q^d)
+(irreducible_orders).  gl_elements, the row-by-row enumeration of every
 invertible matrix, stays as the brute-force oracle for it.
 """
 
@@ -46,7 +48,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import poly as poly_mod
-from .ff import CapExceededError, Field, prime_divisors
+from .ff import (CapExceededError, Field, extend_field, log_tables,
+                 prime_divisors)
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -56,10 +59,10 @@ CENSUS_CAP = 3 ** 9
 
 # Class censuses walk about q^n similarity classes and read each one's
 # cycle type off its class data, one fixed-space count per divisor of
-# the class's order; listing the irreducibles of degree <= n tests about
-# q^n candidates.  So the work grows like q^n, not q^(2n).  The bound
-# admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7); raising it would change
-# which argv are refused.
+# the class's order; the irreducibles of degree d <= n come from the
+# q^d - 1 powers of one primitive element.  So the work grows like q^n,
+# not q^(2n).  The bound admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7);
+# raising it would change which argv are refused.
 CLASS_CENSUS_CAP = 7 ** 3
 
 # Breadth-first closure default bound.
@@ -449,18 +452,58 @@ def gl_elements(n, field):
     return out
 
 
+def irreducible_orders(field, d):
+    """(f, ord f) for every monic irreducible f != x of degree d over
+    field, in canonical enumeration order of f's coefficients; ord f is
+    the order of x modulo f.
+
+    Nothing is tested for irreducibility.  With g the primitive element
+    of E = F_(q^d) that ff.log_tables picks and Q = q^d, the roots of
+    each such f are g^(j q^r), r < d, for the least j of a Frobenius
+    orbit {j q^r mod (Q - 1)} of length d, and ord f = (Q - 1) /
+    gcd(j, Q - 1) (Lidl & Niederreiter, Finite Fields, ch. 3).  f is the
+    product of the X - g^(j q^r), multiplied out on logarithms to base g
+    with Zech's logarithms; its coefficients lie in field, whose elements
+    are the ones of E with enumeration index below q.  Refused
+    (CapExceededError) above ff.TABLE_CAP elements in E."""
+    E = extend_field(field, d, 0)
+    exp, _, zech = log_tables(E)
+    q, Q1 = field.order, E.order - 1
+    minus = Q1 // 2 if field.p != 2 else 0  # log of -1
+
+    def plus(a, b):  # log(g^a + g^b), None standing for log 0
+        if a is None or b is None:
+            return b if a is None else a
+        z = zech[(b - a) % Q1]
+        return None if z is None else (a + z) % Q1
+
+    found = []
+    for j in range(Q1):
+        orbit = [j]
+        for _ in range(d - 1):
+            orbit.append(orbit[-1] * q % Q1)
+        if min(orbit) < j or len(set(orbit)) < d:
+            continue
+        logs = [0]  # of the coefficients, lowest degree first
+        for e in orbit:
+            r = (e + minus) % Q1  # log of -g^e
+            low = [None if a is None else (a + r) % Q1 for a in logs]
+            logs = [low[0]] + list(map(plus, logs, low[1:])) + [0]
+        index = tuple(0 if a is None else exp[a] for a in logs)
+        if max(index) >= q:
+            raise AssertionError("minimal polynomial of g^%d is not over "
+                                 "the base field" % j)
+        found.append((index, Q1 // math.gcd(j, Q1)))
+    found.sort()
+    return [(poly_mod.Poly(field, [field.rep_at(i) for i in index]), o)
+            for index, o in found]
+
+
 def monic_irreducibles(field, d):
     """Monic irreducible polynomials of degree d over field other than x,
-    in canonical enumeration order of their coefficients."""
-    reps = [field.rep_at(i) for i in range(field.order)]
-    out = []
-    for tail in itertools.product(reps, repeat=d):
-        if tail[0] == field.zero_rep:
-            continue
-        f = poly_mod.Poly(field, list(tail) + [field.one_rep])
-        if poly_mod.is_irreducible(f):
-            out.append(f)
-    return out
+    in canonical enumeration order of their coefficients
+    (irreducible_orders)."""
+    return [f for f, _ in irreducible_orders(field, d)]
 
 
 def partitions(s, largest=None):
@@ -499,12 +542,17 @@ def gl_classes(n, field):
     |GL(n, q)| over the centralizer order, the product of the primary
     centralizer orders.
     """
+    return _class_walk(n, field.order,
+                       [f for d in range(1, n + 1)
+                        for f in monic_irreducibles(field, d)])
+
+
+def _class_walk(n, q, irreducibles):
+    """gl_classes over the given list of every monic irreducible f != x
+    of degree <= n, in enumeration order."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    q = field.order
     order = gl_order(n, q)
-    irreducibles = [f for d in range(1, n + 1)
-                    for f in monic_irreducibles(field, d)]
 
     def walk(i, remaining, parts, cent):
         if remaining == 0:
@@ -526,6 +574,24 @@ def gl_classes(n, field):
     return walk(0, n, [], 1)
 
 
+def _divisors(m):
+    """The divisors of m >= 1, ascending."""
+    divisors = [1]
+    for r in prime_divisors(m):
+        e = 0
+        while m % r ** (e + 1) == 0:
+            e += 1
+        divisors = [d * r ** i for d in divisors for i in range(e + 1)]
+    return sorted(divisors)
+
+
+def _totient(m):
+    """Euler's phi of m >= 1."""
+    for r in prime_divisors(m):
+        m = m // r * (r - 1)
+    return m
+
+
 def fixed_space_cycle_type(q, n, order, dim):
     """Sorted cycle lengths of an invertible linear map A of the given
     order on the nonzero vectors of F_q^n, from dim(d), the dimension of
@@ -535,13 +601,7 @@ def fixed_space_cycle_type(q, n, order, dim):
     the divisors counts the vectors in cycles of each exact length.
     Counts that are not a cycle type of F_q^n minus 0 are an internal
     error (AssertionError)."""
-    divisors = [1]
-    for r in prime_divisors(order):
-        e = 0
-        while order % r ** (e + 1) == 0:
-            e += 1
-        divisors = [d * r ** i for d in divisors for i in range(e + 1)]
-    divisors.sort()
+    divisors = _divisors(order)
     fixed = {d: q ** dim(d) - 1 for d in divisors}
     lengths = []
     for d in divisors:
@@ -558,24 +618,15 @@ def fixed_space_cycle_type(q, n, order, dim):
 
 def class_cycle_type(field, parts, ords):
     """Cycle type on the nonzero vectors of the similarity class with
-    primary parts ((f, lam_f), ...), as gl_classes yields them.
+    primary parts ((f, lam_f), ...), as gl_classes yields them; ords
+    maps each f to ord(f), the order of x modulo f.
 
     On F_q[x]/(f^e), x^d - 1 has f-adic valuation p^v_p(d) when ord(f)
     divides d and 0 otherwise, so the fixed space of A^d has dimension
     sum_f [ord(f) | d] deg(f) sum_(e in lam_f) min(e, p^v_p(d)), and A
     has order lcm_f ord(f) times the least power of p that is >= every
-    part.  ords is a dict from f to ord(f), filled as needed, so that
-    calls for one census share the orders; ord(f) divides q^deg(f) - 1,
-    so a None from poly.order_of_x is an internal error
-    (AssertionError)."""
+    part."""
     q, p = field.order, field.p
-    for f, _ in parts:
-        if f not in ords:
-            e = q ** f.degree - 1
-            ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
-            if ords[f] is None:
-                raise AssertionError("x^%d is not 1 modulo the "
-                                     "irreducible %s" % (e, f))
     top = max((lam[0] for _, lam in parts), default=1)
     pt = 1
     while pt < top:
@@ -602,9 +653,11 @@ def gl_census(n, field):
         raise CapExceededError(
             "general-linear census refused above q^n = %d vectors"
             % CLASS_CENSUS_CAP)
-    ords = {}
+    found = [fo for d in range(1, n + 1)
+             for fo in irreducible_orders(field, d)]
+    ords = dict(found)
     ctr = Counter()
-    for parts, size in gl_classes(n, field):
+    for parts, size in _class_walk(n, q, [f for f, _ in found]):
         ctr[class_cycle_type(field, parts, ords)] += size
     order = gl_order(n, q)
     assert sum(ctr.values()) == order, "class sizes do not sum to |GL|"
@@ -612,12 +665,42 @@ def gl_census(n, field):
 
 
 def normalizer_census(n, field, seed=0):
-    """Cycle-type census of <S, F>, each element's type read from the
-    permutation the closure composes for it."""
-    S = singer_generator(n, field, seed)
-    F = frobenius_matrix(n, field, seed)
-    expected = n * (field.order ** n - 1)
-    ctr = Counter(perm_cycle_type(perm)
-                  for _, perm in closure(field, [S, F], cap=expected + 1))
-    return CycleCensus(order=sum(ctr.values()),
-                       counts=tuple(sorted(ctr.items())))
+    """Cycle-type census of the Singer normalizer <S, F>, which is
+    GammaL(1, q^n): the maps x -> g^t x^(q^i) of F_(q^n), g primitive,
+    0 <= t < M = q^n - 1, 0 <= i < n.  Nothing is enumerated, so the
+    seed (which Singer cycle) does not matter.
+
+    i = 0 is multiplication by g^t: phi(d) elements of type d^(M/d) for
+    each d | M.  For i >= 1, conjugating by g^w shifts t by w(1 - q^i),
+    so only t mod R = q^c - 1 matters (c = gcd(i, n)), each residue
+    standing for M/R elements.  The m-th power is x -> g^(t S_m)
+    x^(q^(im)) with S_m = sum_(r<m) q^(ir); its nonzero fixed points
+    number q^h - 1, h = gcd(im, n), when q^h - 1 divides t S_m and none
+    otherwise.  The order is m1 R / gcd(t, R) with m1 = n / c, since
+    S_m1 = M / R modulo M.  fixed_space_cycle_type turns the fixed
+    counts into the cycle type.  Refused as the closure of <S, F> would
+    be: n < 1 (ValueError) and more than GROUP_CAP vectors
+    (CapExceededError)."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    q = field.order
+    M = q ** n - 1
+    if M > GROUP_CAP:
+        raise CapExceededError("too many vectors to permute")
+    ctr = Counter({(d,) * (M // d): _totient(d) for d in _divisors(M)})
+    for i in range(1, n):
+        c = math.gcd(i, n)
+        R = q ** c - 1
+        m1 = n // c
+
+        def dim(m):
+            h = math.gcd(i * m, n)
+            per = h // c  # S_m's terms q^(ir mod h) repeat with this period
+            s = m // per * ((q ** h - 1) // R)
+            s += sum(q ** (i * r % h) for r in range(m % per))
+            return h if t * s % (q ** h - 1) == 0 else 0
+
+        for t in range(R):
+            order = m1 * R // math.gcd(t, R)
+            ctr[fixed_space_cycle_type(q, n, order, dim)] += M // R
+    return CycleCensus(order=n * M, counts=tuple(sorted(ctr.items())))

@@ -6,10 +6,11 @@ results can be checked against an independent path.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
-from linmono.group import (companion_matrix, frobenius_matrix, mat_identity,
-                           mat_mul, mat_pow, mat_vec, nonzero_vectors,
+from linmono.group import (CycleCensus, closure, companion_matrix,
+                           frobenius_matrix, mat_identity, mat_mul, mat_pow,
+                           mat_vec, nonzero_vectors, perm_cycle_type,
                            singer_generator)
 from linmono.poly import Poly
 
@@ -260,3 +261,15 @@ def class_representative(field, parts):
                 power = power * f
             blocks.append(companion_matrix(field, power))
     return block_diagonal(field, blocks)
+
+
+def closure_normalizer_census(n, field, seed=0):
+    """Cycle-type census of <S, F>, each element's type read from the
+    permutation linmono.group.closure composes for it."""
+    S = singer_generator(n, field, seed)
+    F = frobenius_matrix(n, field, seed)
+    expected = n * (field.order ** n - 1)
+    ctr = Counter(perm_cycle_type(perm)
+                  for _, perm in closure(field, [S, F], cap=expected + 1))
+    return CycleCensus(order=sum(ctr.values()),
+                       counts=tuple(sorted(ctr.items())))

@@ -195,6 +195,17 @@ def test_census_normalizer_only():
     assert sum(row["count"] for row in doc["census"]) == 16
 
 
+def test_census_normalizer_only_keeps_its_refusals():
+    """The closed-form census refuses what the closure refused, with the
+    same error documents."""
+    for argv, error in ((("--n", "21"), "too many vectors to permute"),
+                        (("--n", "0"), "degree must be >= 1")):
+        code, out, _ = run_cli("census", "--normalizer-only", "--q", "2",
+                               *argv)
+        assert code == 1
+        assert out == json.dumps({"error": error}, indent=2) + "\n"
+
+
 def test_singer_document():
     code, out, _ = run_cli("singer", "--q", "3", "--n", "3")
     assert code == 0
@@ -233,6 +244,10 @@ def test_verify_missing_n_exit1():
     ("verify disc --q 3 --n -1", "n must be >= 1"),
     ("verify identity --q 3 --n 0", "n must be >= 1"),
     ("verify identity --q 3 --n -1", "n must be >= 1"),
+    ("census --q 3 --n 0", "--n must be >= 1"),
+    ("census --q 3 --n -1", "--n must be >= 1"),
+    ("verify alt2 --q 2 --n 0", "--n must be >= 1"),
+    ("verify alt2 --q 4 --n -1", "--n must be >= 1"),
     ("sample --q 3 --lin 0,1,0,1 --budget -3", "budget must be >= 0"),
     ("analyze --q 3 --lin 0,1,0,1 --budget -1", "budget must be >= 0"),
     ("analyze --q 3 --lin 0,1,1 --budget -1", "budget must be >= 0"),

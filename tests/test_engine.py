@@ -7,7 +7,7 @@ import random
 import pytest
 
 from _oracles import (brute_closure, brute_gmg_passing,
-                      brute_stabilizer_orders)
+                      brute_stabilizer_orders, closure_normalizer_census)
 from linmono import group as group_mod
 from linmono import engine
 from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
@@ -444,6 +444,37 @@ def test_recheck_refuses_a_tampered_order_lcm():
     assert f.payload["order_lcm"] == 8
     for bad in (999, 16, 4, 8.0, "8", None):
         assert recheck(X27X3, _tampered(f, order_lcm=bad)) is False, bad
+
+
+def test_recheck_compares_in_normalizer_census_with_the_census():
+    """The flag must equal membership in the normalizer census (taken
+    from the closure here), whichever way it falls; a flipped or
+    retyped flag is refused."""
+    members = closure_normalizer_census(3, F3).types()
+    gamma = [e for e in verdict(X27).evidence if e.kind == "CycleTypeSample"]
+    run = sample_cycle_types(X27X3, range(1, 4), budget=12)
+    items = gamma + [s.to_evidence({"in_normalizer_census":
+                                    s.cycle_type in members})
+                     for s in run.samples]
+    flags = [e.payload["in_normalizer_census"] for e in items]
+    assert True in flags and False in flags
+    for L, e in [(X27, e) for e in gamma] + [(X27X3, e) for e in items[
+            len(gamma):]]:
+        flag = e.payload["in_normalizer_census"]
+        assert recheck(L, e) is True
+        for bad in (not flag, int(flag), None, str(flag)):
+            assert recheck(L, _tampered(e, in_normalizer_census=bad)) \
+                is False, (e.payload["cycle_type"], bad)
+
+
+def test_recheck_refuses_in_normalizer_census_past_the_cap(monkeypatch):
+    item = next(e for e in verdict(X27).evidence
+                if e.kind == "CycleTypeSample")
+    monkeypatch.setattr(engine, "_normalizer_types", {})
+    monkeypatch.setattr(group_mod, "GROUP_CAP", 25)  # below 3^3 - 1
+    for flag in (True, False):
+        assert recheck(X27, _tampered(item, in_normalizer_census=flag)) \
+            is False, flag
 
 
 def _same_lcm_other_type(ct):

@@ -5,24 +5,27 @@ from collections import Counter
 
 import pytest
 
-from _oracles import (brute_closure, brute_cycle_type,
+from _oracles import (brute_closure, brute_cycle_type, brute_irreducibles,
                       brute_stabilizer_orders, class_representative,
-                      mat_det, mat_inv, mat_pow_signed, normalizer_elements,
-                      vector_rank)
-from linmono.ff import (CapExceededError, make_field, parse_field_spec,
-                        prime_divisors)
+                      closure_normalizer_census, mat_det, mat_inv,
+                      mat_pow_signed, normalizer_elements, vector_rank)
+from linmono import group as group_mod
+from linmono import poly as poly_mod
+from linmono.ff import (CapExceededError, extend_field, make_field,
+                        parse_field_spec, prime_divisors)
 from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census,
                            class_cycle_type, closure, companion_matrix,
                            conjugation_ok, cycle_type_of, frobenius_matrix,
                            generate_group, gl_census, gl_classes, gl_elements,
-                           gl_order, mat_identity, mat_mul,
-                           mat_pow, mat_vec, monic_irreducibles,
+                           gl_order, irreducible_orders, mat_identity,
+                           mat_mul, mat_pow, mat_vec, monic_irreducibles,
                            normalizer_census, nonzero_vectors,
                            partitions, perm_cycle_type, perm_sign,
                            permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus,
                            stabilizer_order)
-from linmono.poly import Poly, is_irreducible, num_irreducible
+from linmono.poly import (Poly, is_irreducible, num_irreducible,
+                          order_of_x)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -206,6 +209,63 @@ def test_normalizer_census_equals_brute_census(spec, n):
         order=len(elements), counts=tuple(sorted(brute.items())))
 
 
+def _prime_powers_up_to(bound):
+    return [q for q in range(2, bound + 1) if len(prime_divisors(q)) == 1]
+
+
+@pytest.mark.parametrize("spec, n", [
+    (str(q), n) for q in _prime_powers_up_to(343) for n in range(1, 9)
+    if q ** n <= 343] + [("2^2+2", 1), ("2^2+2", 2), ("3^2+2", 1),
+                         ("3^2+2", 2)])
+def test_normalizer_census_equals_closure(spec, n):
+    """The closed form against the census the closure of <S, F> gives,
+    element by element, at two seeds for the closure."""
+    field = parse_field_spec(spec)
+    cen = normalizer_census(n, field)
+    assert cen == closure_normalizer_census(n, field)
+    if field.order ** n <= 81:
+        assert cen == closure_normalizer_census(n, field, seed=1)
+
+
+def test_normalizer_census_does_not_walk(monkeypatch):
+    """No matrix is built and no group element is enumerated."""
+    expected = {(n, spec): normalizer_census(n, parse_field_spec(spec))
+                for spec, n in (("2", 8), ("3", 3), ("4", 3), ("9", 2))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("normalizer_census walked the group")
+
+    for name in ("closure", "singer_generator", "frobenius_matrix",
+                 "singer_modulus", "permutation_of", "mat_mul"):
+        monkeypatch.setattr(group_mod, name, refuse)
+    for (n, spec), cen in expected.items():
+        assert normalizer_census(n, parse_field_spec(spec), seed=5) == cen
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_normalizer_census_past_the_closure(n):
+    """GammaL(1, 2^16) and GammaL(1, 2^20), about 10^6 and 2 * 10^7
+    elements, far past what the closure could walk."""
+    N = 2 ** n - 1
+    cen = normalizer_census(n, F2)
+    assert cen.order == n * N
+    assert sum(c for _, c in cen.counts) == cen.order
+    assert all(sum(t) == N for t, _ in cen.counts)
+    assert (N,) in cen  # the Singer cycles
+    assert cen.count_of((1,) * N) == 1
+
+
+def test_normalizer_census_refusals():
+    """The refusals the closure gave: n < 1, and more than GROUP_CAP
+    nonzero vectors."""
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            normalizer_census(n, F3)
+    assert 2 ** 20 - 1 <= group_mod.GROUP_CAP < 2 ** 21 - 1
+    with pytest.raises(CapExceededError, match="too many vectors"):
+        normalizer_census(21, F2)
+
+
 def test_normalizer_cases_cover_the_required_fields():
     specs = {spec for spec, _ in _normalizer_cases()}
     assert {"4", "8", "9", "16", "27", "81", "2^2+2"} <= specs
@@ -355,6 +415,41 @@ def test_companion_matrix_is_a_root_of_its_polynomial():
     assert all(a == F3.zero_rep for row in acc for a in row)
 
 
+@pytest.mark.parametrize("spec, d", [
+    (str(q), d) for q in _prime_powers_up_to(343) for d in range(1, 9)
+    if q ** d <= 343] + [("2^2+2", 1), ("2^2+2", 2), ("3^2+2", 1)])
+def test_irreducible_orders_equal_brute_force(spec, d):
+    """The irreducibles read off one primitive element against trial
+    division, in the same order, and each order against poly.order_of_x."""
+    field = parse_field_spec(spec)
+    x = Poly.x(field)
+    brute = [f for f in brute_irreducibles(field, d)
+             if f.degree == d and f != x]
+    found = irreducible_orders(field, d)
+    assert [f for f, _ in found] == brute
+    assert monic_irreducibles(field, d) == brute
+    e = field.order ** d - 1
+    assert [o for _, o in found] \
+        == [order_of_x(f, e, prime_divisors(e)) for f in brute]
+
+
+def test_gl_census_tests_no_candidate_and_searches_no_order(monkeypatch):
+    """Past building F_(q^d) (whose modulus search tests a few
+    candidates), the census runs no irreducibility test and no order
+    search."""
+    expected = gl_census(3, F7)
+    fields = {d: extend_field(F7, d, 0) for d in (1, 2, 3)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gl_census tested or searched")
+
+    monkeypatch.setattr(group_mod, "extend_field",
+                        lambda base, d, seed=0: fields[d])
+    monkeypatch.setattr(poly_mod, "is_irreducible", refuse)
+    monkeypatch.setattr(poly_mod, "order_of_x", refuse)
+    assert gl_census(3, F7) == expected
+
+
 @pytest.mark.parametrize("field, n", [(F2, 2), (F3, 2), (F4, 2), (F5, 2),
                                       (F2, 3), (F3, 3)])
 def test_class_census_equals_enumeration(field, n):
@@ -382,6 +477,10 @@ def test_class_cycle_type_equals_representative(spec, n):
     representative of the class applied to every vector."""
     field = parse_field_spec(spec)
     ords = {}
+    for d in range(1, n + 1):
+        e = field.order ** d - 1
+        for f in monic_irreducibles(field, d):
+            ords[f] = order_of_x(f, e, prime_divisors(e))
     for parts, _ in gl_classes(n, field):
         A = class_representative(field, parts)
         assert class_cycle_type(field, parts, ords) \

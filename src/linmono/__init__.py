@@ -16,8 +16,7 @@ from .linpoly import (LinPoly, SquareClass, disc_square_class, evaluate,
                       square_class, to_poly)
 from .group import (CycleCensus, census, cycle_type_of, frobenius_matrix,
                     generate_group, gl_census, gl_order, normalizer_census,
-                    perm_sign, singer_generator, singer_modulus,
-                    stabilizer_order)
+                    perm_sign, singer_generator, singer_modulus)
 from .engine import (Evidence, Sample, SampleRun, Verdict,
                      disc_nonsquare_witness, normalize,
                      normalizer_incompatibility_witness,
@@ -39,7 +38,7 @@ __all__ = [
     "square_class", "to_poly",
     "CycleCensus", "census", "cycle_type_of", "frobenius_matrix",
     "generate_group", "gl_census", "gl_order", "normalizer_census",
-    "perm_sign", "singer_generator", "singer_modulus", "stabilizer_order",
+    "perm_sign", "singer_generator", "singer_modulus",
     "Evidence", "Sample", "SampleRun", "Verdict",
     "disc_nonsquare_witness", "normalize",
     "normalizer_incompatibility_witness", "order_lcm_evidence", "recheck",

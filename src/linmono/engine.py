@@ -29,10 +29,14 @@ Everything this module reports is evidence a referee can recheck:
   backing the decision tree.
 
 recheck re-verifies an item from L and its payload alone.  It checks a
-claimed cycle type (or an OrderLcm's lcm) against the n x n Frobenius
-matrix of L_alpha (linpoly.frobenius_cycle_type): the claimed lcm must
-be a multiple of the matrix's order, and the exact type, found from that
-lcm down, must match.  Nothing is factored, so the sampler and the
+claimed cycle type (or an OrderLcm's lcm) against the similarity-class
+data of the n x n Frobenius matrix of L_alpha
+(linpoly.frobenius_cycle_type): the irreducible factors f of its minimal
+polynomial, each ord(f) found from the claimed lcm down, and the
+partition of each f-primary part.  group.class_cycle_type, the routine
+of the GL census, turns them into the exact type, which must match, with
+every length dividing the claimed lcm.  Only that minimal polynomial,
+of degree <= n, is factored, never L_alpha(x)/x, so the sampler and the
 recheck reach each recorded type by different algorithms.  Exact types
 are kept for the current L, so the items of one document compute each
 (k, alpha) once.  The recorded fields beside the claim (alpha_index, a
@@ -526,10 +530,11 @@ _recheck_types = {}
 
 
 def _recheck_cycle_type(Ln, alpha, claim):
-    """Cycle type of the Frobenius at alpha, recomputed from the n x n
-    Frobenius matrix of L_alpha (linpoly.frobenius_cycle_type) rather
-    than by the sampler's dense factoring, if every length divides the
-    claimed exponent; None when it does not or when L(alpha) = 0.
+    """Cycle type of the Frobenius at alpha, read off the class data of
+    the n x n Frobenius matrix of L_alpha (linpoly.frobenius_cycle_type)
+    rather than by the sampler's dense factoring, if every length
+    divides the claimed exponent; None when one does not or when
+    L(alpha) = 0.
 
     Types are exact whatever the claim, so they are kept for the current
     L and shared by every item that names the same alpha; a kept type
@@ -594,18 +599,18 @@ def recheck(L, evidence, seed=0):
 
     Rebuilds the extension from (k, seed), reconstructs alpha, and checks
     the claimed fact.  A claimed cycle type, or an OrderLcm's lcm, is
-    checked rather than searched for: its lcm must be a multiple of the
-    order of the Frobenius at alpha, and the exact type, found from that
-    lcm down by linear algebra on the roots (_recheck_cycle_type), must
-    match.  That is a different algorithm from the factoring that
-    produced the types.  Exact types are kept while L stays the same, so
-    rechecking a document's items one by one computes each (k, alpha)
-    once.  An item is also refused when its alpha_index is not alpha's
-    index, when a DiscWitness's constant_term or square_class, a
-    FixedPointOddness's even_lengths or order_lcm, or a CycleTypeSample's
-    in_normalizer_census differs from the recomputed one (a normalizer
-    census refused by a cap refuses the item), and when its claim is
-    malformed.  Returns True/False.
+    checked rather than searched for: the exact type of the Frobenius at
+    alpha is read off its similarity-class data, each order found from
+    that lcm down (_recheck_cycle_type), and must match, with every
+    length dividing the lcm.  That is a different algorithm from the
+    factoring that produced the types.  Exact types are kept while L
+    stays the same, so rechecking a document's items one by one computes
+    each (k, alpha) once.  An item is also refused when its alpha_index
+    is not alpha's index, when a DiscWitness's constant_term or
+    square_class, a FixedPointOddness's even_lengths or order_lcm, or a
+    CycleTypeSample's in_normalizer_census differs from the recomputed
+    one (a normalizer census refused by a cap refuses the item), and
+    when its claim is malformed.  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)

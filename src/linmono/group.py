@@ -22,21 +22,22 @@ group on those positions: closure applies only the generators to
 vectors and composes each product's permutation from its factors'.
 
 Censuses enumerate no group and build no matrix; both count fixed-space
-dimensions in closed form, and fixed_space_cycle_type, the Mobius step
-that linpoly.frobenius_cycle_type also runs, turns them into cycle
-lengths.  The Singer normalizer is GammaL(1, q^n), whose elements
-x -> g^t x^(q^i) have fixed spaces read off exponent arithmetic
-(normalizer_census); only engine.verify_normalizer, which checks the
-matrices themselves, walks the closure.  For GL(n, q) a cycle type
-depends only on the similarity class, so gl_census walks the classes
-(one partition lam_f per monic irreducible f != x, as in Green, "The
-characters of the finite general linear groups", 1955, and Macdonald,
-Symmetric Functions and Hall Polynomials, ch. IV), reads each class's
-cycle type off (f, lam_f) (class_cycle_type), and weights it by the
-class size |GL(n, q)| / |centralizer|.  The irreducibles and their
-orders come from one primitive element of each F_(q^d)
-(irreducible_orders).  gl_elements, the row-by-row enumeration of every
-invertible matrix, stays as the brute-force oracle for it.
+dimensions in closed form, and fixed_space_cycle_type, the Mobius step,
+turns them into cycle lengths.  The Singer normalizer is GammaL(1, q^n),
+whose elements x -> g^t x^(q^i) have fixed spaces read off exponent
+arithmetic (normalizer_census); only engine.verify_normalizer, which
+checks the matrices themselves, walks the closure.  For GL(n, q) a cycle
+type depends only on the similarity class, so gl_census walks the
+classes (one partition lam_f per monic irreducible f != x, as in Green,
+"The characters of the finite general linear groups", 1955, and
+Macdonald, Symmetric Functions and Hall Polynomials, ch. IV), reads
+each class's cycle type off (f, lam_f) (class_cycle_type), and weights
+it by the class size |GL(n, q)| / |centralizer|.  class_cycle_type is
+shared: linpoly.frobenius_cycle_type, which recheck runs, hands it the
+class data of a Frobenius matrix.  The irreducibles and their orders
+come from one primitive element of each F_(q^d) (irreducible_orders).
+gl_elements, the row-by-row enumeration of every invertible matrix,
+stays as the brute-force oracle for it.
 """
 
 from __future__ import annotations
@@ -352,14 +353,6 @@ def perm_sign(cycle_type):
     return -1 if sum(d - 1 for d in cycle_type) % 2 else 1
 
 
-def stabilizer_order(field, elements, v):
-    """How many of the given matrices fix the nonzero vector v."""
-    v = tuple(v)
-    if all(c == field.zero_rep for c in v):
-        raise ValueError("stabilizer of the zero vector is everything")
-    return sum(1 for A in elements if mat_vec(field, A, v) == v)
-
-
 # -- censuses --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -598,18 +591,22 @@ def fixed_space_cycle_type(q, n, order, dim):
     the fixed space of A^d, for each divisor d of the order.
 
     A^d fixes q^dim(d) - 1 nonzero vectors, and Mobius inversion over
-    the divisors counts the vectors in cycles of each exact length.
+    the divisors counts the vectors in cycles of each exact length.  The
+    inversion is one difference pass per prime r of the order: walking
+    the divisors downwards, the count at d loses the count at d / r.
     Counts that are not a cycle type of F_q^n minus 0 are an internal
     error (AssertionError)."""
     divisors = _divisors(order)
-    fixed = {d: q ** dim(d) - 1 for d in divisors}
+    exact = {d: q ** dim(d) - 1 for d in divisors}
+    for r in prime_divisors(order):
+        for d in reversed(divisors):
+            if d % r == 0:
+                exact[d] -= exact[d // r]
     lengths = []
     for d in divisors:
-        exact = sum(poly_mod.mobius(d // c) * fixed[c]
-                    for c in divisors if d % c == 0)
-        if exact % d:
+        if exact[d] % d:
             raise AssertionError("fixed counts are not a cycle type")
-        lengths.extend([d] * (exact // d))
+        lengths.extend([d] * (exact[d] // d))
     if sum(lengths) != q ** n - 1:
         raise AssertionError("cycle lengths do not cover the nonzero "
                              "vectors")

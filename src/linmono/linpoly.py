@@ -354,20 +354,23 @@ def frobenius_cycle_type(L, exponent=None):
     Frobenius on V, and its m-th power fixes q^(n - rank(N^m - I))
     roots.
 
-    The candidate lengths are the divisors of the order of N: the order
-    of x modulo the minimal polynomial mu of N, which has coefficients in
-    F_q.  N^d - I has the kernel of g(N) for g = gcd(x^d - 1, mu).  When
-    deg mu = n (N is cyclic, the usual case) that kernel has dimension
-    deg g; otherwise it is computed from the powers N^j.
-    group.fixed_space_cycle_type turns the kernel dimensions into cycle
-    lengths by Mobius inversion.
+    The cycle type depends only on N's similarity class, and
+    group.class_cycle_type, the routine gl_census runs, reads it off the
+    class data: for each irreducible factor f of the minimal polynomial
+    mu of N (which has coefficients in F_q), the order of x modulo f and
+    the partition lam_f of the f-primary part.  poly.factor splits mu,
+    of degree <= n; ord(f) divides q^(deg f) - 1 and poly.order_of_x
+    finds it from there.  When deg mu = n (N is cyclic, the usual case)
+    a factor f^m of mu has lam_f = (m); otherwise the ranks of f(N)^j,
+    j <= m, built from the powers N^j, give dim ker f(N)^j = deg f *
+    sum_(e in lam_f) min(e, j), and lam_f is the conjugate of the rank
+    differences.
 
     exponent, when given, is a claimed multiple of the order (the lcm of
-    a claimed cycle type).  If x^exponent != 1 modulo mu the claim is
-    false and the result is None; otherwise the order is found by
-    dividing primes out of the claim (cut down to its gcd with a
-    unit-group exponent of F_q[x]/(mu)) instead of out of that generic
-    exponent, and the exact cycle type is returned.
+    a claimed cycle type).  Each ord(f) is then found from gcd(exponent,
+    q^(deg f) - 1), so a huge claim is never factored, and the result is
+    None when x^that gcd != 1 modulo f or when some cycle length does
+    not divide the claim; otherwise it is the exact cycle type.
     """
     E, K = L.field, L.base
     n, q = L.qdeg, L.q
@@ -392,25 +395,31 @@ def frobenius_cycle_type(L, exponent=None):
                             n + 1)[0]
     deg = max(j for j, c in enumerate(dep) if c != z)
     mu = poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
-    if exponent is None:
-        order = _order_of_x(mu, q, K.p)
-    else:
-        e = math.gcd(exponent, _unit_exponent(mu.degree, q, K.p))
-        order = poly_mod.order_of_x(mu, e, prime_divisors(e))
-        if order is None:
+    parts, ords = [], {}
+    for f, m in poly_mod.factor(mu):
+        e = q ** f.degree - 1
+        if exponent is not None:
+            e = math.gcd(exponent, e)
+        ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
+        if ords[f] is None:
+            if exponent is None:
+                raise AssertionError("x^(q^%d - 1) is not 1 modulo %s"
+                                     % (f.degree, f))
             return None
-    x = poly_mod.Poly.x(K)
-    one = poly_mod.Poly.constant(K, 1)
-    kernel_dims = {}
-
-    def dim(d):
-        g = poly_mod.gcd(poly_mod.pow_mod(x, d, mu) - one, mu)
-        if g not in kernel_dims:
-            kernel_dims[g] = (g.degree if powers is None
-                              else n - _rank_at(E, g, powers))
-        return kernel_dims[g]
-
-    return group_mod.fixed_space_cycle_type(q, n, order, dim)
+        if deg == n:
+            parts.append((f, (m,)))
+            continue
+        dims, g = [0], poly_mod.Poly.constant(K, 1)
+        for _ in range(m):
+            g = g * f
+            dims.append(n - _rank_at(E, g, powers))
+        conj = [(b - a) // f.degree for a, b in zip(dims, dims[1:])]
+        parts.append((f, tuple(sum(1 for c in conj if c > i)
+                               for i in range(conj[0]))))
+    ct = group_mod.class_cycle_type(K, parts, ords)
+    if exponent is not None and any(exponent % d for d in ct):
+        return None
+    return ct
 
 
 def _rank_at(E, g, powers):
@@ -445,36 +454,6 @@ def _frobenius_matrix(L):
         coeffs = [E.pow(c, L.q) for c in coeffs]
         N = group_mod.mat_mul(E, N, companion(coeffs))
     return N
-
-
-def _unit_exponent(deg, q, p):
-    """An exponent of the unit group of F_q[x]/(mu) for every mu of
-    degree deg with mu(0) != 0: a factor f^m of mu contributes
-    q^(deg f) - 1 times the least power of p that is >= m, and deg f,
-    m <= deg."""
-    e = 1
-    for i in range(1, deg + 1):
-        e = math.lcm(e, q ** i - 1)
-    pt = 1
-    while pt < deg:
-        pt *= p
-    return e * pt
-
-
-def _order_of_x(mu, q, p):
-    """Multiplicative order of x modulo mu over F_q (mu(0) != 0), with no
-    claim to start from: poly.order_of_x divides each prime out of
-    _unit_exponent while x^e stays 1.  That exponent is a true multiple
-    of the order, so a None from poly.order_of_x is an internal error
-    (AssertionError)."""
-    primes = {p}.union(*(prime_divisors(q ** i - 1)
-                         for i in range(1, mu.degree + 1)))
-    order = poly_mod.order_of_x(mu, _unit_exponent(mu.degree, q, p),
-                                primes)
-    if order is None:
-        raise AssertionError("x^e is not 1 modulo %s for the unit-group "
-                             "exponent e" % mu)
-    return order
 
 
 def _down(E, K, rep):

@@ -165,6 +165,14 @@ def brute_cycle_type(field, A):
     return tuple(sorted(lengths))
 
 
+def stabilizer_order(field, elements, v):
+    """How many of the given matrices fix the nonzero vector v."""
+    v = tuple(v)
+    if all(c == field.zero_rep for c in v):
+        raise ValueError("stabilizer of the zero vector is everything")
+    return sum(1 for A in elements if mat_vec(field, A, v) == v)
+
+
 def brute_stabilizer_orders(field, elements):
     """For every nonzero vector in rank order, how many of the elements
     fix it, by applying every element to every vector."""

@@ -568,21 +568,39 @@ def test_recheck_refuses_a_tampered_item_after_a_good_one():
 
 
 def test_recheck_checks_the_claim_without_an_order_search(monkeypatch):
-    """Every cycle type recheck needs comes from the claimed lcm down,
-    never from the generic exponent search."""
+    """Every order recheck needs descends from the item's claimed lcm:
+    each exponent handed to poly.order_of_x divides the claim, so none
+    is a generic q^(deg f) - 1 the claim does not name (x^27 has claims
+    that 3^(deg f) - 1 does not divide)."""
     run = sample_cycle_types(X27X3, range(1, 3), budget=10)
-    evidence = verdict(X27X3, budget=12).evidence + [
-        normalizer_incompatibility_witness(run.samples, 3)]
+    items = [(X27X3, e) for e in verdict(X27X3, budget=12).evidence + [
+        normalizer_incompatibility_witness(run.samples, 3)]]
+    items += [(X27, e) for e in verdict(X27, budget=12).evidence]
+    exponents = []
+    inner = lin_mod.poly_mod.order_of_x
 
-    def refuse(*args):
-        raise AssertionError("recheck searched for the order")
+    def recorded(f, e, primes):
+        exponents.append(e)
+        return inner(f, e, primes)
 
     monkeypatch.setattr(engine, "_recheck_types", {})
-    monkeypatch.setattr(lin_mod, "_order_of_x", refuse)
-    assert {e.kind for e in evidence} >= {"CycleTypeSample", "OrderLcm",
+    monkeypatch.setattr(lin_mod.poly_mod, "order_of_x", recorded)
+    assert {e.kind for _, e in items} >= {"CycleTypeSample", "OrderLcm",
                                           "FixedPointOddness"}
-    for e in evidence:
-        assert recheck(X27X3, e), e.kind
+    seen = 0
+    for L, e in items:
+        exponents.clear()
+        assert recheck(L, e), e.kind
+        if e.kind == "OrderLcm":
+            claim = e.payload["lcm"]
+        elif "cycle_type" in e.payload:
+            claim = math.lcm(*e.payload["cycle_type"])
+        else:
+            assert exponents == [], e.kind
+            continue
+        assert all(claim % x == 0 for x in exponents), (e.kind, claim)
+        seen += len(exponents)
+    assert seen > 0
 
 
 def test_recheck_computes_each_alpha_once_per_document(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from _oracles import (brute_closure, brute_cycle_type, brute_irreducibles,
                       brute_stabilizer_orders, class_representative,
                       closure_normalizer_census, mat_det, mat_inv,
-                      mat_pow_signed, normalizer_elements, vector_rank)
+                      mat_pow_signed, normalizer_elements, stabilizer_order,
+                      vector_rank)
 from linmono import group as group_mod
 from linmono import poly as poly_mod
 from linmono.ff import (CapExceededError, extend_field, make_field,
@@ -22,8 +23,7 @@ from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census,
                            normalizer_census, nonzero_vectors,
                            partitions, perm_cycle_type, perm_sign,
                            permutation_of, primary_centralizer_order,
-                           singer_generator, singer_modulus,
-                           stabilizer_order)
+                           singer_generator, singer_modulus)
 from linmono.poly import (Poly, is_irreducible, num_irreducible,
                           order_of_x)
 

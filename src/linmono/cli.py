@@ -4,11 +4,17 @@ human summary on stderr.
 Subcommands: analyze, sample, census, singer, verify {gmg, disc,
 identity, alt2, normalizer}.  Exit codes: 0 decided/pass, 2 Inconclusive,
 1 error.  The same argv and seed always produce byte-identical output.
+
+main(argv) returns the exit code and can be called repeatedly in one
+process: the parser is built on the first call and reused, which is safe
+because no action keeps state between parses (every default is an
+immutable constant).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import sys
@@ -63,6 +69,7 @@ def _resolve_field(args):
     raise ValueError("a field is required: --q SPEC or --p P [--m M]")
 
 
+@functools.cache
 def build_parser():
     top = _Parser(prog="linmono",
                   description="Galois groups of L(x) + tx over F_q(t) "

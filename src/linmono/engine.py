@@ -610,7 +610,9 @@ def recheck(L, evidence, seed=0):
     square_class, a FixedPointOddness's even_lengths or order_lcm, or a
     CycleTypeSample's in_normalizer_census differs from the recomputed
     one (a normalizer census refused by a cap refuses the item), and
-    when its claim is malformed.  Returns True/False.
+    when its claim is malformed.  A DiscWitness's skipped_before_hit is
+    the one recorded field not verified: it depends on the run's budget
+    and kmax, which the payload does not carry.  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)

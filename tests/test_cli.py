@@ -2,7 +2,10 @@
 shipped schema), determinism, golden documents, batch mode, error
 handling."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +13,7 @@ import sys
 import jsonschema
 import pytest
 
+from linmono import cli
 from linmono.cli import schema_text
 from linmono.engine import Evidence, recheck
 from linmono.ff import make_field
@@ -297,6 +301,73 @@ def test_batch_conflicts_with_lin(tmp_path):
                            "--batch", str(src))
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def _call_main(argv):
+    """(exit code, stdout) of cli.main(argv) in this process, output
+    captured the way the benchmark client captures it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("0,0,0,1\n0,1,0,1\n", encoding="utf-8")
+    runs = [
+        ["census", "--q", "3"],  # usage error: --n is required
+        ["--json-schema"],
+        ["census", "--q", "3", "--n", "2"],
+        ["sample", "--q", "3", "--lin", "0,1,0,1", "--budget", "5",
+         "--out", "OUT"],
+        ["analyze", "--q", "3", "--batch", str(batch)],
+        ["verify", "gmg", "--q", "9"],
+        ["census", "--q", "3", "--n", "2"],
+    ]
+    here, fresh = tmp_path / "in-process.json", tmp_path / "fresh.json"
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in runs:
+        code, out = _call_main([str(here) if a == "OUT" else a
+                                for a in argv])
+        fresh_code, fresh_out, _ = run_cli(*(str(fresh) if a == "OUT" else a
+                                             for a in argv))
+        assert (code, out) == (fresh_code, fresh_out), argv
+        if "OUT" in argv:
+            assert here.read_bytes() == fresh.read_bytes()
+        # top parser plus five subparsers on the first call, none after
+        assert len(built) == 6, argv
+    assert built[0].prog == "linmono"
+
+
+def test_cached_parser_defaults_are_immutable():
+    """The reused parser is safe only while no action can carry state
+    from one parse to the next: a list default or an append action
+    would.  Every default must be None or an immutable scalar."""
+    pending = [cli.build_parser()]
+    seen = 0
+    while pending:
+        parser = pending.pop()
+        seen += 1
+        for action in parser._actions:
+            assert (action.default is None
+                    or type(action.default) in (bool, int, str)), \
+                (parser.prog, action.dest, action.default)
+            if isinstance(action, argparse._SubParsersAction):
+                pending.extend(action.choices.values())
+    assert seen == 6
 
 
 def _lin(*coeffs):

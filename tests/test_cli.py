@@ -513,6 +513,17 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "0347a74071fc74fca2d4b75fa8fcf3d3a8ff12440eaf1d8ea394c72e45cae6a8"),
     ("verify normalizer --q 9 --n 2",
      "302fc4de5c3f0920339328fdd25b665c1f09b439e47e16655f77154e22fc5d37"),
+    # image-in-squares classification, the map cap and the odd-q refusal
+    ("verify gmg --q 27",
+     "d1e7010362a5d86bd7f5ab8c676ba611b4123553333dd5d1bb9b4bc3ae93b1c7"),
+    ("verify gmg --q 49",
+     "1b01d036a264a6c026c6f75fe7e0e664d39d3ba88645e040dd46752ef2e61773"),
+    ("verify gmg --q 121",
+     "8af7f4e79f9ade84d360383c0c8aba96d1917e5346423b64828d2278495d76ec"),
+    ("verify gmg --q 81",
+     "23ef6c309f57c09b7867cd980c4fb0911fd3f68774577dcfa7bd8494f90ce953"),
+    ("verify gmg --q 4",
+     "f7fee50359d134ff1a8b902882bcd6d05695cf9ad8127c510d0e13f4643d1dbc"),
 ])
 def test_golden_documents(argv, digest):
     """sha256 of the exit code and stdout, pinned across versions: the

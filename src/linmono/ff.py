@@ -9,8 +9,10 @@ always reconstructs bit-identical fields.
 
 Field arithmetic itself uses no lookup tables.  log_tables builds, on
 request and cached per field, exp/log/Zech tables over enumeration
-indices for fields of at most TABLE_CAP elements; engine.verify_gmg
-runs its exhaustive loop on them.
+indices for fields of at most TABLE_CAP elements.  engine.verify_gmg
+runs its exhaustive search on them, and group.irreducible_orders, and
+through it group.gl_census, finds the irreducibles of each degree and
+their orders on the tables of the extension of that degree.
 
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base

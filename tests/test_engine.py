@@ -1,6 +1,7 @@
 """Evidence and verdicts: sampling semantics, witnesses, recheck,
 decision tree, exhaustive verifiers."""
 
+import itertools
 import math
 import random
 
@@ -670,7 +671,7 @@ def test_verify_gmg_small():
         verify_gmg(F2)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49])
 def test_verify_gmg_tables_match_brute_force(q, monkeypatch):
     field = parse_field_spec(str(q))
     report = verify_gmg(field)
@@ -681,7 +682,7 @@ def test_verify_gmg_tables_match_brute_force(q, monkeypatch):
     assert verify_gmg(field) == report
 
 
-@pytest.mark.parametrize("q, m", [(9, 2), (25, 2), (27, 3)])
+@pytest.mark.parametrize("q, m", [(9, 2), (25, 2), (27, 3), (49, 2)])
 def test_gmg_passing_other_target_sets(q, m):
     """With the squares as target, every map with two or more terms fails
     somewhere, so a slip in the Zech sums could leave the passing set
@@ -694,6 +695,26 @@ def test_gmg_passing_other_target_sets(q, m):
     assert passing == brute_gmg_passing(field, target)
     assert any(sum(c != field.zero_rep for c in cs) > 1 for cs in passing)
 
+
+
+@pytest.mark.parametrize("q, m", [(9, 2), (25, 2), (27, 3), (49, 2),
+                                  (121, 2)])
+def test_gmg_passing_whole_and_empty_targets(q, m):
+    """No oracle needed at the two extreme targets.  With every nonzero
+    element allowed nothing can fail, so exactly the q^m - 1 nonzero maps
+    pass.  With none allowed, L(x)/x must vanish on all of
+    F_q^*, which a nonzero map of p-degree < m cannot do: L(x) = x L(x)/x
+    would then have q roots at degree at most p^(m-1) < q."""
+    field = parse_field_spec(str(q))
+    zero = field.zero_rep
+    nonzero = [field.rep_at(i) for i in range(1, q)]
+    every = engine._gmg_passing(field, m, set(nonzero))
+    reps = [zero] + nonzero
+    assert every == {cs for cs in itertools.product(reps, repeat=m)
+                     if cs != (zero,) * m}
+    assert len(every) == q ** m - 1
+    assert (zero,) * m not in every
+    assert engine._gmg_passing(field, m, set()) == set()
 
 def test_verify_disc_lemma():
     for field, n in ((F3, 1), (F3, 2), (F5, 1)):

@@ -759,19 +759,21 @@ def _gmg_passing(field, m, squares):
 
     L(x)/x = c_0 + s(x) with s(x) = sum_(i>=1) c_i x^(p^i - 1), which
     depends only on the tail (c_1, ..., c_(m-1)).  So the c_0 that pass at
-    x are squares-or-zero minus s(x), and each tail's passing c_0 are the
-    intersection of these translated sets over all x: one pass over the
-    points per tail, q^(m-1) (q - 1) tail sums in all, instead of one per
-    map.  The tail sum works on ff.log_tables indices: the term c_i
-    x^(p^i - 1) has log log c_i + (p^i - 1) log x mod q - 1, and terms
-    are summed by Zech addition.  Each translated set, a bitmask over
-    enumeration indices, is built once per value of s that occurs, by
-    Zech addition of g^(log s + (q - 1)/2) = -s; a tail stops at the first
-    point where its intersection is empty.  The zero map (c_0 = 0 with a
-    zero tail) is left out.  With warm tables and the squares as target
-    this takes 2-4 ms at q = 27, 0.6-1.0 ms at q = 49 and 3-5 ms at
-    q = 121, against 61-63, 8 and 56-57 ms map by map (best of 7, 2-core
-    Xeon VM, CPython 3.11)."""
+    x are squares-or-zero minus s(x), and a tail's passing c_0 are the
+    intersection of these translated sets over all nonzero x.  That is
+    at most q^(m-1) (q - 1) tail sums, one pass over the points per tail;
+    a map-by-map search makes up to (q^m - 1) (q - 1) sums.
+
+    Tail sums work on ff.log_tables indices: the term c_i x^(p^i - 1) has
+    log log c_i + (p^i - 1) log x mod q - 1, and terms are added by Zech
+    addition.  Each translated set, a bitmask over enumeration indices,
+    is built once per value of s that occurs, by Zech addition of
+    g^(log s + (q - 1)/2) = -s.  A tail stops at the first point where
+    its intersection is empty.  The zero map (c_0 = 0 with a zero tail)
+    is left out.  With warm tables and the squares as target this takes
+    2-4 ms at q = 27, 0.6-1.0 ms at q = 49 and 3-5 ms at q = 121, against
+    61-63, 8 and 56-57 ms map by map (best of 7, 2-core Xeon VM, CPython
+    3.11)."""
     exp, log, zech = log_tables(field)
     q = field.order
     n = q - 1
@@ -803,7 +805,7 @@ def _gmg_passing(field, m, squares):
             if shifted is None:
                 s = acc + half
                 shifted = 1 << exp[s % n]  # 0 - s
-                for t in target:  # g^t - s, which is 0 (bit 1) at g^t = s
+                for t in target:  # g^t - s, index 0 where g^t = s
                     z = zech[(s - t) % n]
                     shifted |= 1 if z is None else 1 << exp[(t + z) % n]
                 translated[acc] = shifted

@@ -696,15 +696,14 @@ def test_gmg_passing_other_target_sets(q, m):
     assert any(sum(c != field.zero_rep for c in cs) > 1 for cs in passing)
 
 
-
 @pytest.mark.parametrize("q, m", [(9, 2), (25, 2), (27, 3), (49, 2),
                                   (121, 2)])
 def test_gmg_passing_whole_and_empty_targets(q, m):
     """No oracle needed at the two extreme targets.  With every nonzero
     element allowed nothing can fail, so exactly the q^m - 1 nonzero maps
-    pass.  With none allowed, L(x)/x must vanish on all of
-    F_q^*, which a nonzero map of p-degree < m cannot do: L(x) = x L(x)/x
-    would then have q roots at degree at most p^(m-1) < q."""
+    pass.  With none allowed, L(x)/x must vanish on all of F_q^*, which a
+    nonzero map of p-degree < m cannot do: L(x) would then have q roots
+    at degree at most p^(m-1) < q."""
     field = parse_field_spec(str(q))
     zero = field.zero_rep
     nonzero = [field.rep_at(i) for i in range(1, q)]
@@ -715,6 +714,7 @@ def test_gmg_passing_whole_and_empty_targets(q, m):
     assert len(every) == q ** m - 1
     assert (zero,) * m not in every
     assert engine._gmg_passing(field, m, set()) == set()
+
 
 def test_verify_disc_lemma():
     for field, n in ((F3, 1), (F3, 2), (F5, 1)):

@@ -49,7 +49,7 @@ def _add_field_flags(p):
                         '"+k" tower steps (e.g. "3^2+3")')
     p.add_argument("--p", type=int, default=None,
                    help="characteristic (alternative to --q)")
-    p.add_argument("--m", type=int, default=1,
+    p.add_argument("--m", type=int, default=None,
                    help="extension degree used with --p (default 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for every pseudorandom choice (default 0)")
@@ -61,11 +61,15 @@ def _resolve_field(args):
     if args.q is not None:
         if args.p is not None:
             raise ValueError("give --q or --p, not both")
+        if args.m is not None:
+            raise ValueError("--m goes with --p; give the degree in --q "
+                             'instead (e.g. "3^5")')
         return parse_field_spec(args.q, seed=args.seed)
     if args.p is not None:
         if not is_prime(args.p):
             raise ValueError("--p must be prime, got %d" % args.p)
-        return make_field(args.p, args.m, seed=args.seed)
+        return make_field(args.p, 1 if args.m is None else args.m,
+                          seed=args.seed)
     raise ValueError("a field is required: --q SPEC or --p P [--m M]")
 
 

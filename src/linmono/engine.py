@@ -50,8 +50,14 @@ a_1 + ... + a_{n-1} + 1 != 0 with L != x^(q^n)); "Inconclusive"
 otherwise, with the sampled evidence attached.  The decision tree lives
 in _decide alone; verdict samples, runs the rule's own step (normalizer
 census or witness search) and assembles the document in one place.
-Sampling and witness search draw their alphas from one stream (_alphas)
-under the same budget and exhaustion rule, on separate seeded streams.
+The GammaL step flags each sample by membership in the Singer-normalizer
+census, read through the cached lookup recheck compares the flags with
+(_normalizer_types_of), so a document and the recheck of its items
+compute the census once.  Only the census's own refusal, more than
+group.GROUP_CAP nonzero vectors, leaves the samples unflagged, with a
+note naming the cap.  Sampling and witness search draw their alphas
+from one stream (_alphas) under the same budget and exhaustion rule, on
+separate seeded streams.
 Sampling factors a dense polynomial of degree q^n - 1; above the dense
 cap a decided verdict carries a note and no samples, and an undecided
 one raises.
@@ -59,6 +65,7 @@ one raises.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -71,10 +78,6 @@ from .ff import (CapExceededError, FieldElement, extend_field, is_prime,
 
 # Fields no larger than this are sampled exhaustively.
 EXHAUST_LIMIT = 2000
-
-# Normalizer censuses above this order are skipped in verdicts (a note is
-# attached instead); they remain available through the census interface.
-NORMALIZER_CENSUS_CAP = 1000
 
 DISC_SEARCH_BUDGET = 2000
 
@@ -213,16 +216,9 @@ def _allocate(ks, q, budget):
     return plan
 
 
-_ext_cache = {}
-
-
+@functools.cache
 def _field_at(base, k, seed):
-    key = (base, k, seed)
-    f = _ext_cache.get(key)
-    if f is None:
-        f = extend_field(base, k, seed)
-        _ext_cache[key] = f
-    return f
+    return extend_field(base, k, seed)
 
 
 def _alphas(Ln, k_range, budget, seed, salt):
@@ -415,15 +411,18 @@ def _decide(Ln, n, q, p):
         "group out of the Singer normalizer", gl_note])
 
 
-def _normalizer_census_flags(Ln, n, order, samples, seed):
+def _normalizer_census_flags(Ln, n, order, samples):
     """GammaL step: (per-sample membership in the Singer-normalizer
-    census or None, note).  The census is skipped above
-    NORMALIZER_CENSUS_CAP."""
-    if order > NORMALIZER_CENSUS_CAP:
-        return None, ("normalizer census skipped: order %d above the "
-                      "verdict-evidence cap" % order)
-    cen = group_mod.normalizer_census(n, Ln.base, seed)
-    flags = [s.cycle_type in cen for s in samples]
+    census or None, note).  The census types come from the lookup
+    recheck reads (_normalizer_types_of), so a verdict and the recheck
+    of its items compute the census once; None when the census refuses
+    more than group.GROUP_CAP vectors."""
+    types = _normalizer_types_of(Ln.base, n)
+    if types is None:
+        return None, ("normalizer census refused: q^n - 1 = %d nonzero "
+                      "vectors exceed the group cap %d"
+                      % (Ln.q ** n - 1, group_mod.GROUP_CAP))
+    flags = [s.cycle_type in types for s in samples]
     if all(flags):
         return flags, ("all %d sampled cycle types occur in the order-%d "
                        "Singer-normalizer census" % (len(samples), order))
@@ -492,8 +491,7 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
 
     extras = [None] * len(run.samples)
     if family == "GammaL":
-        flags, note = _normalizer_census_flags(Ln, nv, order, run.samples,
-                                               seed)
+        flags, note = _normalizer_census_flags(Ln, nv, order, run.samples)
         notes.append(note)
         if flags is not None:
             extras = [{"in_normalizer_census": ok} for ok in flags]
@@ -525,7 +523,12 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
 # Exact cycle types recomputed by recheck, for one L at a time:
 # {(L's field, L's coefficients): {(alpha's field, alpha's rep): type}}.
 # The key names the F_{q^k} modulus through the field, so two seeds that
-# build different extensions never share an entry.
+# build different extensions never share an entry.  A hand-kept dict, not
+# functools.cache: each type is computed under the claim of the item that
+# first names its alpha (frobenius_cycle_type gives None when that claim
+# fails), so only the exact types are kept and every later claim is
+# checked against them; a cache keyed by the claim too would recompute
+# each alpha once per claim.
 _recheck_types = {}
 
 
@@ -557,22 +560,16 @@ def _recheck_cycle_type(Ln, alpha, claim):
     return ct if all(claim % d == 0 for d in ct) else None
 
 
-# Cycle types of the Singer-normalizer census that recheck compares
-# in_normalizer_census flags with, for the last (field, n) only, like
-# group._points: {(field, n): set of types, or None when refused by a cap}.
-_normalizer_types = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _normalizer_types_of(field, n):
-    key = (field, n)
-    if key not in _normalizer_types:
-        try:
-            types = group_mod.normalizer_census(n, field).types()
-        except CapExceededError:
-            types = None
-        _normalizer_types.clear()
-        _normalizer_types[key] = types
-    return _normalizer_types[key]
+    """Cycle types of the Singer-normalizer census over field in degree
+    n, or None when the census refuses more than group.GROUP_CAP
+    vectors.  verdict's flags and recheck's comparison both read it;
+    only the last (field, n) is kept, like group._points."""
+    try:
+        return group_mod.normalizer_census(n, field).types()
+    except CapExceededError:
+        return None
 
 
 def _same(claimed, value):
@@ -714,11 +711,11 @@ def verify_normalizer(n, field, seed=0):
     }
 
 
-def verify_gmg(field, map_cap=20000):
+def verify_gmg(field):
     """Image-in-squares classification over F_q, q = p^m odd: among all
     nonzero p-linearized maps sum c_i x^(p^i) (i < m), exactly the maps
     a x^(p^d) with a a nonzero square have image of x -> L(x)/x inside
-    the squares (with 0 allowed)."""
+    the squares (with 0 allowed).  Refused above 20000 maps."""
     p = field.p
     if p == 2:
         raise ValueError("squares classification needs odd characteristic")
@@ -729,8 +726,8 @@ def verify_gmg(field, map_cap=20000):
         w //= p
         m += 1
     total = q ** m - 1
-    if total > map_cap:
-        raise CapExceededError("%d maps exceed the cap %d" % (total, map_cap))
+    if total > 20000:
+        raise CapExceededError("%d maps exceed the cap 20000" % total)
     squares = {field.mul(x, x) for x in map(field.rep_at, range(1, q))}
     passing = _gmg_passing(field, m, squares)
     expected = set()

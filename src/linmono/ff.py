@@ -24,6 +24,7 @@ All arithmetic is exact integer arithmetic; there are no floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import random
 
 # Hard cap on field cardinality.  Exponent arithmetic (Frobenius, Euler
@@ -549,9 +550,7 @@ def _prime_power_split(v):
 
 # -- index tables ----------------------------------------------------------
 
-_log_tables_cache = {}
-
-
+@functools.cache
 def log_tables(field):
     """(exp, log, zech) over enumeration indices, cached per field.
 
@@ -562,9 +561,6 @@ def log_tables(field):
     g^(i + zech[(j - i) mod (q - 1)]), or 0 where that entry is None.
     Built from Field.mul (and Field.pow over it) and Field.add only.
     """
-    cached = _log_tables_cache.get(field)
-    if cached is not None:
-        return cached
     q = field.order
     if q > TABLE_CAP:
         raise CapExceededError("%d elements exceed the table cap %d"
@@ -585,8 +581,7 @@ def log_tables(field):
     if None in log[1:]:
         raise AssertionError("g^k misses a nonzero element of %r" % field)
     zech = tuple(log[field.index_of(field.add(one, x))] for x in powers)
-    cached = _log_tables_cache[field] = (exp, tuple(log), zech)
-    return cached
+    return exp, tuple(log), zech
 
 
 # -- maps ------------------------------------------------------------------

@@ -42,6 +42,7 @@ stays as the brute-force oracle for it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -158,17 +159,11 @@ def companion_matrix(field, f):
 
 # -- Singer model ----------------------------------------------------------
 
-_modulus_cache = {}
-
-
+@functools.cache
 def singer_modulus(n, field, seed=0):
     """Monic primitive polynomial of degree n over field, from a seeded
     search.  Shared by singer_generator and frobenius_matrix so both live
     in the same field model."""
-    key = (field, n, seed)
-    cached = _modulus_cache.get(key)
-    if cached is not None:
-        return cached
     if n < 1:
         raise ValueError("degree must be >= 1")
     q = field.order
@@ -187,7 +182,6 @@ def singer_modulus(n, field, seed=0):
         # primitivity: x has full order N in field[x]/(f)
         one = poly_mod.Poly.constant(field, 1)
         if all(poly_mod.pow_mod(x, N // r, f) != one for r in prime_divs):
-            _modulus_cache[key] = f
             return f
     raise RuntimeError("no primitive polynomial found (degree %d over %r)"
                        % (n, field))
@@ -241,9 +235,7 @@ def conjugation_ok(field, S, F):
 
 # -- group generation and permutation structure ----------------------------
 
-_points_cache = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _points(field, n):
     """(vectors, position) for F_q^n minus 0: the nonzero vectors in rank
     order and a dict from each to its position (rank - 1).  Refused
@@ -252,16 +244,10 @@ def _points(field, n):
     Only the last (field, n) is kept.  A census or closure works in one
     space, and keeping every space would hold up to GROUP_CAP vectors
     per space for the life of the module."""
-    key = (field, n)
-    cached = _points_cache.get(key)
-    if cached is None:
-        if field.order ** n - 1 > GROUP_CAP:
-            raise CapExceededError("too many vectors to permute")
-        vecs = nonzero_vectors(field, n)
-        cached = (vecs, {v: i for i, v in enumerate(vecs)})
-        _points_cache.clear()
-        _points_cache[key] = cached
-    return cached
+    if field.order ** n - 1 > GROUP_CAP:
+        raise CapExceededError("too many vectors to permute")
+    vecs = nonzero_vectors(field, n)
+    return vecs, {v: i for i, v in enumerate(vecs)}
 
 
 def permutation_of(field, A):

@@ -24,8 +24,8 @@ import math
 
 from . import group as group_mod
 from . import poly as poly_mod
-from .ff import (Field, FieldElement, FieldMismatchError, embed_rep,
-                 is_square, prime_divisors)
+from .ff import (CapExceededError, Field, FieldElement, FieldMismatchError,
+                 embed_rep, is_square, prime_divisors)
 
 
 class SquareClass(enum.Enum):
@@ -125,40 +125,29 @@ def to_poly(L, target=None):
     """The dense polynomial of degree q^n over target (default: the
     coefficient field).  Refused when q^n would exceed the dense cap; use
     evaluate for large q-degrees."""
-    K = _target_field(L, target)
-    n = L.qdeg
-    q = L.q
-    deg = q ** n
-    if deg > poly_mod.DENSE_CAP:
-        raise _dense_cap_error(q, n)
-    z = K.zero_rep
-    out = [z] * (deg + 1)
-    for i, c in enumerate(L.coeffs):
-        out[q ** i] = _up(L, K, c)
-    return poly_mod.Poly._mk(K, out)
+    return _dense(L, target, 0)
 
 
 def reduced(L, target=None):
     """L(x)/x as a dense polynomial of degree q^n - 1: coefficient a_i
-    lands at exponent q^i - 1."""
+    lands at exponent q^i - 1.  Refused as to_poly is."""
+    return _dense(L, target, 1)
+
+
+def _dense(L, target, shift):
+    """to_poly (shift 0) or reduced (shift 1): a_i at exponent
+    q^i - shift."""
     K = _target_field(L, target)
     n = L.qdeg
     q = L.q
-    deg = q ** n - 1
-    if deg + 1 > poly_mod.DENSE_CAP:
-        raise _dense_cap_error(q, n)
-    z = K.zero_rep
-    out = [z] * (deg + 1)
+    if q ** n > poly_mod.DENSE_CAP:
+        raise CapExceededError(
+            "dense form of q-degree %d over F_%d has degree %d; "
+            "use evaluate instead" % (n, q, q ** n))
+    out = [K.zero_rep] * (q ** n + 1 - shift)
     for i, c in enumerate(L.coeffs):
-        out[q ** i - 1] = _up(L, K, c)
+        out[q ** i - shift] = _up(L, K, c)
     return poly_mod.Poly._mk(K, out)
-
-
-def _dense_cap_error(q, n):
-    from .ff import CapExceededError
-    return CapExceededError(
-        "dense form of q-degree %d over F_%d has degree %d; "
-        "use evaluate instead" % (n, q, q ** n))
 
 
 def _target_field(L, target):

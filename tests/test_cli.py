@@ -122,6 +122,19 @@ def test_field_flag_conflicts_and_omissions():
     assert code == 1 and "prime" in json.loads(out)["error"]
 
 
+def test_m_flag_goes_with_p_only():
+    """--m next to --q is refused, not dropped: --q 3 --m 5 would
+    otherwise analyze over F_3.  With --p it still picks the degree."""
+    for m in ("5", "1"):
+        code, out, _ = run_cli("analyze", "--q", "3", "--m", m,
+                               "--lin", "0,0,1")
+        assert code == 1 and "--m" in json.loads(out)["error"], m
+    _, out1, _ = run_cli("analyze", "--p", "3", "--m", "2", "--lin", "0,0,1")
+    _, out2, _ = run_cli("analyze", "--q", "9", "--lin", "0,0,1")
+    assert out1 == out2
+    assert check(json.loads(out1))["group"] == "GammaL(1,81)"
+
+
 def test_analyze_n_mismatch_exit1():
     code, out, _ = run_cli("analyze", "--q", "3", "--lin", "0,0,0,1",
                            "--n", "2")
@@ -392,6 +405,10 @@ def test_analyze_decided_above_dense_cap(lin, verdict, basis):
                 if e["kind"] == "CycleTypeSample"]
     assert any(note.startswith("no cycle-type samples")
                for note in doc["notes"])
+    assert any(note.startswith("normalizer census refused: q^n - 1 = "
+                               "8388607 nonzero vectors exceed the group "
+                               "cap 1048576")
+               for note in doc["notes"]) == (verdict == "GammaL")
 
 
 def test_analyze_inconclusive_above_dense_cap_exit1():
@@ -450,9 +467,9 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "d62f4524cb8a41623ab292b3434dd03da51c71e25e632d2542ab3b53f62f303f"),
     ("analyze --q 3 --lin 2,0,0,1",
      "dd819fdcc29a4bcf40be48f47a611c09817efa437c371ae1dfc657e742186c31"),
-    # GammaL above the normalizer census cap
+    # GammaL of order 4368: flagged samples, as at any order
     ("analyze --q 3 --lin 0,0,0,0,0,0,1 --kmax 1 --budget 4",
-     "e4e668ca2957e685cf13cc9674e2c2b9678624642426d6691e44a6efc5c4e961"),
+     "e83d771dfef02e308a751153e20fa881ddee8f5a070b7db0368cb574606f8827"),
     # GL by the main theorem: DiscWitness, one after four skipped alphas
     ("analyze --q 3 --lin 0,1,0,1",
      "a107a8ab38be256c3053ea4d597d39c5a90b2642c802a7754dc28b6743418db1"),
@@ -481,9 +498,10 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "5bc1b8dd996697c580c6a8d15a1cacce548bdcff9c13c256fec311e4e472f8f1"),
     ("analyze --q 2^2+2 --lin 0,1,1",
      "c535103ab751e11f00f82f59a1a81b9e7c37d500dfbc63f818884d543fa098c8"),
-    # decided above the dense cap: cap note, no samples
+    # decided above the dense cap: cap note, no samples; the twist's
+    # normalizer census is refused by the group cap
     ("analyze --q 2 --lin " + _TWIST_23,
-     "16338c49e69ea6af8db177207d7649829f1009ffbc2ed6d700a07f414c752a9f"),
+     "f73707391b1460e2e77fcbfb8a974166b1298b22d3d71d319e9e19e9fc4496fd"),
     ("analyze --q 2 --lin " + _CHAR2_23,
      "867f163eb78e92dd178b0a6eccbd4cb99adbbc7d9efb840a33b3084c9c8e1473"),
     ("sample --q 3 --lin 0,1,0,1 --kmax 4 --budget 50",

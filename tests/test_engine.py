@@ -208,6 +208,46 @@ def test_verdict_monomial_gamma():
             assert e.payload["in_normalizer_census"] is True
 
 
+@pytest.mark.parametrize("L,kmax", [
+    (parse_linpoly(F3, "0,0,0,0,0,0,1"), 1),  # x^729, order 4368
+    (parse_linpoly(F2, "0,0,0,0,0,0,0,0,0,0,1"), None),  # x^1024, 10230
+], ids=["x^729", "x^1024"])
+def test_verdict_flags_gamma_samples_at_any_order(L, kmax):
+    """Past the order 1000 where verdicts once skipped the normalizer
+    census, every sample is still flagged against it, and every item
+    rechecks."""
+    v = verdict(L, kmax=kmax, budget=4)
+    assert v.family == "GammaL" and v.order > 1000
+    samples = [e for e in v.evidence if e.kind == "CycleTypeSample"]
+    assert samples
+    assert all(e.payload["in_normalizer_census"] is True for e in samples)
+    assert v.notes[-1] == ("all %d sampled cycle types occur in the "
+                           "order-%d Singer-normalizer census"
+                           % (len(samples), v.order))
+    assert all(recheck(L, e) for e in v.evidence)
+
+
+def test_verdict_and_recheck_share_one_normalizer_census(monkeypatch):
+    """verdict's flags and recheck's comparison read one cached census:
+    a GammaL document and the recheck of all its items build it once."""
+    calls = []
+    inner = group_mod.normalizer_census
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    engine._normalizer_types_of.cache_clear()
+    monkeypatch.setattr(group_mod, "normalizer_census", counted)
+    try:
+        evidence = verdict(X27).evidence
+        assert any("in_normalizer_census" in e.payload for e in evidence)
+        assert all(recheck(X27, e) for e in evidence)
+    finally:
+        engine._normalizer_types_of.cache_clear()
+    assert len(calls) == 1
+
+
 def test_verdict_monomial_after_shift():
     # x^27 + 2x normalizes to the pure monomial
     v = verdict(parse_linpoly(F3, "2,0,0,1"))
@@ -471,11 +511,14 @@ def test_recheck_compares_in_normalizer_census_with_the_census():
 def test_recheck_refuses_in_normalizer_census_past_the_cap(monkeypatch):
     item = next(e for e in verdict(X27).evidence
                 if e.kind == "CycleTypeSample")
-    monkeypatch.setattr(engine, "_normalizer_types", {})
+    engine._normalizer_types_of.cache_clear()
     monkeypatch.setattr(group_mod, "GROUP_CAP", 25)  # below 3^3 - 1
-    for flag in (True, False):
-        assert recheck(X27, _tampered(item, in_normalizer_census=flag)) \
-            is False, flag
+    try:
+        for flag in (True, False):
+            assert recheck(X27, _tampered(item, in_normalizer_census=flag)) \
+                is False, flag
+    finally:
+        engine._normalizer_types_of.cache_clear()
 
 
 def _same_lcm_other_type(ct):

@@ -139,7 +139,8 @@ def build_parser():
                          "normalizer order and stabilizers")
     _add_field_flags(pv)
     pv.add_argument("--n", type=int, default=None,
-                    help="q-degree (required by every check except gmg)")
+                    help="q-degree (required by every check except gmg, "
+                         "which refuses it)")
     return top
 
 
@@ -226,6 +227,9 @@ def _singer_doc(field, args):
 def _verify_doc(field, args):
     check = args.check
     if check == "gmg":
+        if args.n is not None:
+            raise ValueError("verify gmg takes no --n: it checks every "
+                             "p-linearized map of F_q itself")
         rep = engine.verify_gmg(field)
     else:
         if args.n is None:

@@ -28,20 +28,22 @@ Everything this module reports is evidence a referee can recheck:
 * NCycleGuarantee / Char2SumCondition / OrderLcm: the bookkeeping facts
   backing the decision tree.
 
-recheck re-verifies an item from L and its payload alone.  It checks a
-claimed cycle type (or an OrderLcm's lcm) against the similarity-class
+recheck re-verifies an item from L and its payload alone.  It computes
+the exact cycle type at each recorded alpha from the similarity-class
 data of the n x n Frobenius matrix of L_alpha
 (linpoly.frobenius_cycle_type): the irreducible factors f of its minimal
-polynomial, each ord(f) found from the claimed lcm down, and the
-partition of each f-primary part.  group.class_cycle_type, the routine
-of the GL census, turns them into the exact type, which must match, with
-every length dividing the claimed lcm.  Only that minimal polynomial,
-of degree <= n, is factored, never L_alpha(x)/x, so the sampler and the
-recheck reach each recorded type by different algorithms.  Exact types
-are kept for the current L, so the items of one document compute each
-(k, alpha) once.  The recorded fields beside the claim (alpha_index, a
-DiscWitness's constant term and class, a FixedPointOddness's even
-lengths and lcm) must equal their recomputed values.
+polynomial, each ord(f) found from q^(deg f) - 1 down, and the
+partition of each f-primary part, which group.class_cycle_type, the
+routine of the GL census, turns into the type.  A claimed cycle type
+must equal it, and an OrderLcm's lcm must equal the lcm of the types it
+names.  Only that minimal polynomial, of degree <= n, is factored, never
+L_alpha(x)/x, so the sampler and the recheck reach each recorded type by
+different algorithms.  Exact types are kept for the current L in one
+functools cache (_exact_types), so the items of one document compute
+each (k, alpha) once.  The recorded fields beside the claim (alpha and
+alpha_index, a DiscWitness's constant term and class, a
+FixedPointOddness's even lengths and lcm) must equal their recomputed
+values, and a malformed payload rechecks False instead of raising.
 
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
@@ -73,8 +75,8 @@ from dataclasses import dataclass, field as dc_field
 from . import group as group_mod
 from . import linpoly as lin_mod
 from . import poly as poly_mod
-from .ff import (CapExceededError, FieldElement, extend_field, is_prime,
-                 log_tables)
+from .ff import (CARDINALITY_CAP, CapExceededError, FieldElement,
+                 extend_field, is_prime, log_tables)
 
 # Fields no larger than this are sampled exhaustively.
 EXHAUST_LIMIT = 2000
@@ -158,9 +160,11 @@ class Verdict:
 # -- normalization ---------------------------------------------------------
 
 def normalize(L):
-    """(L with a_0 zeroed, shifted?).  Replacing t by t - a_0 absorbs the
-    x coefficient into the transcendental, so the Galois group of
-    L(x) + tx only depends on a_1, ..., a_n."""
+    """(Ln, shifted): Ln is L with a_0 set to 0, and shifted is True when
+    a_0 was nonzero (Ln is then a new LinPoly; otherwise L itself).
+    Replacing t by t - a_0 absorbs the x coefficient into the
+    transcendental, so the Galois group of L(x) + tx only depends on
+    a_1, ..., a_n."""
     if L.coeffs[0] == L.field.zero_rep:
         return L, False
     coeffs = (L.field.zero_rep,) + L.coeffs[1:]
@@ -520,44 +524,28 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
 
 # -- witness rechecking ----------------------------------------------------
 
-# Exact cycle types recomputed by recheck, for one L at a time:
-# {(L's field, L's coefficients): {(alpha's field, alpha's rep): type}}.
-# The key names the F_{q^k} modulus through the field, so two seeds that
-# build different extensions never share an entry.  A hand-kept dict, not
-# functools.cache: each type is computed under the claim of the item that
-# first names its alpha (frobenius_cycle_type gives None when that claim
-# fails), so only the exact types are kept and every later claim is
-# checked against them; a cache keyed by the claim too would recompute
-# each alpha once per claim.
-_recheck_types = {}
+@functools.lru_cache(maxsize=1)
+def _exact_types(field, coeffs):
+    """The exact cycle types recheck has found for the L with these
+    coefficients, by (alpha's field, alpha's rep); _recheck_cycle_type
+    fills it.  The field names the F_{q^k} modulus, so two seeds that
+    build different extensions never share an entry.  Only the last L is
+    kept, like group._points."""
+    return {}
 
 
-def _recheck_cycle_type(Ln, alpha, claim):
+def _recheck_cycle_type(Ln, alpha):
     """Cycle type of the Frobenius at alpha, read off the class data of
     the n x n Frobenius matrix of L_alpha (linpoly.frobenius_cycle_type)
-    rather than by the sampler's dense factoring, if every length
-    divides the claimed exponent; None when one does not or when
-    L(alpha) = 0.
-
-    Types are exact whatever the claim, so they are kept for the current
-    L and shared by every item that names the same alpha; a kept type
-    is still checked against each new claim."""
-    key = (Ln.field, Ln.coeffs)
-    memo = _recheck_types.get(key)
-    if memo is None:
-        _recheck_types.clear()
-        memo = _recheck_types[key] = {}
+    rather than by the sampler's dense factoring; None when L(alpha) = 0.
+    Kept for the current L, so the items naming one alpha share it."""
+    types = _exact_types(Ln.field, Ln.coeffs)
     at = (alpha.field, alpha.rep)
-    ct = memo.get(at)
-    if ct is None:
-        if lin_mod.evaluate(Ln, alpha).is_zero:
-            return None
-        ct = lin_mod.frobenius_cycle_type(lin_mod.specialize(Ln, alpha),
-                                          claim)
-        if ct is None:
-            return None
-        memo[at] = ct
-    return ct if all(claim % d == 0 for d in ct) else None
+    if at not in types:
+        spec = lin_mod.specialize(Ln, alpha)  # a_0 = -L(alpha)/alpha
+        types[at] = (None if spec.coefficient(0).is_zero
+                     else lin_mod.frobenius_cycle_type(spec))
+    return types[at]
 
 
 @functools.lru_cache(maxsize=1)
@@ -581,12 +569,26 @@ def _same(claimed, value):
     return type(claimed) is type(value) and claimed == value
 
 
+def _alpha_at(Ln, k, idx, seed):
+    """Element idx of F_{q^k}, or None unless k is an int >= 1 with
+    q^k <= ff.CARDINALITY_CAP and idx an int in 1 .. q^k - 1.  As
+    q >= 2, a k of the cap's bit length or more is refused before q^k is
+    taken."""
+    if (type(k) is not int or not 0 < k < CARDINALITY_CAP.bit_length()
+            or Ln.q ** k > CARDINALITY_CAP):
+        return None
+    E = _field_at(Ln.base, k, seed)
+    if type(idx) is not int or not 0 < idx < E.order:
+        return None
+    return E.element_at(idx)
+
+
 def _recorded_alpha(Ln, pl, seed):
-    """The item's alpha, rebuilt in F_{q^k} from its k and alpha, or None
-    when it is zero or its alpha_index is not its index."""
-    E = _field_at(Ln.base, pl["k"], seed)
-    alpha = E.elem(E.rep_from_obj(pl["alpha"]))
-    if alpha.is_zero or not _same(pl["alpha_index"], alpha.index()):
+    """The item's alpha, element alpha_index of F_{q^k}, or None when
+    either is invalid or the recorded alpha is not that element's
+    serialized form."""
+    alpha = _alpha_at(Ln, pl.get("k"), pl.get("alpha_index"), seed)
+    if alpha is None or not _same(pl.get("alpha"), alpha.to_obj()):
         return None
     return alpha
 
@@ -595,42 +597,41 @@ def recheck(L, evidence, seed=0):
     """Independently re-verify one Evidence from (L, payload) alone.
 
     Rebuilds the extension from (k, seed), reconstructs alpha, and checks
-    the claimed fact.  A claimed cycle type, or an OrderLcm's lcm, is
-    checked rather than searched for: the exact type of the Frobenius at
-    alpha is read off its similarity-class data, each order found from
-    that lcm down (_recheck_cycle_type), and must match, with every
-    length dividing the lcm.  That is a different algorithm from the
-    factoring that produced the types.  Exact types are kept while L
+    the claimed fact.  The exact cycle type of the Frobenius at alpha is
+    read off its similarity-class data (_recheck_cycle_type), a
+    different algorithm from the factoring that produced the types, and
+    a claimed type must equal it; an OrderLcm's lcm must equal the lcm
+    of the exact types of its references.  Exact types are kept while L
     stays the same, so rechecking a document's items one by one computes
-    each (k, alpha) once.  An item is also refused when its alpha_index
-    is not alpha's index, when a DiscWitness's constant_term or
-    square_class, a FixedPointOddness's even_lengths or order_lcm, or a
-    CycleTypeSample's in_normalizer_census differs from the recomputed
-    one (a normalizer census refused by a cap refuses the item), and
-    when its claim is malformed.  A DiscWitness's skipped_before_hit is
-    the one recorded field not verified: it depends on the run's budget
-    and kmax, which the payload does not carry.  Returns True/False.
+    each (k, alpha) once.  An item is also refused when its alpha or
+    alpha_index is not the element it names, when a DiscWitness's
+    constant_term or square_class, a FixedPointOddness's even_lengths or
+    order_lcm, or a CycleTypeSample's in_normalizer_census differs from
+    the recomputed one (a normalizer census refused by a cap refuses the
+    item), and when a NCycleGuarantee's or Char2SumCondition's fields
+    differ from theirs.  A malformed payload (a missing field, a value of
+    the wrong type, a k or index out of range) rechecks False; only an
+    unknown kind raises (ValueError).  A DiscWitness's
+    skipped_before_hit is the one recorded field not verified: it
+    depends on the run's budget and kmax, which the payload does not
+    carry.  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)
     kind = evidence.kind
-    pl = evidence.payload
+    pl = evidence.payload if isinstance(evidence.payload, dict) else {}
     if kind in ("CycleTypeSample", "FixedPointOddness"):
-        claim = pl["cycle_type"]
-        if not (isinstance(claim, (list, tuple))
-                and all(type(d) is int and d > 0 for d in claim)):
-            return False
         alpha = _recorded_alpha(Ln, pl, seed)
         if alpha is None:
             return False
-        ct = _recheck_cycle_type(Ln, alpha, math.lcm(*claim))
-        if ct != tuple(claim):
+        ct = _recheck_cycle_type(Ln, alpha)
+        if ct is None or not _same(pl.get("cycle_type"), list(ct)):
             return False
         if kind == "FixedPointOddness":
             lcm = math.lcm(*ct)
             evens = [d for d in ct if d % 2 == 0]
-            return (_same(pl["even_lengths"], evens)
-                    and _same(pl["order_lcm"], lcm)
+            return (_same(pl.get("even_lengths"), evens)
+                    and _same(pl.get("order_lcm"), lcm)
                     and 1 in ct and (bool(evens) or Ln.qdeg % lcm != 0))
         if "in_normalizer_census" in pl:
             types = _normalizer_types_of(Ln.base, Ln.qdeg)
@@ -647,29 +648,31 @@ def recheck(L, evidence, seed=0):
             return False
         cls = lin_mod.disc_square_class(spec)
         return (cls is lin_mod.SquareClass.NONSQUARE
-                and _same(pl["square_class"], cls.value)
-                and _same(pl["constant_term"], c.to_obj()))
+                and _same(pl.get("square_class"), cls.value)
+                and _same(pl.get("constant_term"), c.to_obj()))
     if kind == "OrderLcm":
-        claim = pl["lcm"]
-        if type(claim) is not int or claim < 1:
+        refs = pl.get("sample_refs")
+        if type(refs) is not list:
             return False
         lcm = 1
-        for k, idx in pl["sample_refs"]:
-            E = _field_at(Ln.base, k, seed)
-            ct = _recheck_cycle_type(Ln, E.element_at(idx), claim)
+        for ref in refs:
+            if type(ref) is not list or len(ref) != 2:
+                return False
+            alpha = _alpha_at(Ln, ref[0], ref[1], seed)
+            ct = None if alpha is None else _recheck_cycle_type(Ln, alpha)
             if ct is None:
                 return False
             lcm = math.lcm(lcm, *ct)
-        return lcm == claim
+        return _same(pl.get("lcm"), lcm)
     if kind == "NCycleGuarantee":
         N = Ln.q ** Ln.qdeg - 1
-        return (pl["cycle_length"] == N
-                and math.gcd(N, Ln.base.p) == pl["gcd_with_characteristic"]
-                == 1)
+        g = math.gcd(N, Ln.base.p)
+        return (g == 1 and _same(pl.get("cycle_length"), N)
+                and _same(pl.get("gcd_with_characteristic"), g))
     if kind == "Char2SumCondition":
         s = _char2_sum(Ln)
-        return (s.to_obj() == pl["coefficient_sum"]
-                and (not s.is_zero) == pl["nonzero"])
+        return (_same(pl.get("coefficient_sum"), s.to_obj())
+                and _same(pl.get("nonzero"), not s.is_zero))
     raise ValueError("cannot recheck evidence of kind %r" % kind)
 
 

@@ -20,7 +20,6 @@ discriminant of L(x)/x is readable off the constant coefficient
 from __future__ import annotations
 
 import enum
-import math
 
 from . import group as group_mod
 from . import poly as poly_mod
@@ -329,7 +328,7 @@ def _kernel_basis(K, M, n):
 
 # -- Frobenius cycle type --------------------------------------------------
 
-def frobenius_cycle_type(L, exponent=None):
+def frobenius_cycle_type(L):
     """Sorted cycle lengths of the Frobenius v -> v^(q^k) on the nonzero
     roots of L, where L has coefficients in E = F_{q^k} and a_0 != 0.
     These are the factor degrees of L(x)/x over E, found by n x n linear
@@ -353,13 +352,8 @@ def frobenius_cycle_type(L, exponent=None):
     a factor f^m of mu has lam_f = (m); otherwise the ranks of f(N)^j,
     j <= m, built from the powers N^j, give dim ker f(N)^j = deg f *
     sum_(e in lam_f) min(e, j), and lam_f is the conjugate of the rank
-    differences.
-
-    exponent, when given, is a claimed multiple of the order (the lcm of
-    a claimed cycle type).  Each ord(f) is then found from gcd(exponent,
-    q^(deg f) - 1), so a huge claim is never factored, and the result is
-    None when x^that gcd != 1 modulo f or when some cycle length does
-    not divide the claim; otherwise it is the exact cycle type.
+    differences.  x^(q^(deg f) - 1) != 1 modulo f would mean poly.factor
+    returned a reducible f: an internal failure (AssertionError).
     """
     E, K = L.field, L.base
     n, q = L.qdeg, L.q
@@ -387,14 +381,10 @@ def frobenius_cycle_type(L, exponent=None):
     parts, ords = [], {}
     for f, m in poly_mod.factor(mu):
         e = q ** f.degree - 1
-        if exponent is not None:
-            e = math.gcd(exponent, e)
         ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
         if ords[f] is None:
-            if exponent is None:
-                raise AssertionError("x^(q^%d - 1) is not 1 modulo %s"
-                                     % (f.degree, f))
-            return None
+            raise AssertionError("x^(q^%d - 1) is not 1 modulo %s"
+                                 % (f.degree, f))
         if deg == n:
             parts.append((f, (m,)))
             continue
@@ -405,10 +395,7 @@ def frobenius_cycle_type(L, exponent=None):
         conj = [(b - a) // f.degree for a, b in zip(dims, dims[1:])]
         parts.append((f, tuple(sum(1 for c in conj if c > i)
                                for i in range(conj[0]))))
-    ct = group_mod.class_cycle_type(K, parts, ords)
-    if exponent is not None and any(exponent % d for d in ct):
-        return None
-    return ct
+    return group_mod.class_cycle_type(K, parts, ords)
 
 
 def _rank_at(E, g, powers):

@@ -135,6 +135,13 @@ def test_m_flag_goes_with_p_only():
     assert check(json.loads(out1))["group"] == "GammaL(1,81)"
 
 
+def test_verify_gmg_refuses_n():
+    """--n means nothing to verify gmg, so it is refused, not dropped
+    (the golden verify gmg documents pin the run without it)."""
+    code, out, _ = run_cli("verify", "gmg", "--q", "27", "--n", "5")
+    assert code == 1 and "--n" in check(json.loads(out))["error"]
+
+
 def test_analyze_n_mismatch_exit1():
     code, out, _ = run_cli("analyze", "--q", "3", "--lin", "0,0,0,1",
                            "--n", "2")

@@ -17,7 +17,7 @@ from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             verdict, verify_alternating_char2,
                             verify_disc_lemma, verify_factor_identity,
                             verify_gmg, verify_normalizer)
-from linmono.ff import make_field, parse_field_spec
+from linmono.ff import make_field, parse_field_spec, prime_divisors
 from linmono.group import gl_census, normalizer_census
 from linmono import linpoly as lin_mod
 from linmono.linpoly import (LinPoly, evaluate, parse_linpoly, reduced,
@@ -552,6 +552,119 @@ def test_recheck_refuses_malformed_claims():
         assert recheck(X27X3, bad) is False, claim
 
 
+_MISSING = object()
+
+# (kind, fields to overwrite; a _MISSING value drops the field, and None
+# replaces the whole payload).  The items come from x^27 + x^3, except
+# the Char2SumCondition, which comes from x^8 + x^4 + x^2.  The k and
+# alpha cases go to every kind that names an alpha.
+_ALPHA_KINDS = ("CycleTypeSample", "FixedPointOddness", "DiscWitness")
+_MALFORMED = [(kind, fields) for kind in _ALPHA_KINDS for fields in (
+    {"k": True}, {"k": 0}, {"k": "2"}, {"k": 60}, {"k": 10 ** 9},
+    {"alpha": "x"}, {"alpha": [1, 0, 0, 0]}, {"alpha": True},
+    {"alpha": 4}, {"alpha_index": _MISSING})] + [
+    ("CycleTypeSample", {"alpha": [1]}),
+    ("CycleTypeSample", {"cycle_type": _MISSING}),
+    ("OrderLcm", {"sample_refs": [[1, 99]]}),
+    ("OrderLcm", {"sample_refs": "ab"}),
+    ("OrderLcm", {"sample_refs": [[1, 1, 1]]}),
+    ("OrderLcm", {"sample_refs": [[True, 1]]}),
+    ("OrderLcm", {"lcm": _MISSING}),
+    ("NCycleGuarantee", {"cycle_length": 26.0}),
+    ("NCycleGuarantee", {"gcd_with_characteristic": True}),
+    ("NCycleGuarantee", {"cycle_length": _MISSING}),
+    ("Char2SumCondition", {"coefficient_sum": True}),
+    ("Char2SumCondition", {"nonzero": 1}),
+    ("Char2SumCondition", {"nonzero": _MISSING}),
+] + [(kind, None) for kind in _ALPHA_KINDS + (
+    "OrderLcm", "NCycleGuarantee", "Char2SumCondition")]
+
+
+def _malformed_id(value):
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return "payload=None"
+    return ",".join(name + "=" + ("missing" if v is _MISSING else repr(v))
+                    for name, v in value.items())
+
+
+@pytest.mark.parametrize("kind, fields", _MALFORMED, ids=_malformed_id)
+def test_recheck_refuses_malformed_payloads(kind, fields):
+    """A malformed payload rechecks False, never raises and is never
+    read as the item it looks like (k True for 1, alpha 4 for 1 in
+    F_3).  k = 10^9 is refused before q^k is computed."""
+    v = verdict(X27X3, budget=12)
+    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
+    items = [(X27X3, e) for e in v.evidence + [
+        normalizer_incompatibility_witness(run.samples, 3)]]
+    items += [(CHAR2_GOOD, e) for e in verdict(CHAR2_GOOD).evidence]
+    items = [(L, e) for L, e in items if e.kind == kind]
+    if kind == "CycleTypeSample":  # the first at k = 1 and at k = 2
+        items = [next((L, e) for L, e in items if e.payload["k"] == k)
+                 for k in (1, 2)]
+    assert items
+    for L, e in items:
+        assert recheck(L, e) is True
+        if fields is None:
+            bad = Evidence(e.kind, None, e.note)
+        else:
+            payload = dict(e.payload, **fields)
+            for name, value in fields.items():
+                if value is _MISSING:
+                    del payload[name]
+            bad = Evidence(e.kind, payload, e.note)
+        assert recheck(L, bad) is False, (e.payload, fields)
+
+
+def _lost_prime_claims(ct):
+    """For each prime r of lcm(ct): ct with every length of the full
+    r-power in lcm(ct) split into r lengths d / r, so the sum stays and
+    the lcm loses r."""
+    lcm = math.lcm(*ct)
+    for r in prime_divisors(lcm):
+        top = r
+        while lcm % (top * r) == 0:
+            top *= r
+        yield sorted(x for d in ct
+                     for x in ([d // r] * r if d % top == 0 else [d]))
+
+
+@pytest.mark.parametrize("L", [X27X3, CHAR2_GOOD,
+                               parse_linpoly(F5, "0,1,1")])
+def test_recheck_refuses_lost_primes_and_random_wrong_claims(L):
+    """A claimed type whose lcm loses a prime, an OrderLcm over a prime
+    of its lcm, and seeded random claims that are not the type (random
+    partitions of the same sum, random lcms) all recheck False."""
+    rng = random.Random(7)
+    evidence = verdict(L, budget=12).evidence
+    olcm = next(e for e in evidence if e.kind == "OrderLcm")
+    lcm = olcm.payload["lcm"]
+    claims = [lcm // r for r in prime_divisors(lcm)]
+    claims += [c for c in (rng.randint(1, 4 * lcm) for _ in range(20))
+               if c != lcm]
+    for claim in claims:
+        assert recheck(L, _tampered(olcm, lcm=claim)) is False, claim
+    seen = 0
+    for e in evidence:
+        if e.kind != "CycleTypeSample":
+            continue
+        ct = e.payload["cycle_type"]
+        bad = list(_lost_prime_claims(ct))
+        for _ in range(10):
+            rest, claim = sum(ct), []
+            while rest:
+                claim.append(rng.randint(1, rest))
+                rest -= claim[-1]
+            bad.append(sorted(claim))
+        for claim in bad:
+            if claim != ct:
+                assert recheck(L, _tampered(e, cycle_type=claim)) is False, \
+                    (ct, claim)
+                seen += 1
+    assert seen > 0
+
+
 def test_recheck_keeps_types_apart_across_polynomials_and_seeds():
     """The same (k, alpha_index) under two L, and under two seeds whose
     F_9 moduli differ, has its own type each time: a type computed for
@@ -586,9 +699,10 @@ def test_recheck_keeps_types_apart_across_polynomials_and_seeds():
 
 
 def test_recheck_refuses_a_tampered_item_after_a_good_one():
-    """A type kept from a good item answers only claims it satisfies:
+    """A type kept from a good item answers only claims equal to it:
     a tampered item at the same alpha, or an OrderLcm whose lcm drops a
     prime, is still refused, in either order of the evidence."""
+    engine._exact_types.cache_clear()
     evidence = verdict(X27X3, budget=12).evidence
     olcm = next(e for e in evidence if e.kind == "OrderLcm")
     lcm = olcm.payload["lcm"]
@@ -606,45 +720,9 @@ def test_recheck_refuses_a_tampered_item_after_a_good_one():
     forward = [recheck(X27X3, e) for e in items]
     assert forward == [True] * len(evidence) \
         + [False] * (len(items) - len(evidence))
-    engine._recheck_types.clear()
+    engine._exact_types.cache_clear()
     backward = [recheck(X27X3, e) for e in reversed(items)]
     assert backward[::-1] == forward
-
-
-def test_recheck_checks_the_claim_without_an_order_search(monkeypatch):
-    """Every order recheck needs descends from the item's claimed lcm:
-    each exponent handed to poly.order_of_x divides the claim, so none
-    is a generic q^(deg f) - 1 the claim does not name (x^27 has claims
-    that 3^(deg f) - 1 does not divide)."""
-    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
-    items = [(X27X3, e) for e in verdict(X27X3, budget=12).evidence + [
-        normalizer_incompatibility_witness(run.samples, 3)]]
-    items += [(X27, e) for e in verdict(X27, budget=12).evidence]
-    exponents = []
-    inner = lin_mod.poly_mod.order_of_x
-
-    def recorded(f, e, primes):
-        exponents.append(e)
-        return inner(f, e, primes)
-
-    monkeypatch.setattr(engine, "_recheck_types", {})
-    monkeypatch.setattr(lin_mod.poly_mod, "order_of_x", recorded)
-    assert {e.kind for _, e in items} >= {"CycleTypeSample", "OrderLcm",
-                                          "FixedPointOddness"}
-    seen = 0
-    for L, e in items:
-        exponents.clear()
-        assert recheck(L, e), e.kind
-        if e.kind == "OrderLcm":
-            claim = e.payload["lcm"]
-        elif "cycle_type" in e.payload:
-            claim = math.lcm(*e.payload["cycle_type"])
-        else:
-            assert exponents == [], e.kind
-            continue
-        assert all(claim % x == 0 for x in exponents), (e.kind, claim)
-        seen += len(exponents)
-    assert seen > 0
 
 
 def test_recheck_computes_each_alpha_once_per_document(monkeypatch):
@@ -653,17 +731,43 @@ def test_recheck_computes_each_alpha_once_per_document(monkeypatch):
     calls = []
     inner = lin_mod.frobenius_cycle_type
 
-    def counted(La, exponent=None):
+    def counted(La):
         calls.append(La)
-        return inner(La, exponent)
+        return inner(La)
 
-    monkeypatch.setattr(engine, "_recheck_types", {})
+    engine._exact_types.cache_clear()
     monkeypatch.setattr(lin_mod, "frobenius_cycle_type", counted)
     alphas = {(e.payload["k"], e.payload["alpha_index"]) for e in evidence
               if e.kind in ("CycleTypeSample", "FixedPointOddness")}
     assert len(alphas) > 10
     assert all(recheck(L, e) for e in evidence)
     assert len(calls) == len(alphas)
+
+
+def test_recheck_keeps_the_types_of_the_last_polynomial_only(monkeypatch):
+    """After the samples of L1 and then those of L2, only L2's exact
+    types are kept: L2's samples recompute nothing, and L1's compute
+    each type again."""
+    s1, s2 = ([e for e in verdict(L, budget=6).evidence
+               if e.kind == "CycleTypeSample"] for L in (X27X3, CHAR2_GOOD))
+    calls = []
+    inner = lin_mod.frobenius_cycle_type
+
+    def counted(La):
+        calls.append(La)
+        return inner(La)
+
+    engine._exact_types.cache_clear()
+    monkeypatch.setattr(lin_mod, "frobenius_cycle_type", counted)
+    assert all(recheck(X27X3, e) for e in s1)
+    assert all(recheck(CHAR2_GOOD, e) for e in s2)
+    assert len(calls) == len(s1) + len(s2)
+    assert engine._exact_types.cache_info().currsize == 1
+    calls.clear()
+    assert all(recheck(CHAR2_GOOD, e) for e in s2)
+    assert calls == []
+    assert all(recheck(X27X3, e) for e in s1)
+    assert len(calls) == len(s1)
 
 
 def test_verify_normalizer_structure():

@@ -2,14 +2,13 @@
 root spaces, square classes."""
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
-                        parse_field_spec, prime_divisors)
+                        parse_field_spec)
 from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
                              evaluate, frobenius_cycle_type, parse_linpoly,
                              reduced, root_space, specialize, square_class,
@@ -223,9 +222,7 @@ def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
     agree on random L, k and alpha, over prime fields, F_4 and F_9 (so
     E is a tower over a non-prime base) and characteristic 2.  Sizes are
     kept where the dense side stays fast: n = 3 only below q = 7, and
-    k <= 2 once q^n > 27.  With a claimed exponent the result is the
-    dense type when every dense length divides it and None otherwise:
-    the lcm passes, the lcm over any of its primes does not."""
+    k <= 2 once q^n > 27."""
     q = data.draw(st.sampled_from(sorted(BASES)), label="q")
     K = BASES[q]
     n = data.draw(st.integers(1, 3 if q < 7 else 2), label="n")
@@ -243,13 +240,6 @@ def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
         return
     dense = factor_degrees(reduced(La))
     assert frobenius_cycle_type(La) == dense
-    lcm = math.lcm(*dense)
-    assert frobenius_cycle_type(La, lcm) == dense
-    for r in prime_divisors(lcm):
-        assert frobenius_cycle_type(La, lcm // r) is None
-    claim = data.draw(st.integers(1, 4 * lcm), label="claim")
-    want = dense if all(claim % d == 0 for d in dense) else None
-    assert frobenius_cycle_type(La, claim) == want
 
 
 @pytest.mark.parametrize("spec,n,kmax", [("2", 3, 3), ("3", 2, 2),
@@ -257,10 +247,10 @@ def test_frobenius_cycle_type_equals_dense_factor_degrees(data):
                                           ("2", 4, 3)])
 def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
     """Every monic L with a_0 = 0 and every alpha in F_{q^k}, k <= kmax:
-    the linear path equals dense factoring, cyclic N or not, with and
-    without the lcm as a claimed exponent.  At q = 2, n = 4, k = 3 some
-    e_0 is not a cyclic vector of N and its first dependence has
-    coefficients outside F_q (x^16 + x^8 + x^4 and x^16 + x^4 + x^2)."""
+    the linear path equals dense factoring, cyclic N or not.  At q = 2,
+    n = 4, k = 3 some e_0 is not a cyclic vector of N and its first
+    dependence has coefficients outside F_q (x^16 + x^8 + x^4 and
+    x^16 + x^4 + x^2)."""
     K = parse_field_spec(spec)
     q = K.order
     for mid in itertools.product(range(q), repeat=n - 1):
@@ -272,8 +262,6 @@ def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
                 if La.coeffs[0] != E.zero_rep:
                     dense = factor_degrees(reduced(La))
                     assert frobenius_cycle_type(La) == dense, (mid, k, i)
-                    assert frobenius_cycle_type(La, math.lcm(*dense)) \
-                        == dense, (mid, k, i)
 
 
 @pytest.mark.parametrize("spec,lin,k", [

@@ -21,8 +21,8 @@ import sys
 
 from . import engine, group as group_mod, linpoly as lin_mod
 from . import poly as poly_mod
-from .ff import (CapExceededError, FieldMismatchError, is_prime,
-                 make_field, parse_field_spec)
+from .ff import (CapExceededError, FieldMismatchError, make_field,
+                 parse_field_spec)
 
 _RUN_ERRORS = (ValueError, TypeError, KeyError, ZeroDivisionError,
                OverflowError, RuntimeError, AssertionError, OSError,
@@ -66,8 +66,6 @@ def _resolve_field(args):
                              'instead (e.g. "3^5")')
         return parse_field_spec(args.q, seed=args.seed)
     if args.p is not None:
-        if not is_prime(args.p):
-            raise ValueError("--p must be prime, got %d" % args.p)
         return make_field(args.p, 1 if args.m is None else args.m,
                           seed=args.seed)
     raise ValueError("a field is required: --q SPEC or --p P [--m M]")

@@ -39,11 +39,14 @@ must equal it, and an OrderLcm's lcm must equal the lcm of the types it
 names.  Only that minimal polynomial, of degree <= n, is factored, never
 L_alpha(x)/x, so the sampler and the recheck reach each recorded type by
 different algorithms.  Exact types are kept for the current L in one
-functools cache (_exact_types), so the items of one document compute
-each (k, alpha) once.  The recorded fields beside the claim (alpha and
-alpha_index, a DiscWitness's constant term and class, a
-FixedPointOddness's even lengths and lcm) must equal their recomputed
-values, and a malformed payload rechecks False instead of raising.
+functools cache (_exact_types), one per Frobenius class: alpha's type
+depends only on k and the closed point {t, t^q, ...} of the
+specialization's a_0 = t, so the items of one document compute each
+class once and specialize each (k, alpha) once.  The recorded fields
+beside the claim (alpha and alpha_index, a DiscWitness's constant term
+and class, a FixedPointOddness's even lengths and lcm) must equal their
+recomputed values, and a malformed payload rechecks False instead of
+raising.
 
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
@@ -75,8 +78,8 @@ from dataclasses import dataclass, field as dc_field
 from . import group as group_mod
 from . import linpoly as lin_mod
 from . import poly as poly_mod
-from .ff import (CARDINALITY_CAP, CapExceededError, FieldElement,
-                 extend_field, is_prime, log_tables)
+from .ff import (CapExceededError, FieldElement, exceeds_cap, extend_field,
+                 is_prime, log_tables)
 
 # Fields no larger than this are sampled exhaustively.
 EXHAUST_LIMIT = 2000
@@ -527,24 +530,53 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
 @functools.lru_cache(maxsize=1)
 def _exact_types(field, coeffs):
     """The exact cycle types recheck has found for the L with these
-    coefficients, by (alpha's field, alpha's rep); _recheck_cycle_type
-    fills it.  The field names the F_{q^k} modulus, so two seeds that
-    build different extensions never share an entry.  Only the last L is
-    kept, like group._points."""
+    coefficients; _recheck_cycle_type fills it.  An entry
+    (E, "alpha", alpha's rep) holds alpha's type (None for a root of L),
+    and (E, "t", t's rep) the type of L' + t x over E, L' being L
+    without its x term, stored under each conjugate of t.  The field E
+    names the F_{q^k} modulus, so two seeds that build different
+    extensions never share an entry.  Only the last L is kept, like
+    group._points."""
     return {}
+
+
+def _closed_point(field, t, q):
+    """The conjugates t, t^q, t^(q^2), ... of the rep t over F_q, up to
+    the first repeat: the closed point of the t-line over F_q at t."""
+    orbit = [t]
+    while (s := field.pow(orbit[-1], q)) != t:
+        orbit.append(s)
+    return orbit
 
 
 def _recheck_cycle_type(Ln, alpha):
     """Cycle type of the Frobenius at alpha, read off the class data of
     the n x n Frobenius matrix of L_alpha (linpoly.frobenius_cycle_type)
     rather than by the sampler's dense factoring; None when L(alpha) = 0.
-    Kept for the current L, so the items naming one alpha share it."""
+
+    L_alpha = L' + t x, where L' is L without its x term and
+    t = -L'(alpha)/alpha, so the type depends only on alpha's field E
+    and the closed point of t: L' has coefficients in F_q, and
+    c -> c^q, an automorphism of E that fixes them, maps L' + t x to
+    L' + t^q x and keeps the factor degrees over E.  One type is
+    computed per closed point and kept under every conjugate of t
+    (_closed_point), and each alpha is specialized once, for the
+    current L."""
     types = _exact_types(Ln.field, Ln.coeffs)
-    at = (alpha.field, alpha.rep)
+    E = alpha.field
+    at = (E, "alpha", alpha.rep)
     if at not in types:
-        spec = lin_mod.specialize(Ln, alpha)  # a_0 = -L(alpha)/alpha
-        types[at] = (None if spec.coefficient(0).is_zero
-                     else lin_mod.frobenius_cycle_type(spec))
+        spec = lin_mod.specialize(Ln, alpha)
+        t = spec.coefficient(0)  # -L'(alpha)/alpha
+        if t.is_zero:  # alpha is a root of L
+            types[at] = None
+        else:
+            point = (E, "t", t.rep)
+            if point not in types:
+                ct = lin_mod.frobenius_cycle_type(spec)
+                for c in _closed_point(E, t.rep, Ln.q):
+                    types[E, "t", c] = ct
+            types[at] = types[point]
     return types[at]
 
 
@@ -571,11 +603,9 @@ def _same(claimed, value):
 
 def _alpha_at(Ln, k, idx, seed):
     """Element idx of F_{q^k}, or None unless k is an int >= 1 with
-    q^k <= ff.CARDINALITY_CAP and idx an int in 1 .. q^k - 1.  As
-    q >= 2, a k of the cap's bit length or more is refused before q^k is
-    taken."""
-    if (type(k) is not int or not 0 < k < CARDINALITY_CAP.bit_length()
-            or Ln.q ** k > CARDINALITY_CAP):
+    q^k <= ff.CARDINALITY_CAP (ff.exceeds_cap, which refuses a huge k
+    before q^k is taken) and idx an int in 1 .. q^k - 1."""
+    if type(k) is not int or k < 1 or exceeds_cap(Ln.q, k):
         return None
     E = _field_at(Ln.base, k, seed)
     if type(idx) is not int or not 0 < idx < E.order:
@@ -602,8 +632,10 @@ def recheck(L, evidence, seed=0):
     different algorithm from the factoring that produced the types, and
     a claimed type must equal it; an OrderLcm's lcm must equal the lcm
     of the exact types of its references.  Exact types are kept while L
-    stays the same, so rechecking a document's items one by one computes
-    each (k, alpha) once.  An item is also refused when its alpha or
+    stays the same, one per Frobenius class (k, closed point of t), so
+    rechecking a document's items one by one computes each class once;
+    a second alpha of a class reads its type, and its claim is compared
+    with it like any other.  An item is also refused when its alpha or
     alpha_index is not the element it names, when a DiscWitness's
     constant_term or square_class, a FixedPointOddness's even_lengths or
     order_lcm, or a CycleTypeSample's in_normalizer_census differs from

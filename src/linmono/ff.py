@@ -461,12 +461,18 @@ def make_field(p, m=1, seed=0):
     pseudorandom search, so the construction is reproducible from
     (p, m, seed) alone.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    # A p above the cap is refused by the cap check below, before its
+    # trial division could run for hours.
+    if not isinstance(p, int) or not (p > CARDINALITY_CAP or is_prime(p)):
         raise ValueError("characteristic must be a prime integer, got %r" % (p,))
     if m < 1:
         raise ValueError("extension degree must be >= 1, got %d" % m)
-    if p ** m > CARDINALITY_CAP:
-        raise CapExceededError("p^m = %d exceeds the cardinality cap" % p ** m)
+    if exceeds_cap(p, m):
+        # spelled out as a number only where that number is small
+        small = m == 1 or (p <= CARDINALITY_CAP
+                           and m <= CARDINALITY_CAP.bit_length())
+        raise CapExceededError("p^m = %s exceeds the cardinality cap"
+                               % (p ** m if small else "%d^%d" % (p, m)))
     prime = Field(p, None, 1, None)
     if m == 1:
         return prime
@@ -484,12 +490,21 @@ def extend_field(base, k, seed=0):
         raise ValueError("extension degree must be >= 1, got %d" % k)
     if k == 1:
         return base
-    if base.order ** k > CARDINALITY_CAP:
+    if exceeds_cap(base.order, k):
         raise CapExceededError(
             "extension of order %d^%d exceeds the cardinality cap"
             % (base.order, k))
     modulus = _search_modulus(base, k, seed)
     return Field(base.p, base, k, modulus)
+
+
+def exceeds_cap(b, e):
+    """Whether b^e > CARDINALITY_CAP, for ints b >= 2 and e >= 1.  A b
+    above the cap, or an e of the cap's bit length or more (b^e >= 2^e
+    is then above it), is refused before b^e is taken, which for a huge
+    e would not finish."""
+    return (b > CARDINALITY_CAP or e >= CARDINALITY_CAP.bit_length()
+            or b ** e > CARDINALITY_CAP)
 
 
 def _search_modulus(base, k, seed):
@@ -531,6 +546,8 @@ def parse_field_spec(spec, seed=0):
 def _prime_power_split(v):
     if v < 2:
         raise ValueError("field order must be >= 2, got %d" % v)
+    if v > CARDINALITY_CAP:  # before trial division up to sqrt(v)
+        raise CapExceededError("p^m = %d exceeds the cardinality cap" % v)
     p = v
     for cand in range(2, v + 1):
         if cand * cand > v:

@@ -285,6 +285,26 @@ def test_out_of_range_n_and_budget_exit1(argv, word):
     assert word in err
 
 
+@pytest.mark.parametrize("flags, shown", [
+    ("--q 3^1000000000", "p^m = 3^1000000000"),
+    ("--q 3+1000000000", "extension of order 3^1000000000"),
+    ("--q 2305843009213693951", "p^m = 2305843009213693951"),
+    ("--p 2305843009213693951", "p^m = 2305843009213693951"),
+    ("--p 3 --m 1000000000", "p^m = 3^1000000000"),
+    ("--q 2^41", "p^m = 2199023255552"),
+])
+def test_huge_field_specs_are_refused_at_once(flags, shown):
+    """A field above the cardinality cap is refused with a cap error
+    before p^m, q^k, a primality test or a trial division of its size
+    is computed; each of those would run for hours."""
+    proc = subprocess.run([sys.executable, "-m", "linmono", "analyze",
+                           *flags.split(), "--lin", "0,1"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert (shown + " exceeds the cardinality cap"
+            in check(json.loads(proc.stdout))["error"])
+
+
 def test_batch_mixed(tmp_path):
     src = tmp_path / "batch.txt"
     src.write_text("0,0,0,1\n# comment\n\n0,1,0,1\n0,1,0,2\n",

@@ -725,9 +725,30 @@ def test_recheck_refuses_a_tampered_item_after_a_good_one():
     assert backward[::-1] == forward
 
 
-def test_recheck_computes_each_alpha_once_per_document(monkeypatch):
-    L = parse_linpoly(F2, "1,0,1,1,1")
-    evidence = verdict(L, budget=24).evidence
+def _frobenius_class(L, alpha):
+    """alpha's Frobenius class: its field and the closed point
+    {t, t^q, ...} of t = -L'(alpha)/alpha, L' being L without its x
+    term, walked here by FieldElement powers, apart from the engine's
+    own walk."""
+    Ln, _ = normalize(L)
+    t = -(evaluate(Ln, alpha) / alpha)
+    orbit, s = {t}, t ** Ln.q
+    while s != t:
+        orbit.add(s)
+        s = s ** Ln.q
+    return alpha.field, frozenset(orbit)
+
+
+def _classes_of(L, items):
+    """The Frobenius classes of the alphas the items name."""
+    return {_frobenius_class(L, engine._field_at(L.base, e.payload["k"], 0)
+                             .element_at(e.payload["alpha_index"]))
+            for e in items}
+
+
+def _counted_frobenius_cycle_type(monkeypatch):
+    """Clear recheck's memo and count linpoly.frobenius_cycle_type calls
+    into the returned list."""
     calls = []
     inner = lin_mod.frobenius_cycle_type
 
@@ -737,37 +758,103 @@ def test_recheck_computes_each_alpha_once_per_document(monkeypatch):
 
     engine._exact_types.cache_clear()
     monkeypatch.setattr(lin_mod, "frobenius_cycle_type", counted)
-    alphas = {(e.payload["k"], e.payload["alpha_index"]) for e in evidence
-              if e.kind in ("CycleTypeSample", "FixedPointOddness")}
-    assert len(alphas) > 10
+    return calls
+
+
+def test_recheck_computes_each_class_once_per_document(monkeypatch):
+    """Rechecking a whole document computes one exact type per Frobenius
+    class (k, closed point of t), fewer than one per alpha."""
+    L = parse_linpoly(F2, "1,0,1,1,1")
+    evidence = verdict(L, budget=24).evidence
+    calls = _counted_frobenius_cycle_type(monkeypatch)
+    samples = [e for e in evidence
+               if e.kind in ("CycleTypeSample", "FixedPointOddness")]
+    alphas = {(e.payload["k"], e.payload["alpha_index"]) for e in samples}
+    classes = _classes_of(L, samples)
+    assert len(alphas) > 10 and len(classes) < len(alphas)
     assert all(recheck(L, e) for e in evidence)
-    assert len(calls) == len(alphas)
+    assert len(calls) == len(classes)
 
 
 def test_recheck_keeps_the_types_of_the_last_polynomial_only(monkeypatch):
     """After the samples of L1 and then those of L2, only L2's exact
     types are kept: L2's samples recompute nothing, and L1's compute
-    each type again."""
+    each class's type again."""
     s1, s2 = ([e for e in verdict(L, budget=6).evidence
                if e.kind == "CycleTypeSample"] for L in (X27X3, CHAR2_GOOD))
-    calls = []
-    inner = lin_mod.frobenius_cycle_type
-
-    def counted(La):
-        calls.append(La)
-        return inner(La)
-
-    engine._exact_types.cache_clear()
-    monkeypatch.setattr(lin_mod, "frobenius_cycle_type", counted)
+    c1, c2 = len(_classes_of(X27X3, s1)), len(_classes_of(CHAR2_GOOD, s2))
+    calls = _counted_frobenius_cycle_type(monkeypatch)
     assert all(recheck(X27X3, e) for e in s1)
     assert all(recheck(CHAR2_GOOD, e) for e in s2)
-    assert len(calls) == len(s1) + len(s2)
+    assert len(calls) == c1 + c2
     assert engine._exact_types.cache_info().currsize == 1
     calls.clear()
     assert all(recheck(CHAR2_GOOD, e) for e in s2)
     assert calls == []
     assert all(recheck(X27X3, e) for e in s1)
-    assert len(calls) == len(s1)
+    assert len(calls) == c1
+
+
+def test_recheck_reads_a_second_alpha_of_a_class_off_the_first(monkeypatch):
+    """2 alpha has alpha's t, and alpha^3 has t^3.  Whichever alpha comes
+    first computes the class's type; the others read it, so their true
+    type rechecks True and a wrong one False, in either order."""
+    E = engine._field_at(F3, 3, 0)
+    alpha = next(a for a in E.elements()
+                 if not a.is_zero and a ** 3 != a
+                 and (evaluate(X27X3, a) / a) ** 3 != evaluate(X27X3, a) / a)
+    ct = lin_mod.frobenius_cycle_type(specialize(X27X3, alpha))
+    wrong = [1] * sum(ct) if list(ct) != [1] * sum(ct) else [sum(ct)]
+
+    def item(a, cycle_type):
+        return Evidence("CycleTypeSample",
+                        {"k": 3, "alpha_index": a.index(),
+                         "alpha": a.to_obj(), "cycle_type": cycle_type}, "")
+
+    members = [alpha, alpha * 2, alpha ** 3, alpha ** 9 * 2]
+    assert len({a.rep for a in members}) == 4
+    assert len({_frobenius_class(X27X3, a) for a in members}) == 1
+    for order in (members, members[::-1]):
+        calls = _counted_frobenius_cycle_type(monkeypatch)
+        for a in order:
+            assert recheck(X27X3, item(a, list(ct)))
+            assert not recheck(X27X3, item(a, wrong))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec, lin, kmax", [
+    ("2", "0,1,1,1", 4), ("2", "1,0,1,1,1", 3), ("3", "0,1,0,1", 2),
+    ("3", "2,1,1", 3), ("2^2", "0,1,1", 3), ("2^2", "0,[0,1],1", 3),
+    ("3^2", "0,[1,2],1", 2)])
+def test_cycle_type_is_a_class_function(spec, lin, kmax, monkeypatch):
+    """Oracle for the class rule: for every alpha in F_{q^k}, k <= kmax,
+    with L(alpha) != 0, the dense factor degrees of L_alpha(x)/x are the
+    same across each class (k, closed point of L_alpha's a_0), and
+    _recheck_cycle_type returns them for every alpha, in ascending or
+    shuffled order, with one computation per class: a walk by p-th
+    powers over F_4 or F_9 would merge classes.  F_{4^k} and F_{9^k} are
+    towers over F_4 and F_9; a_0 != 0 in two cases, so t is not
+    -L(alpha)/alpha there."""
+    F = parse_field_spec(spec)
+    L = parse_linpoly(F, lin)
+    dense, by_class = {}, {}
+    for k in range(1, kmax + 1):
+        E = engine._field_at(F, k, 0)
+        for alpha in itertools.islice(E.elements(), 1, None):
+            spec_ = specialize(L, alpha)
+            if spec_.coefficient(0).is_zero:
+                continue
+            ct = tuple(sorted(factor_degrees(reduced(spec_))))
+            assert by_class.setdefault(_frobenius_class(L, alpha), ct) == ct
+            dense[alpha] = ct
+    assert len(by_class) < len(dense)
+    shuffled = list(dense)
+    random.Random(spec + lin).shuffle(shuffled)
+    for alphas in (list(dense), shuffled):
+        calls = _counted_frobenius_cycle_type(monkeypatch)
+        assert all(tuple(engine._recheck_cycle_type(L, a)) == dense[a]
+                   for a in alphas)
+        assert len(calls) == len(by_class)
 
 
 def test_verify_normalizer_structure():

@@ -100,6 +100,16 @@ def test_parse_field_spec_forms():
 def test_cardinality_cap():
     with pytest.raises(CapExceededError):
         make_field(3, 40)
+    # each of these computes p^m, q^k or a trial division of its size
+    # unless the cap is checked first
+    for build in (lambda: make_field(3, 10 ** 9),
+                  lambda: make_field(2 ** 61 - 1),
+                  lambda: extend_field(make_field(3), 10 ** 9),
+                  lambda: parse_field_spec("2305843009213693951")):
+        with pytest.raises(CapExceededError):
+            build()
+    with pytest.raises(ValueError, match="prime"):
+        make_field(4, 30)
 
 
 @pytest.mark.parametrize("spec", ["2", "5", "3^2", "2^3", "3^2+2"])

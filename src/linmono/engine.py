@@ -73,7 +73,10 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
+from operator import eq
 
 from . import group as group_mod
 from . import linpoly as lin_mod
@@ -202,24 +205,31 @@ def _alpha_indices(Q, count, rng):
 
 
 def _allocate(ks, q, budget):
-    """Per-k sample targets: exhaustible fields first (clipped by what
-    remains), then an even split of the remainder across the large
-    fields."""
+    """Per-k sample targets for ascending distinct ks: exhaustible fields
+    first (clipped by what remains), then an even split of the remainder
+    across the large fields, in ascending k.
+
+    Which fields are large, and which lie above ff.CARDINALITY_CAP, is
+    decided by ff.exceeds_cap before any power q^k is taken.  A field
+    above the cap takes its whole share: it is refused when it is
+    built.  While samples remain each large field gets at least one, so
+    only the first `remaining` large fields can get any, and the split
+    over them equals the split over all: a huge kmax costs no more than
+    the ks that get samples."""
     plan = []
     remaining = budget
-    large = [k for k in ks if q ** k > EXHAUST_LIMIT]
-    for k in ks:
-        Q = q ** k
-        if Q <= EXHAUST_LIMIT:
-            take = min(Q - 1, remaining)
-            plan.append((k, take))
-            remaining -= take
-    for i, k in enumerate(large):
-        share = -(-remaining // (len(large) - i))  # ceil
-        take = min(q ** k - 1, share)
+    for k in ks:  # the exhaustible fields are a prefix of ks
+        if exceeds_cap(q, k, EXHAUST_LIMIT):
+            break
+        take = min(q ** k - 1, remaining)
         plan.append((k, take))
         remaining -= take
-    plan.sort()
+    large = ks[len(plan):len(plan) + remaining]
+    for j, k in enumerate(large):
+        share = -(-remaining // (len(large) - j))  # ceil
+        take = share if exceeds_cap(q, k) else min(q ** k - 1, share)
+        plan.append((k, take))
+        remaining -= take
     return plan
 
 
@@ -239,10 +249,13 @@ def _alphas(Ln, k_range, budget, seed, salt):
     refused (ValueError)."""
     if budget < 0:
         raise ValueError("budget must be >= 0, got %d" % budget)
-    ks = sorted(set(int(k) for k in k_range))
+    if isinstance(k_range, range) and k_range.step > 0:
+        ks = k_range  # already ascending and distinct: not materialized
+    else:
+        ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("need at least one extension degree")
-    if any(k < 1 for k in ks):
+    if ks[0] < 1:
         raise ValueError("extension degrees must be >= 1")
     rng = random.Random("linmono.%s:%d" % (salt, seed))
     for k, want in _allocate(ks, Ln.q, budget):
@@ -715,20 +728,20 @@ def verify_normalizer(n, field, seed=0):
     n(q^n - 1), F S F^(-1) = S^q, and every nonzero vector's stabilizer
     has order exactly n.
 
-    One pass over the closure that normalizer_census reads: each element
+    One pass over the closure of <S, F>, on permutations: each element
     is counted, and each position its permutation fixes adds one to that
     vector's stabilizer order.  Violations are listed in rank order."""
     q = field.order
     S = group_mod.singer_generator(n, field, seed)
     F = group_mod.frobenius_matrix(n, field, seed)
     expected = n * (q ** n - 1)
+    positions = range(q ** n - 1)
     order = 0
-    orders = [0] * (q ** n - 1)
-    for _, perm in group_mod.closure(field, [S, F], cap=expected + 8):
+    fixed = Counter()
+    for perm in group_mod.closure(field, [S, F], cap=expected + 8):
         order += 1
-        for i, j in enumerate(perm):
-            if i == j:
-                orders[i] += 1
+        fixed.update(compress(positions, map(eq, perm, positions)))
+    orders = [fixed[i] for i in positions]
     order_ok = order == expected
     conj_ok = group_mod.conjugation_ok(field, S, F)
     stab_bad = [{"vector": [field.rep_to_obj(c) for c in v], "order": so}

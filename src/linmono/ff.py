@@ -7,7 +7,8 @@ structural walks down the tower instead of isomorphism searches.  Moduli
 are found by a seeded pseudorandom search, so the same (p, degrees, seed)
 always reconstructs bit-identical fields.
 
-Field arithmetic itself uses no lookup tables.  log_tables builds, on
+Field arithmetic itself uses no lookup tables, and an inverse is an
+extended Euclidean algorithm against the modulus.  log_tables builds, on
 request and cached per field, exp/log/Zech tables over enumeration
 indices for fields of at most TABLE_CAP elements.  engine.verify_gmg
 runs its exhaustive search on them, and group.irreducible_orders, and
@@ -232,11 +233,68 @@ class Field:
         return r
 
     def inv(self, x):
+        """x^(-1), by the extended Euclidean algorithm: u with
+        u x = 1 modulo the modulus, whose remainder sequence ends in a
+        nonzero constant because the modulus is irreducible."""
         if x == self.zero_rep:
             raise ZeroDivisionError("inverse of zero in %r" % self)
-        # Fermat: x^(Q-2).  Fine at these cardinalities and avoids a
-        # second extended-Euclid code path.
-        return self.pow(x, self.order - 2)
+        b = self.base
+        if b is None:
+            return pow(x, -1, self.p)
+        d = self.degree
+        if b.base is None:
+            # Plain int coefficients, as in mul: the mod is delayed to
+            # the end of each division and each cofactor update.
+            p = b.p
+            r0, r1 = list(self.modulus), list(x)
+            s0, s1 = [0], [1]  # r_i = s_i x modulo the modulus
+            while not r1[-1]:
+                r1.pop()
+            while len(r1) > 1:
+                top = len(r1) - 1
+                lead = pow(r1[-1], -1, p)
+                quo = [0] * (len(r0) - top)
+                for k in range(len(quo) - 1, -1, -1):
+                    c = quo[k] = r0[k + top] * lead % p
+                    if c:
+                        for j in range(top):
+                            r0[k + j] -= c * r1[j]
+                rem = [v % p for v in r0[:top]]
+                while rem and not rem[-1]:
+                    rem.pop()
+                s2 = s0 + [0] * (len(quo) + len(s1) - 1 - len(s0))
+                for i, qi in enumerate(quo):
+                    if qi:
+                        for j, sj in enumerate(s1):
+                            s2[i + j] -= qi * sj
+                r0, r1, s0, s1 = r1, rem, s1, [v % p for v in s2]
+            c = pow(r1[0], -1, p)
+            return tuple((v * c) % p for v in (s1 + [0] * d)[:d])
+        bz = b.zero_rep
+        r0, r1 = list(self.modulus), list(x)
+        s0, s1 = [bz], [b.one_rep]
+        while r1[-1] == bz:
+            r1.pop()
+        while len(r1) > 1:
+            top = len(r1) - 1
+            lead = b.inv(r1[-1])
+            quo = [bz] * (len(r0) - top)
+            for k in range(len(quo) - 1, -1, -1):
+                c = quo[k] = b.mul(r0[k + top], lead)
+                if c != bz:
+                    for j in range(top):
+                        r0[k + j] = b.sub(r0[k + j], b.mul(c, r1[j]))
+            rem = r0[:top]
+            while rem and rem[-1] == bz:
+                rem.pop()
+            s2 = s0 + [bz] * (len(quo) + len(s1) - 1 - len(s0))
+            for i, qi in enumerate(quo):
+                if qi != bz:
+                    for j, sj in enumerate(s1):
+                        s2[i + j] = b.sub(s2[i + j], b.mul(qi, sj))
+            r0, r1, s0, s1 = r1, rem, s1, s2
+        c = b.inv(r1[0])
+        return tuple(b.mul(v, c) for v in (s1 + [bz] * d)[:d])
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -498,13 +556,12 @@ def extend_field(base, k, seed=0):
     return Field(base.p, base, k, modulus)
 
 
-def exceeds_cap(b, e):
-    """Whether b^e > CARDINALITY_CAP, for ints b >= 2 and e >= 1.  A b
+def exceeds_cap(b, e, cap=CARDINALITY_CAP):
+    """Whether b^e > cap, for ints b >= 2, e >= 1 and cap >= 1.  A b
     above the cap, or an e of the cap's bit length or more (b^e >= 2^e
     is then above it), is refused before b^e is taken, which for a huge
     e would not finish."""
-    return (b > CARDINALITY_CAP or e >= CARDINALITY_CAP.bit_length()
-            or b ** e > CARDINALITY_CAP)
+    return b > cap or e >= cap.bit_length() or b ** e > cap
 
 
 def _search_modulus(base, k, seed):

@@ -2,7 +2,7 @@
 
 Matrices are plain tuples of row tuples of raw field reps; the Field
 travels alongside as an argument.  That keeps everything hashable and
-cheap, which is what the breadth-first closures and full censuses want.
+cheap.
 
 The centerpiece is the Singer model: a companion matrix S of a primitive
 degree-n polynomial (a generator of a cyclic group of order q^n - 1
@@ -18,19 +18,22 @@ vectors, ranked lexicographically; cycle types are sorted tuples of cycle
 lengths of that permutation.  permutation_of applies one matrix to every
 vector and looks the images up in a vector-to-position dict kept for the
 last (field, n).  A group generated by a few matrices is a permutation
-group on those positions: closure applies only the generators to
-vectors and composes each product's permutation from its factors'.
+group on those positions, and closure walks it as one: it applies only
+the generators to vectors and multiplies no matrices.  The action on
+nonzero vectors is faithful and a matrix is fixed by where it sends the
+basis vectors, so the n positions of those images key an element, and
+generate_group reads each matrix back off them.
 
 Censuses enumerate no group and build no matrix; both count fixed-space
 dimensions in closed form, and fixed_space_cycle_type, the Mobius step,
 turns them into cycle lengths.  The Singer normalizer is GammaL(1, q^n),
 whose elements x -> g^t x^(q^i) have fixed spaces read off exponent
 arithmetic (normalizer_census); only engine.verify_normalizer, which
-checks the matrices themselves, walks the closure.  For GL(n, q) a cycle
-type depends only on the similarity class, so gl_census walks the
-classes (one partition lam_f per monic irreducible f != x, as in Green,
-"The characters of the finite general linear groups", 1955, and
-Macdonald, Symmetric Functions and Hall Polynomials, ch. IV), reads
+checks the group that S and F generate, walks the closure.  For
+GL(n, q) a cycle type depends only on the similarity class, so gl_census
+walks the classes (one partition lam_f per monic irreducible f != x, as
+in Green, "The characters of the finite general linear groups", 1955,
+and Macdonald, Symmetric Functions and Hall Polynomials, ch. IV), reads
 each class's cycle type off (f, lam_f) (class_cycle_type), and weights
 it by the class size |GL(n, q)| / |centralizer|.  class_cycle_type is
 shared: linpoly.frobenius_cycle_type, which recheck runs, hands it the
@@ -48,6 +51,7 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import poly as poly_mod
 from .ff import (CapExceededError, Field, extend_field, log_tables,
@@ -251,17 +255,18 @@ def _points(field, n):
 
 
 def permutation_of(field, A):
-    """A acting on the nonzero vectors as a list of positions: the vector
+    """A acting on the nonzero vectors as a tuple of positions: the vector
     at position i (rank i + 1) goes to position perm[i]."""
     vecs, position = _points(field, len(A))
     try:
-        return [position[mat_vec(field, A, v)] for v in vecs]
+        return tuple([position[mat_vec(field, A, v)] for v in vecs])
     except KeyError:
         raise ValueError("matrix is singular") from None
 
 
 def perm_cycle_type(perm):
-    """Sorted cycle lengths of a permutation given as a list."""
+    """Sorted cycle lengths of a permutation given as a sequence of
+    positions."""
     seen = bytearray(len(perm))
     lengths = []
     for i in range(len(perm)):
@@ -281,19 +286,27 @@ def cycle_type_of(field, A):
     return perm_cycle_type(permutation_of(field, A))
 
 
+def _basis_positions(q, n):
+    """Positions of the basis vectors e_0, ..., e_(n-1): e_j has rank
+    q^(n-1-j), so it sits at position q^(n-1-j) - 1."""
+    return [q ** (n - 1 - j) - 1 for j in range(n)]
+
+
 def closure(field, gens, cap=GROUP_CAP):
     """Breadth-first closure of the generators under multiplication,
-    yielding (A, perm) for each element A as it is expanded, with perm
-    its permutation_of.
+    yielding each element's permutation_of as the element is expanded.
 
-    Only the generators are applied to vectors.  The product w = m g
-    acts as m after g, so its permutation is composed from theirs.  The
-    matrices are still multiplied out, so the element list does not rest
-    on the composed permutations.  Generators must be invertible square
-    matrices of one size; for a finite group the multiplicative closure
-    is the generated subgroup; a singular generator raises ValueError
-    (from permutation_of).  Raises CapExceededError if more than cap
-    elements appear.
+    Only the generators are applied to vectors, and no matrix is
+    multiplied.  The action on the nonzero vectors is faithful, and a
+    matrix is fixed by where it sends the basis vectors, so an element
+    is keyed by the n positions its permutation sends e_0, ..., e_(n-1)
+    to.  The product w = m g acts as m after g: its key is read off the
+    two permutations, pm[pg[b]] for each basis position b, and its full
+    permutation is composed only when the key is new.  Generators must
+    be invertible square matrices of one size; for a finite group the
+    multiplicative closure is the generated subgroup; a singular
+    generator raises ValueError (from permutation_of).  Raises
+    CapExceededError if more than cap elements appear.
     """
     gens = [tuple(tuple(row) for row in g) for g in gens]
     if not gens:
@@ -303,26 +316,39 @@ def closure(field, gens, cap=GROUP_CAP):
         if len(g) != n or any(len(r) != n for r in g):
             raise ValueError("generators must be square and of one size")
     gen_perms = [permutation_of(field, g) for g in gens]
-    ident = mat_identity(field, n)
-    seen = {ident}
-    queue = deque([(ident, list(range(len(gen_perms[0]))))])
+    basis = _basis_positions(field.order, n)
+    # itemgetter(*idx)(pm) is the tuple of pm[i] for i in idx, or the
+    # bare pm[i] when idx has one entry: keys are bare ints for n = 1,
+    # the identity's too.  A single position (the trivial GL(1, 2)) is
+    # never composed, since its one key is already seen.
+    steps = [(itemgetter(*[pg[b] for b in basis]), itemgetter(*pg))
+             for pg in gen_perms]
+    ident = tuple(range(len(gen_perms[0])))
+    seen = {itemgetter(*basis)(ident)}
+    queue = deque([ident])
     while queue:
-        m, pm = queue.popleft()
-        for g, pg in zip(gens, gen_perms):
-            w = mat_mul(field, m, g)
-            if w not in seen:
+        pm = queue.popleft()
+        for key_of, compose in steps:
+            key = key_of(pm)
+            if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(
                         "group closure exceeded cap %d" % cap)
-                seen.add(w)
-                queue.append((w, [pm[i] for i in pg]))
-        yield m, pm
+                seen.add(key)
+                queue.append(compose(pm))
+        yield pm
 
 
 def generate_group(field, gens, cap=GROUP_CAP):
     """Every element of the group the generators generate, in
-    breadth-first order from the identity (see closure)."""
-    return [A for A, _ in closure(field, gens, cap)]
+    breadth-first order from the identity (see closure).  Each matrix is
+    read off its permutation: column j is the vector at position
+    perm[q^(n-1-j) - 1], the image of e_j."""
+    perms = list(closure(field, gens, cap))
+    n = len(gens[0])
+    vecs, _ = _points(field, n)
+    basis = _basis_positions(field.order, n)
+    return [tuple(zip(*[vecs[perm[b]] for b in basis])) for perm in perms]
 
 
 def nonzero_vectors(field, n):

@@ -278,6 +278,6 @@ def closure_normalizer_census(n, field, seed=0):
     F = frobenius_matrix(n, field, seed)
     expected = n * (field.order ** n - 1)
     ctr = Counter(perm_cycle_type(perm)
-                  for _, perm in closure(field, [S, F], cap=expected + 1))
+                  for perm in closure(field, [S, F], cap=expected + 1))
     return CycleCensus(order=sum(ctr.values()),
                        counts=tuple(sorted(ctr.items())))

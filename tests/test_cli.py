@@ -305,6 +305,28 @@ def test_huge_field_specs_are_refused_at_once(flags, shown):
             in check(json.loads(proc.stdout))["error"])
 
 
+@pytest.mark.parametrize("command, code", [("sample", 0), ("analyze", 2)])
+def test_huge_kmax_returns_promptly(command, code):
+    """A kmax of 100000 at budget 12 gives the documents of kmax 60, but
+    for the echoed kmax: only the ks that get samples are walked."""
+    argv = (command, "--q", "3", "--lin", "0,1,1", "--budget", "12")
+    proc = subprocess.run([sys.executable, "-m", "linmono", *argv,
+                           "--kmax", "100000"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code
+    huge = check(json.loads(proc.stdout))
+    small_code, small_out, _ = run_cli(*argv, "--kmax", "60")
+    assert small_code == code
+    assert huge.pop("kmax") == 100000
+    small = json.loads(small_out)
+    assert small.pop("kmax") == 60
+    assert huge == small
+    if command == "sample":
+        assert (len(huge["samples"]), huge["skipped_alphas"]) == (10, 2)
+    else:
+        assert huge["verdict"] == "Inconclusive"
+
+
 def test_batch_mixed(tmp_path):
     src = tmp_path / "batch.txt"
     src.write_text("0,0,0,1\n# comment\n\n0,1,0,1\n0,1,0,2\n",

@@ -103,6 +103,52 @@ def test_sample_rejects_bad_k_range():
         disc_nonsquare_witness(X27X3, [0, 1])
 
 
+def _allocate_by_full_walk(ks, q, budget):
+    """Reference for engine._allocate that takes q^k for every k: the
+    exhaustible fields, then an even split over the rest; only the ks
+    with a positive target."""
+    plan = []
+    remaining = budget
+    large = [k for k in ks if q ** k > engine.EXHAUST_LIMIT]
+    for k in ks:
+        if q ** k <= engine.EXHAUST_LIMIT:
+            take = min(q ** k - 1, remaining)
+            plan.append((k, take))
+            remaining -= take
+    for i, k in enumerate(large):
+        share = -(-remaining // (len(large) - i))
+        take = min(q ** k - 1, share)
+        plan.append((k, take))
+        remaining -= take
+    return sorted((k, t) for k, t in plan if t > 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 49])
+def test_allocate_equals_the_full_walk(q):
+    """Targets up to kmax 50, past the cardinality cap, equal those of a
+    walk that powers every k; ks beyond the spent budget are dropped."""
+    for kmax in (1, 2, 5, 11, 12, 40, 41, 50):
+        for budget in (0, 1, 5, 12, 100, 3000):
+            got = engine._allocate(range(1, kmax + 1), q, budget)
+            assert [(k, t) for k, t in got if t > 0] \
+                == _allocate_by_full_walk(range(1, kmax + 1), q, budget)
+
+
+def test_huge_kmax_walks_only_the_sampled_ks():
+    """No q^k is taken for a k that gets no sample: a kmax of 10^30
+    would not finish otherwise.  The samples equal those at kmax 60."""
+    L = parse_linpoly(F3, "0,1,1")
+    plan = engine._allocate(range(1, 61), 3, 12)
+    assert engine._allocate(range(1, 10 ** 30), 3, 12) == plan
+    assert [k for k, t in plan if t > 0] == [1, 2, 3]
+    huge = sample_cycle_types(L, range(1, 10 ** 30), budget=12)
+    assert huge == sample_cycle_types(L, range(1, 61), budget=12)
+    assert (len(huge.samples), huge.skipped) == (10, 2)
+    # 2604 samples left after F_7, F_49, F_343: one each for k = 4..2607
+    spread = engine._allocate(range(1, 10 ** 30), 7, 3000)
+    assert spread == _allocate_by_full_walk(range(1, 2608), 7, 3000)
+
+
 def test_sample_requires_base_coefficients():
     L = LinPoly(F3, [0, F9.element_at(4), F9.one()], field=F9)
     with pytest.raises(ValueError):

@@ -141,6 +141,21 @@ def test_field_axioms_exhaustive(spec):
         assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize("spec", ["2", "7", "2^7", "3^6", "5^3", "2^2+3",
+                                  "3^2+2"])
+def test_inverse_by_euclid_equals_fermat(spec):
+    """Every nonzero x: inv(x) x = 1, and inv(x) is the Fermat power
+    x^(Q-2); prime fields, prime-base extensions and towers."""
+    F = parse_field_spec(spec)
+    for i in range(1, F.order):
+        x = F.rep_at(i)
+        y = F.inv(x)
+        assert F.mul(y, x) == F.one_rep
+        assert y == F.pow(x, F.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero_rep)
+
+
 def test_multiplicative_group_order():
     for spec in ("5", "3^2", "2^3"):
         F = parse_field_spec(spec)

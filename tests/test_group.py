@@ -119,6 +119,37 @@ def test_generate_group_small():
         generate_group(F3, [((F3.zero_rep,),)])  # singular
 
 
+@pytest.mark.parametrize("spec, n", [("2", 1), ("3", 2), ("2^2+2", 2)])
+def test_closure_refusals(spec, n):
+    """The closure itself, not only generate_group, refuses a group past
+    its cap, a singular generator, no generators and mixed sizes; a cap
+    of exactly the order is enough."""
+    field = parse_field_spec(spec)
+    gens = [singer_generator(n, field), frobenius_matrix(n, field)]
+    order = n * (field.order ** n - 1)
+    assert len(list(closure(field, gens, cap=order))) == order
+    if order > 1:
+        with pytest.raises(CapExceededError, match="exceeded cap"):
+            list(closure(field, gens, cap=order - 1))
+    singular = [[field.zero_rep] * n for _ in range(n)]
+    with pytest.raises(ValueError, match="singular"):
+        list(closure(field, [gens[0], singular]))
+    with pytest.raises(ValueError, match="at least one generator"):
+        list(closure(field, []))
+    with pytest.raises(ValueError, match="square and of one size"):
+        list(closure(field, [gens[0], mat_identity(field, n + 1)]))
+
+
+def test_generate_group_reads_tower_matrices_off_permutations():
+    """Over the tower F_16 = F_4[x]/(m), n = 2: each matrix read back
+    off its permutation equals the one multiplied out."""
+    field = parse_field_spec("2^2+2")
+    gens = [singer_generator(2, field), frobenius_matrix(2, field)]
+    elements = generate_group(field, gens)
+    assert len(elements) == 2 * 255
+    assert elements == brute_closure(field, gens)
+
+
 def test_nonzero_vectors_and_rank():
     vecs = nonzero_vectors(F3, 2)
     assert len(vecs) == 8
@@ -193,16 +224,19 @@ def _normalizer_cases():
 @pytest.mark.parametrize("spec, n", _normalizer_cases())
 def test_normalizer_census_equals_brute_census(spec, n):
     """The census read from composed permutations against matrices
-    multiplied out one by one and applied to every vector."""
+    multiplied out one by one and applied to every vector.  The closure
+    yields each brute-force element's permutation, in the same order,
+    and generate_group reads the same matrices back off them."""
     field = parse_field_spec(spec)
     S = singer_generator(n, field)
     F = frobenius_matrix(n, field)
     elements = brute_closure(field, [S, F])
     assert len(elements) == n * (field.order ** n - 1)
-    pairs = list(closure(field, [S, F]))
-    assert [A for A, _ in pairs] == elements
+    perms = list(closure(field, [S, F]))
+    assert perms == [permutation_of(field, A) for A in elements]
+    assert generate_group(field, [S, F]) == elements
     brute = Counter()
-    for A, perm in pairs:
+    for A, perm in zip(elements, perms):
         brute[brute_cycle_type(field, A)] += 1
         assert perm_cycle_type(perm) == brute_cycle_type(field, A)
     assert normalizer_census(n, field) == CycleCensus(
@@ -292,14 +326,16 @@ def _non_transitive_gens(n, field):
 def test_stabilizer_orders_of_non_transitive_groups(spec, n):
     """Stabilizer orders as engine.verify_normalizer counts them, fixed
     points of the closure's permutations, against every element applied
-    to every vector."""
+    to every vector.  The permutations are the brute-force elements',
+    in order, and generate_group reads those elements back."""
     field = parse_field_spec(spec)
     sizes_seen = set()
     for gens in _non_transitive_gens(n, field):
-        pairs = list(closure(field, gens))
-        elements = [A for A, _ in pairs]
-        assert elements == brute_closure(field, gens)
-        orders = [sum(perm[i] == i for _, perm in pairs)
+        perms = list(closure(field, gens))
+        elements = brute_closure(field, gens)
+        assert perms == [permutation_of(field, A) for A in elements]
+        assert generate_group(field, gens) == elements
+        orders = [sum(perm[i] == i for perm in perms)
                   for i in range(field.order ** n - 1)]
         assert orders == brute_stabilizer_orders(field, elements)
         sizes_seen.add(len(set(orders)))

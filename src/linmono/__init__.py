@@ -18,10 +18,9 @@ from .group import (CycleCensus, census, cycle_type_of, frobenius_matrix,
                     generate_group, gl_census, gl_order, normalizer_census,
                     perm_sign, singer_generator, singer_modulus)
 from .engine import (Evidence, Sample, SampleRun, Verdict,
-                     disc_nonsquare_witness, normalize,
-                     normalizer_incompatibility_witness,
-                     order_lcm_evidence, recheck, sample_cycle_types,
-                     verdict, verify_alternating_char2, verify_disc_lemma,
+                     disc_nonsquare_witness, normalize, order_lcm_evidence,
+                     recheck, sample_cycle_types, verdict,
+                     verify_alternating_char2, verify_disc_lemma,
                      verify_factor_identity, verify_gmg,
                      verify_normalizer)
 
@@ -40,8 +39,7 @@ __all__ = [
     "generate_group", "gl_census", "gl_order", "normalizer_census",
     "perm_sign", "singer_generator", "singer_modulus",
     "Evidence", "Sample", "SampleRun", "Verdict",
-    "disc_nonsquare_witness", "normalize",
-    "normalizer_incompatibility_witness", "order_lcm_evidence", "recheck",
+    "disc_nonsquare_witness", "normalize", "order_lcm_evidence", "recheck",
     "sample_cycle_types", "verdict", "verify_alternating_char2",
     "verify_disc_lemma", "verify_factor_identity", "verify_gmg",
     "verify_normalizer",

@@ -11,11 +11,11 @@ Everything this module reports is evidence a referee can recheck:
 
 * CycleTypeSample: factor degrees of L_alpha(x)/x over F_{q^k} are the
   cycle type of a group element (Dedekind reduction at the place t = t_0
-  with L_alpha = L - (L(alpha)/alpha) x).
-* FixedPointOddness: a sampled element with a fixed point whose cycle
-  structure cannot occur in N(C), where nonidentity stabilizers have
-  order dividing n (prime), forcing every fixed-point type to consist of
-  odd lengths with lcm dividing n.
+  with L_alpha = L - (L(alpha)/alpha) x).  Each sample is flagged by
+  membership of its type in the census of GammaL(1, q^n), the Singer
+  normalizer (in_normalizer_census).  Cycle types are conjugation
+  invariants, so one sample flagged false rules the group out of every
+  Singer normalizer: the one exclusion, for every family and every n.
 * DiscWitness: an alpha where the discriminant of L_alpha(x)/x is a
   nonsquare, i.e. the Frobenius element of that specialization is an odd
   permutation.  It also fixes a root (alpha itself), and any fixed-point
@@ -42,25 +42,24 @@ different algorithms.  Exact types are kept for the current L in one
 functools cache (_exact_types), one per Frobenius class: alpha's type
 depends only on k and the closed point {t, t^q, ...} of the
 specialization's a_0 = t, so the items of one document compute each
-class once and specialize each (k, alpha) once.  The recorded fields
-beside the claim (alpha and alpha_index, a DiscWitness's constant term
-and class, a FixedPointOddness's even lengths and lcm) must equal their
-recomputed values, and a malformed payload rechecks False instead of
-raising.
+class once and specialize each (k, alpha) once.  Every recorded field
+beside the claim (alpha and alpha_index, a sample's census flag, a
+DiscWitness's constant term and class) must equal its recomputed value,
+and a malformed payload rechecks False instead of raising.
 
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
 prime, or in characteristic 2 the coefficient-sum condition
 a_1 + ... + a_{n-1} + 1 != 0 with L != x^(q^n)); "Inconclusive"
 otherwise, with the sampled evidence attached.  The decision tree lives
-in _decide alone; verdict samples, runs the rule's own step (normalizer
-census or witness search) and assembles the document in one place.
-The GammaL step flags each sample by membership in the Singer-normalizer
-census, read through the cached lookup recheck compares the flags with
-(_normalizer_types_of), so a document and the recheck of its items
-compute the census once.  Only the census's own refusal, more than
-group.GROUP_CAP nonzero vectors, leaves the samples unflagged, with a
-note naming the cap.  Sampling and witness search draw their alphas
+in _decide alone; verdict samples once, flags the samples against the
+normalizer census, runs the DiscWitness search for q odd GL, and
+assembles the document in one place.  The census is read through the
+cached lookup recheck compares the flags with (_normalizer_types_of),
+so a document and the recheck of its items compute it once, and only
+when there are samples to flag.  Only the census's own refusal, more
+than group.GROUP_CAP nonzero vectors, leaves the samples unflagged, with
+a note naming the cap.  Sampling and witness search draw their alphas
 from one stream (_alphas) under the same budget and exhaustion rule, on
 separate seeded streams.
 Sampling factors a dense polynomial of degree q^n - 1; above the dense
@@ -313,29 +312,6 @@ def order_lcm_evidence(samples):
     return out
 
 
-def normalizer_incompatibility_witness(samples, n):
-    """First sample whose cycle structure cannot live in the Singer
-    normalizer: it has a fixed point, yet an even length or an lcm not
-    dividing n.  Fixed-point elements of N(C) lie in stabilizers of
-    order n (prime), so their types are all-odd with lcm dividing n."""
-    if not (is_prime(n) and n % 2 == 1):
-        raise ValueError("normalizer incompatibility needs n an odd prime")
-    for s in samples:
-        if 1 not in s.cycle_type:
-            continue
-        lcm = 1
-        for d in s.cycle_type:
-            lcm = math.lcm(lcm, d)
-        evens = [d for d in s.cycle_type if d % 2 == 0]
-        if evens or n % lcm != 0:
-            return Evidence(
-                "FixedPointOddness",
-                dict(s.to_json(), even_lengths=evens, order_lcm=lcm),
-                "fixed point present but cycle structure impossible in "
-                "the Singer normalizer (stabilizers have order %d)" % n)
-    return None
-
-
 def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
     """Search for alpha making the discriminant of L_alpha(x)/x a
     nonsquare in F_{q^k}.  Cheap per alpha: the specialization L_alpha
@@ -347,10 +323,8 @@ def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
     if L.base.p == 2:
         raise ValueError("discriminant witnesses need odd characteristic")
     Ln, _ = normalize(L)
-    skipped = 0
     for k, idx, alpha, v in _alphas(Ln, k_range, budget, seed, "disc"):
         if v.is_zero:
-            skipped += 1
             continue
         spec = lin_mod.specialize(Ln, alpha)
         cls = lin_mod.disc_square_class(spec)
@@ -358,8 +332,7 @@ def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
             payload = {"k": k, "alpha_index": idx,
                        "alpha": alpha.to_obj(),
                        "constant_term": spec.coefficient(0).to_obj(),
-                       "square_class": cls.value,
-                       "skipped_before_hit": skipped}
+                       "square_class": cls.value}
             return Evidence(
                 "DiscWitness", payload,
                 "discriminant of the specialization is a nonsquare "
@@ -431,8 +404,8 @@ def _decide(Ln, n, q, p):
         "group out of the Singer normalizer", gl_note])
 
 
-def _normalizer_census_flags(Ln, n, order, samples):
-    """GammaL step: (per-sample membership in the Singer-normalizer
+def _normalizer_census_flags(Ln, n, samples):
+    """The census step: (per-sample membership in the Singer-normalizer
     census or None, note).  The census types come from the lookup
     recheck reads (_normalizer_types_of), so a verdict and the recheck
     of its items compute the census once; None when the census refuses
@@ -442,29 +415,15 @@ def _normalizer_census_flags(Ln, n, order, samples):
         return None, ("normalizer census refused: q^n - 1 = %d nonzero "
                       "vectors exceed the group cap %d"
                       % (Ln.q ** n - 1, group_mod.GROUP_CAP))
+    order = n * (Ln.q ** n - 1)
     flags = [s.cycle_type in types for s in samples]
     if all(flags):
         return flags, ("all %d sampled cycle types occur in the order-%d "
                        "Singer-normalizer census" % (len(samples), order))
-    return flags, ("WARNING: a sampled cycle type is missing from the "
-                   "normalizer census")
-
-
-def _gl_witness(Ln, n, ks, samples, budget, seed):
-    """GL step for q odd: a DiscWitness, else a FixedPointOddness among
-    the samples, else one from a deeper sampling pass at budget 48 (when
-    the run had less and the dense form is under the cap); None when all
-    three come up empty."""
-    witness = disc_nonsquare_witness(Ln, ks, seed=seed)
-    if witness is None:
-        witness = normalizer_incompatibility_witness(samples, n)
-    if witness is None and budget < 48:
-        try:
-            deeper = sample_cycle_types(Ln, ks, budget=48, seed=seed)
-            witness = normalizer_incompatibility_witness(deeper.samples, n)
-        except CapExceededError:
-            pass
-    return witness
+    return flags, ("%d of %d sampled cycle types are missing from the "
+                   "order-%d Singer-normalizer census, so the group lies "
+                   "in no Singer normalizer"
+                   % (flags.count(False), len(samples), order))
 
 
 def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
@@ -476,6 +435,8 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     n an odd prime gives GL(n, q) with a concrete witness attached when
     the search finds one inside kmax; q even with n an odd prime decides
     by the coefficient-sum condition; everything else is Inconclusive.
+    Whatever the family, every sample is flagged by membership in the
+    Singer-normalizer census.
     """
     _require_plain(L)
     if not L.is_monic:
@@ -510,16 +471,17 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     notes.extend(rule_notes)
 
     extras = [None] * len(run.samples)
-    if family == "GammaL":
-        flags, note = _normalizer_census_flags(Ln, nv, order, run.samples)
+    flags = None
+    if run.samples:
+        flags, note = _normalizer_census_flags(Ln, nv, run.samples)
         notes.append(note)
         if flags is not None:
             extras = [{"in_normalizer_census": ok} for ok in flags]
-    elif family == "GL" and p != 2:
-        witness = _gl_witness(Ln, nv, ks, run.samples, budget, seed)
+    if family == "GL" and p != 2:
+        witness = disc_nonsquare_witness(Ln, ks, seed=seed)
         if witness is not None:
             lead.append(witness)
-        else:
+        elif flags is None or all(flags):
             notes.append(
                 "witness search exhausted its budget (kmax = %d); the "
                 "verdict stands on the theorem, but no specialization "
@@ -648,36 +610,28 @@ def recheck(L, evidence, seed=0):
     stays the same, one per Frobenius class (k, closed point of t), so
     rechecking a document's items one by one computes each class once;
     a second alpha of a class reads its type, and its claim is compared
-    with it like any other.  An item is also refused when its alpha or
-    alpha_index is not the element it names, when a DiscWitness's
-    constant_term or square_class, a FixedPointOddness's even_lengths or
-    order_lcm, or a CycleTypeSample's in_normalizer_census differs from
-    the recomputed one (a normalizer census refused by a cap refuses the
-    item), and when a NCycleGuarantee's or Char2SumCondition's fields
-    differ from theirs.  A malformed payload (a missing field, a value of
-    the wrong type, a k or index out of range) rechecks False; only an
-    unknown kind raises (ValueError).  A DiscWitness's
-    skipped_before_hit is the one recorded field not verified: it
-    depends on the run's budget and kmax, which the payload does not
-    carry.  Returns True/False.
+    with it like any other.  Every recorded field is verified: an item
+    is also refused when its alpha or alpha_index is not the element it
+    names, when a CycleTypeSample's in_normalizer_census differs from
+    the membership of its type in the normalizer census (a census
+    refused by its cap refuses the item), when a DiscWitness's
+    constant_term or square_class differs from the recomputed one, and
+    when a NCycleGuarantee's or Char2SumCondition's fields differ from
+    theirs.  A malformed payload (a missing field, a value of the wrong
+    type, a k or index out of range) rechecks False; only an unknown
+    kind raises (ValueError).  Returns True/False.
     """
     _require_plain(L)
     Ln, _ = normalize(L)
     kind = evidence.kind
     pl = evidence.payload if isinstance(evidence.payload, dict) else {}
-    if kind in ("CycleTypeSample", "FixedPointOddness"):
+    if kind == "CycleTypeSample":
         alpha = _recorded_alpha(Ln, pl, seed)
         if alpha is None:
             return False
         ct = _recheck_cycle_type(Ln, alpha)
         if ct is None or not _same(pl.get("cycle_type"), list(ct)):
             return False
-        if kind == "FixedPointOddness":
-            lcm = math.lcm(*ct)
-            evens = [d for d in ct if d % 2 == 0]
-            return (_same(pl.get("even_lengths"), evens)
-                    and _same(pl.get("order_lcm"), lcm)
-                    and 1 in ct and (bool(evens) or Ln.qdeg % lcm != 0))
         if "in_normalizer_census" in pl:
             types = _normalizer_types_of(Ln.base, Ln.qdeg)
             return types is not None and _same(pl["in_normalizer_census"],

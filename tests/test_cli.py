@@ -61,8 +61,11 @@ def test_analyze_gl_exit0():
     assert doc["group"] == "GL(3,3)"
     assert doc["order"] == 11232
     kinds = {e["kind"] for e in doc["evidence"]}
-    assert "DiscWitness" in kinds or "FixedPointOddness" in kinds
-    assert "CycleTypeSample" in kinds
+    assert "DiscWitness" in kinds
+    samples = [e for e in doc["evidence"] if e["kind"] == "CycleTypeSample"]
+    assert samples
+    assert any(e["payload"]["in_normalizer_census"] is False
+               for e in samples)
 
 
 def test_analyze_inconclusive_exit2():
@@ -444,7 +447,9 @@ def _lin(*coeffs):
 ])
 def test_analyze_decided_above_dense_cap(lin, verdict, basis):
     """q^n = 2^23 is over the dense cap, so no cycle type is sampled, but
-    a theorem decides the group and the run must not fail on that."""
+    a theorem decides the group and the run must not fail on that.  With
+    nothing to flag, neither family builds or mentions the normalizer
+    census."""
     code, out, _ = run_cli("analyze", "--q", "2", "--lin", lin)
     assert code == 0
     doc = check(json.loads(out))
@@ -454,10 +459,7 @@ def test_analyze_decided_above_dense_cap(lin, verdict, basis):
                 if e["kind"] == "CycleTypeSample"]
     assert any(note.startswith("no cycle-type samples")
                for note in doc["notes"])
-    assert any(note.startswith("normalizer census refused: q^n - 1 = "
-                               "8388607 nonzero vectors exceed the group "
-                               "cap 1048576")
-               for note in doc["notes"]) == (verdict == "GammaL")
+    assert not [note for note in doc["notes"] if "census" in note]
 
 
 def test_analyze_inconclusive_above_dense_cap_exit1():
@@ -519,38 +521,40 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
     # GammaL of order 4368: flagged samples, as at any order
     ("analyze --q 3 --lin 0,0,0,0,0,0,1 --kmax 1 --budget 4",
      "e83d771dfef02e308a751153e20fa881ddee8f5a070b7db0368cb574606f8827"),
-    # GL by the main theorem: DiscWitness, one after four skipped alphas
+    # GL by the main theorem: a DiscWitness, and every sample flagged
+    # outside the normalizer census
     ("analyze --q 3 --lin 0,1,0,1",
-     "a107a8ab38be256c3053ea4d597d39c5a90b2642c802a7754dc28b6743418db1"),
+     "0ac9129a1ae394fdf54aea928a2c6a03b83010630367e38fc4c38fba3a91ca5c"),
     ("analyze --q 3 --lin 0,1,1,1",
-     "b6be3e70d34b684ec8435057557620cf0629a39ff36529de72515cda1b127355"),
+     "973b3479f33ed39bd4f8e1b96e9944465ec817751d3d151a1dd8e5be61a16198"),
     # GL with no witness and no samples
     ("analyze --q 3 --lin 0,2,0,1 --kmax 1",
      "0556c3580135f271553959907980142e26bab8f5129f98b7f7e6683d700d0ae5"),
-    # Inconclusive, n even
+    # Inconclusive, n even: samples flagged both ways
     ("analyze --q 3 --lin 0,1,1",
-     "68317324a5857b2dc33587f11099d47d04cb5a4d3ebeaabe646c1dfbbb20ab5f"),
+     "1bb061c78eb8665cc611067a51f713896d7f2b3839ade77a3b1bedbdb79e4f46"),
     ("analyze --q 3 --lin 0,2,1",
-     "8aee2e838989e2e6c1436d3cfffa109ddd6e52979d0fa3a60752f2a5761d5e50"),
+     "2685239b8484254f32bdacdb3b1ad98eee1d0908c22eab2542300b66ef4eafc0"),
     # error document
     ("analyze --q 3 --lin 0,0,0,1 --kmax 0",
      "148f87e8116e65722c0262a35df67425fe788fcd5bc627ba77f610b9b3687b5f"),
-    # GL by the main theorem: FixedPointOddness
+    # GL by the main theorem: no DiscWitness at k = 1, so the samples
+    # flagged outside the normalizer census carry the exclusion
     ("analyze --q 7 --lin 0,1,0,1 --kmax 1",
-     "479925fff613016b3b5087799e34245ce056e85b4a3f8f3c06905f817ded79ce"),
+     "e3ce0b6416f14f819b84198ab11b3712fa4ac465cba7fe1841517463f2894fa9"),
     # characteristic 2: nonzero and vanishing coefficient sum, n = 4
     ("analyze --q 2 --lin 0,1,1,1",
-     "464f2896a5c5fdfd2d1eca5ec6708121dafc52e0d2779d06e7fbadf7220ebea6"),
+     "eca58dee1b3aed32a298860d854f464f77777427092ed703018d47a3c02075f8"),
     ("analyze --q 2 --lin 0,1,0,1",
-     "8f5b945238877a86ffa8fca0a43dd046ab77cdc38ef2403da2dcc26bc8a59b06"),
+     "3a9e037c9782ae61fd94dd14ea4ef1739f1c5a0c8f406a578e8f0e05b682e82b"),
     ("analyze --q 2 --lin 0,1,0,0,1",
-     "5bc1b8dd996697c580c6a8d15a1cacce548bdcff9c13c256fec311e4e472f8f1"),
+     "2c8c7315589ff8051001c4c43c4795f8a41594f368b3ff128655c2dba64833fe"),
     ("analyze --q 2^2+2 --lin 0,1,1",
      "c535103ab751e11f00f82f59a1a81b9e7c37d500dfbc63f818884d543fa098c8"),
-    # decided above the dense cap: cap note, no samples; the twist's
-    # normalizer census is refused by the group cap
+    # decided above the dense cap: cap note, no samples, so no
+    # normalizer census
     ("analyze --q 2 --lin " + _TWIST_23,
-     "f73707391b1460e2e77fcbfb8a974166b1298b22d3d71d319e9e19e9fc4496fd"),
+     "4fa251cf4e1134fbfad889387fd36e8bd498a9d5b4e1559f17e94ba843ff5f1e"),
     ("analyze --q 2 --lin " + _CHAR2_23,
      "867f163eb78e92dd178b0a6eccbd4cb99adbbc7d9efb840a33b3084c9c8e1473"),
     ("sample --q 3 --lin 0,1,0,1 --kmax 4 --budget 50",

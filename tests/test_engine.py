@@ -2,6 +2,7 @@
 decision tree, exhaustive verifiers."""
 
 import itertools
+import json
 import math
 import random
 
@@ -11,8 +12,8 @@ from _oracles import (brute_closure, brute_gmg_passing,
                       brute_stabilizer_orders, closure_normalizer_census)
 from linmono import group as group_mod
 from linmono import engine
+from linmono.cli import schema_text
 from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
-                            normalizer_incompatibility_witness,
                             order_lcm_evidence, recheck, sample_cycle_types,
                             verdict, verify_alternating_char2,
                             verify_disc_lemma, verify_factor_identity,
@@ -197,28 +198,21 @@ def test_order_lcm_monotone_in_samples():
         prev = cur
 
 
-def test_normalizer_incompatibility_witness_found():
-    # x^27 + x^3 at k=2 gives type (1,1,4,...,4): fixed point plus even
-    # cycles -- impossible inside the Singer normalizer
-    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
-    w = normalizer_incompatibility_witness(run.samples, 3)
-    assert w is not None
-    assert w.kind == "FixedPointOddness"
-    assert 1 in w.payload["cycle_type"]
-    assert w.payload["even_lengths"] or 3 % w.payload["order_lcm"] != 0
-
-
-def test_normalizer_incompatibility_witness_absent_for_monomial():
-    run = sample_cycle_types(X27, range(1, 5), budget=100)
-    assert normalizer_incompatibility_witness(run.samples, 3) is None
-
-
-def test_normalizer_incompatibility_needs_odd_prime():
-    run = sample_cycle_types(X27X3, range(1, 2), budget=2)
-    with pytest.raises(ValueError):
-        normalizer_incompatibility_witness(run.samples, 4)
-    with pytest.raises(ValueError):
-        normalizer_incompatibility_witness(run.samples, 2)
+def test_verdict_flags_fixed_point_even_types_out_of_the_census():
+    # x^27 + x^3 at k <= 2 gives types (1,1,8,8,8) and (1,1,4,...,4): a
+    # fixed point plus even cycles, impossible inside the Singer
+    # normalizer, so every sample is flagged out of its census
+    v = verdict(X27X3, kmax=2, budget=10)
+    samples = [e for e in v.evidence if e.kind == "CycleTypeSample"]
+    assert len(samples) == 10
+    for e in samples:
+        ct = e.payload["cycle_type"]
+        assert 1 in ct and any(d % 2 == 0 for d in ct)
+        assert e.payload["in_normalizer_census"] is False
+        assert recheck(X27X3, e)
+    assert v.notes[-1] == ("10 of 10 sampled cycle types are missing from "
+                           "the order-78 Singer-normalizer census, so the "
+                           "group lies in no Singer normalizer")
 
 
 def test_disc_witness_for_nonmonomial():
@@ -273,6 +267,57 @@ def test_verdict_flags_gamma_samples_at_any_order(L, kmax):
     assert all(recheck(L, e) for e in v.evidence)
 
 
+@pytest.mark.parametrize("L, family", [
+    (X27X3, "GL"), (CHAR2_GOOD, "GL"),
+    (parse_linpoly(F3, "0,1,1"), "Inconclusive"),
+    (parse_linpoly(F2, "0,1,0,0,1"), "Inconclusive"),
+    (X27, "GammaL")],
+    ids=["GL q odd", "GL char 2", "Inconclusive n=2", "Inconclusive n=4",
+         "GammaL"])
+def test_verdict_flags_every_sample(L, family):
+    """Whatever the family and n, every sample carries its membership in
+    the normalizer census (taken from the closure here), every item
+    rechecks, and a flipped flag is refused.  Every document here but
+    the GammaL one excludes the normalizer by a flag."""
+    v = verdict(L)
+    assert v.family == family
+    members = closure_normalizer_census(L.qdeg, L.base).types()
+    samples = [e for e in v.evidence if e.kind == "CycleTypeSample"]
+    assert samples
+    flags = [e.payload["in_normalizer_census"] for e in samples]
+    assert flags == [tuple(e.payload["cycle_type"]) in members
+                     for e in samples]
+    assert all(recheck(L, e) for e in v.evidence)
+    for e, flag in zip(samples, flags):
+        assert recheck(L, _tampered(e, in_normalizer_census=not flag)) \
+            is False
+    assert (False in flags) == (family != "GammaL")
+    if False in flags:
+        assert v.notes[-1].startswith(
+            "%d of %d sampled cycle types are missing from the order-%d "
+            "Singer-normalizer census" % (flags.count(False), len(flags),
+                                          L.qdeg * (L.q ** L.qdeg - 1)))
+
+
+@pytest.mark.parametrize("spec, lin, kmax", [
+    ("3", "0,1,0,1", None), ("7", "0,1,0,1", 1), ("3", "0,2,0,1", 1),
+    ("2", "0,1,1,1", None), ("3", "0,1,1", None), ("3", "0,0,0,1", None)])
+def test_verdict_samples_once(spec, lin, kmax, monkeypatch):
+    """One sampling pass per verdict, also where no DiscWitness turns up
+    (x^343 + x^7 at kmax 1) and where nothing is sampled at all
+    (x^27 + 2x^3 at kmax 1)."""
+    calls = []
+    inner = engine.sample_cycle_types
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_cycle_types", counted)
+    verdict(parse_linpoly(parse_field_spec(spec), lin), kmax=kmax)
+    assert len(calls) == 1
+
+
 def test_verdict_and_recheck_share_one_normalizer_census(monkeypatch):
     """verdict's flags and recheck's comparison read one cached census:
     a GammaL document and the recheck of all its items build it once."""
@@ -308,9 +353,10 @@ def test_verdict_gl_odd_with_witness():
     assert v.group_name == "GL(3,3)"
     assert v.order == 11232
     assert v.basis == "MainTheorem"
-    witnesses = [e for e in v.evidence
-                 if e.kind in ("DiscWitness", "FixedPointOddness")]
-    assert witnesses
+    witnesses = [e for e in v.evidence if e.kind == "DiscWitness"
+                 or e.payload.get("in_normalizer_census") is False]
+    assert [e.kind for e in witnesses[:2]] == ["DiscWitness",
+                                                "CycleTypeSample"]
     for w in witnesses:
         assert recheck(X27X3, w)
 
@@ -420,6 +466,20 @@ def test_recheck_rejects_tampered_payloads():
         recheck(X27X3, Evidence("NoSuchKind", {}, ""))
 
 
+def test_schema_kinds_are_the_kinds_recheck_knows():
+    """Every evidence kind the schema admits rechecks an empty payload as
+    False, and a kind outside it raises."""
+    kinds = json.loads(schema_text())["$defs"]["evidence"]["properties"][
+        "kind"]["enum"]
+    assert kinds
+    for L in (X27X3, CHAR2_GOOD):
+        for kind in kinds:
+            assert recheck(L, Evidence(kind, {}, "")) is False, kind
+        for kind in ("NoSuchKind", "FixedPointOddness", "cycletypesample"):
+            with pytest.raises(ValueError):
+                recheck(L, Evidence(kind, {}, ""))
+
+
 def test_recheck_rejects_genuine_types_at_the_wrong_alpha():
     """Each tampered item carries a cycle type that some alpha really
     has, so only a recheck that recomputes the type at the recorded
@@ -430,20 +490,20 @@ def test_recheck_rejects_genuine_types_at_the_wrong_alpha():
     assert len(by_type) >= 2
     (t1, s1), (t2, s2) = sorted(by_type.items())[:2]
     assert 1 in t1 and 1 in t2
+    members = normalizer_census(3, F3).types()
     for s, other in ((s1, t2), (s2, t1)):
         good = s.to_evidence()
         assert recheck(X27X3, good)
         bad = Evidence(good.kind, dict(good.payload,
                                        cycle_type=list(other)), good.note)
         assert not recheck(X27X3, bad)
-    w = normalizer_incompatibility_witness(run.samples, 3)
-    assert recheck(X27X3, w)
-    other = t2 if tuple(w.payload["cycle_type"]) == t1 else t1
-    bad = Evidence(w.kind, dict(
-        w.payload, cycle_type=list(other),
-        even_lengths=[d for d in other if d % 2 == 0],
-        order_lcm=math.lcm(*other)), w.note)
-    assert not recheck(X27X3, bad)
+        # a flagged item whose flag fits the wrong type as well
+        flagged = s.to_evidence({"in_normalizer_census":
+                                 s.cycle_type in members})
+        assert recheck(X27X3, flagged)
+        assert not recheck(X27X3, _tampered(
+            flagged, cycle_type=list(other),
+            in_normalizer_census=other in members))
 
 
 def test_recheck_recomputes_without_factoring(monkeypatch):
@@ -480,14 +540,17 @@ def test_recheck_disc_witness_square_alpha_fails():
 
 
 def _x27x3_items():
-    """A CycleTypeSample, a FixedPointOddness and a DiscWitness of
-    x^27 + x^3 that recheck True."""
+    """An unflagged CycleTypeSample, the verdict's flagged one and a
+    DiscWitness of x^27 + x^3, all at k = 1 and alpha 1, that recheck
+    True."""
     run = sample_cycle_types(X27X3, range(1, 3), budget=10)
-    items = [run.samples[0].to_evidence(),
-             normalizer_incompatibility_witness(run.samples, 3),
+    flagged = next(e for e in verdict(X27X3, kmax=2, budget=10).evidence
+                   if e.kind == "CycleTypeSample")
+    items = [run.samples[0].to_evidence(), flagged,
              disc_nonsquare_witness(X27X3, range(1, 3))]
-    assert [e.kind for e in items] == ["CycleTypeSample",
-                                       "FixedPointOddness", "DiscWitness"]
+    assert [e.kind for e in items] == ["CycleTypeSample", "CycleTypeSample",
+                                       "DiscWitness"]
+    assert "in_normalizer_census" in items[1].payload
     assert all(recheck(X27X3, e) is True for e in items)
     return items
 
@@ -519,18 +582,37 @@ def test_recheck_refuses_a_tampered_disc_square_class():
         assert recheck(X27X3, _tampered(w, square_class=bad)) is False, bad
 
 
-def test_recheck_refuses_tampered_even_lengths():
+def test_recheck_refuses_every_tampered_disc_witness_field():
+    """recheck compares every recorded field of a DiscWitness: a payload
+    key with no tampering below fails here, so no field goes unchecked."""
+    w = _x27x3_items()[2]
+    tampered = {"k": (2, 0, True), "alpha_index": (2, 0, True),
+                "alpha": (2, [1, 0], True),
+                "constant_term": (2, 0, True),
+                "square_class": ("Square", "Zero", None)}
+    assert w.payload == {"k": 1, "alpha_index": 1, "alpha": 1,
+                         "constant_term": 1, "square_class": "NonSquare"}
+    for key in w.payload:
+        for bad in tampered[key] + (None,):
+            assert recheck(X27X3, _tampered(w, **{key: bad})) is False, \
+                (key, bad)
+
+
+def test_recheck_refuses_a_tampered_census_flag():
     f = _x27x3_items()[1]
-    assert f.payload["even_lengths"] == [8, 8, 8]
-    for bad in ([], [8, 8], [8, 8, 8, 8], [8.0, 8, 8], [2, 4, 8], "8,8,8"):
-        assert recheck(X27X3, _tampered(f, even_lengths=bad)) is False, bad
+    assert f.payload["cycle_type"] == [1, 1, 8, 8, 8]
+    assert f.payload["in_normalizer_census"] is False
+    for bad in (True, 0, None, "false", [False]):
+        assert recheck(X27X3, _tampered(f, in_normalizer_census=bad)) \
+            is False, bad
 
 
 def test_recheck_refuses_a_tampered_order_lcm():
-    f = _x27x3_items()[1]
-    assert f.payload["order_lcm"] == 8
+    olcm = next(e for e in verdict(X27X3, kmax=2, budget=10).evidence
+                if e.kind == "OrderLcm")
+    assert olcm.payload["lcm"] == 8 and recheck(X27X3, olcm)
     for bad in (999, 16, 4, 8.0, "8", None):
-        assert recheck(X27X3, _tampered(f, order_lcm=bad)) is False, bad
+        assert recheck(X27X3, _tampered(olcm, lcm=bad)) is False, bad
 
 
 def test_recheck_compares_in_normalizer_census_with_the_census():
@@ -604,7 +686,7 @@ _MISSING = object()
 # replaces the whole payload).  The items come from x^27 + x^3, except
 # the Char2SumCondition, which comes from x^8 + x^4 + x^2.  The k and
 # alpha cases go to every kind that names an alpha.
-_ALPHA_KINDS = ("CycleTypeSample", "FixedPointOddness", "DiscWitness")
+_ALPHA_KINDS = ("CycleTypeSample", "DiscWitness")
 _MALFORMED = [(kind, fields) for kind in _ALPHA_KINDS for fields in (
     {"k": True}, {"k": 0}, {"k": "2"}, {"k": 60}, {"k": 10 ** 9},
     {"alpha": "x"}, {"alpha": [1, 0, 0, 0]}, {"alpha": True},
@@ -641,9 +723,7 @@ def test_recheck_refuses_malformed_payloads(kind, fields):
     read as the item it looks like (k True for 1, alpha 4 for 1 in
     F_3).  k = 10^9 is refused before q^k is computed."""
     v = verdict(X27X3, budget=12)
-    run = sample_cycle_types(X27X3, range(1, 3), budget=10)
-    items = [(X27X3, e) for e in v.evidence + [
-        normalizer_incompatibility_witness(run.samples, 3)]]
+    items = [(X27X3, e) for e in v.evidence]
     items += [(CHAR2_GOOD, e) for e in verdict(CHAR2_GOOD).evidence]
     items = [(L, e) for L, e in items if e.kind == kind]
     if kind == "CycleTypeSample":  # the first at k = 1 and at k = 2
@@ -813,8 +893,7 @@ def test_recheck_computes_each_class_once_per_document(monkeypatch):
     L = parse_linpoly(F2, "1,0,1,1,1")
     evidence = verdict(L, budget=24).evidence
     calls = _counted_frobenius_cycle_type(monkeypatch)
-    samples = [e for e in evidence
-               if e.kind in ("CycleTypeSample", "FixedPointOddness")]
+    samples = [e for e in evidence if e.kind == "CycleTypeSample"]
     alphas = {(e.payload["k"], e.payload["alpha_index"]) for e in samples}
     classes = _classes_of(L, samples)
     assert len(alphas) > 10 and len(classes) < len(alphas)

@@ -406,6 +406,25 @@ def test_normalizer_census_fixed_point_types_all_odd():
     assert perm_sign((2,) * 13) == -1
 
 
+@pytest.mark.parametrize("spec, n", [("2", 3), ("3", 3), ("4", 3),
+                                     ("5", 3), ("7", 3), ("2", 5),
+                                     ("3", 5), ("2", 7)])
+def test_stabilizer_excluded_types_miss_the_normalizer_census(spec, n):
+    """The census flag subsumes the stabilizer argument: a fixed-point
+    element of GammaL(1, q^n), n an odd prime, lies in a stabilizer of
+    order n, so every GL(n, q) type with a fixed point and an even length
+    or an lcm not dividing n is missing from the normalizer census, and
+    a sample of that type is flagged out of it."""
+    import math
+    field = parse_field_spec(spec)
+    members = normalizer_census(n, field).types()
+    shaped = [t for t, _ in gl_census(n, field).counts
+              if 1 in t and (any(d % 2 == 0 for d in t)
+                             or n % math.lcm(*t) != 0)]
+    assert shaped
+    assert not [t for t in shaped if t in members]
+
+
 def test_gl_census_cap():
     with pytest.raises(CapExceededError):
         gl_elements(3, F5)  # 5^9 > 3^9 cap

@@ -685,8 +685,12 @@ _MISSING = object()
 # (kind, fields to overwrite; a _MISSING value drops the field, and None
 # replaces the whole payload).  The items come from x^27 + x^3, except
 # the Char2SumCondition, which comes from x^8 + x^4 + x^2.  The k and
-# alpha cases go to every kind that names an alpha.
-_ALPHA_KINDS = ("CycleTypeSample", "DiscWitness")
+# alpha cases go to every kind that names an alpha.  "FixedPointOddness"
+# is not a kind but the shape of the samples that exclude the Singer
+# normalizer by a fixed point beside an even length: it selects every
+# such CycleTypeSample of both polynomials, each flagged out of the
+# census.
+_ALPHA_KINDS = ("CycleTypeSample", "FixedPointOddness", "DiscWitness")
 _MALFORMED = [(kind, fields) for kind in _ALPHA_KINDS for fields in (
     {"k": True}, {"k": 0}, {"k": "2"}, {"k": 60}, {"k": 10 ** 9},
     {"alpha": "x"}, {"alpha": [1, 0, 0, 0]}, {"alpha": True},
@@ -725,7 +729,14 @@ def test_recheck_refuses_malformed_payloads(kind, fields):
     v = verdict(X27X3, budget=12)
     items = [(X27X3, e) for e in v.evidence]
     items += [(CHAR2_GOOD, e) for e in verdict(CHAR2_GOOD).evidence]
-    items = [(L, e) for L, e in items if e.kind == kind]
+    if kind == "FixedPointOddness":
+        items = [(L, e) for L, e in items if e.kind == "CycleTypeSample"
+                 and 1 in e.payload["cycle_type"]
+                 and any(d % 2 == 0 for d in e.payload["cycle_type"])]
+        assert all(e.payload["in_normalizer_census"] is False
+                   for _, e in items)
+    else:
+        items = [(L, e) for L, e in items if e.kind == kind]
     if kind == "CycleTypeSample":  # the first at k = 1 and at k = 2
         items = [next((L, e) for L, e in items if e.payload["k"] == k)
                  for k in (1, 2)]

@@ -16,12 +16,14 @@ Everything this module reports is evidence a referee can recheck:
   normalizer (in_normalizer_census).  Cycle types are conjugation
   invariants, so one sample flagged false rules the group out of every
   Singer normalizer: the one exclusion, for every family and every n.
+  A sample fixes alpha, so only the census's d(n) fixed-point types
+  (group.normalizer_fixed_point_types) can match it, at any q^n.
 * DiscWitness: an alpha where the discriminant of L_alpha(x)/x is a
   nonsquare, i.e. the Frobenius element of that specialization is an odd
-  permutation.  It also fixes a root (alpha itself), and any fixed-point
-  element of N(C) lies in an order-n stabilizer with n an odd prime, so
-  its cycle lengths are all odd and it is even -- contradiction, hence
-  the group is not inside N(C).  The discriminant class is
+  permutation.  It also fixes a root (alpha itself), and with n an odd
+  prime every fixed-point type of N(C) has only the lengths 1 and n
+  (group.normalizer_fixed_point_types), all odd, so it is even --
+  contradiction, hence the group is not inside N(C).  Its square class is
   (-1)^((q^n-1)/2) * c modulo squares, where c is the constant term of
   L_alpha(x)/x, namely -L(alpha)/alpha: linpoly.disc_square_class of
   L_alpha, the formula verify_disc_lemma checks exhaustively.
@@ -54,12 +56,9 @@ a_1 + ... + a_{n-1} + 1 != 0 with L != x^(q^n)); "Inconclusive"
 otherwise, with the sampled evidence attached.  The decision tree lives
 in _decide alone; verdict samples once, flags the samples against the
 normalizer census, runs the DiscWitness search for q odd GL, and
-assembles the document in one place.  The census is read through the
-cached lookup recheck compares the flags with (_normalizer_types_of),
-so a document and the recheck of its items compute it once, and only
-when there are samples to flag.  Only the census's own refusal, more
-than group.GROUP_CAP nonzero vectors, leaves the samples unflagged, with
-a note naming the cap.  Sampling and witness search draw their alphas
+assembles the document in one place.  verdict's flags and recheck's
+comparison read one primitive (_normalizer_flag), which builds no census
+and has no cap.  Sampling and witness search draw their alphas
 from one stream (_alphas) under the same budget and exhaustion rule, on
 separate seeded streams.
 Sampling factors a dense polynomial of degree q^n - 1; above the dense
@@ -404,19 +403,17 @@ def _decide(Ln, n, q, p):
         "group out of the Singer normalizer", gl_note])
 
 
+def _normalizer_flag(ct, n, q):
+    """Whether ct, a type with a 1-cycle, is in the GammaL(1, q^n) census."""
+    return (tuple(sorted(Counter(ct).items()))
+            in group_mod.normalizer_fixed_point_types(n, q))
+
+
 def _normalizer_census_flags(Ln, n, samples):
     """The census step: (per-sample membership in the Singer-normalizer
-    census or None, note).  The census types come from the lookup
-    recheck reads (_normalizer_types_of), so a verdict and the recheck
-    of its items compute the census once; None when the census refuses
-    more than group.GROUP_CAP vectors."""
-    types = _normalizer_types_of(Ln.base, n)
-    if types is None:
-        return None, ("normalizer census refused: q^n - 1 = %d nonzero "
-                      "vectors exceed the group cap %d"
-                      % (Ln.q ** n - 1, group_mod.GROUP_CAP))
+    census, note), read by _normalizer_flag, as recheck reads it."""
     order = n * (Ln.q ** n - 1)
-    flags = [s.cycle_type in types for s in samples]
+    flags = [_normalizer_flag(s.cycle_type, n, Ln.q) for s in samples]
     if all(flags):
         return flags, ("all %d sampled cycle types occur in the order-%d "
                        "Singer-normalizer census" % (len(samples), order))
@@ -475,8 +472,7 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
     if run.samples:
         flags, note = _normalizer_census_flags(Ln, nv, run.samples)
         notes.append(note)
-        if flags is not None:
-            extras = [{"in_normalizer_census": ok} for ok in flags]
+        extras = [{"in_normalizer_census": ok} for ok in flags]
     if family == "GL" and p != 2:
         witness = disc_nonsquare_witness(Ln, ks, seed=seed)
         if witness is not None:
@@ -555,18 +551,6 @@ def _recheck_cycle_type(Ln, alpha):
     return types[at]
 
 
-@functools.lru_cache(maxsize=1)
-def _normalizer_types_of(field, n):
-    """Cycle types of the Singer-normalizer census over field in degree
-    n, or None when the census refuses more than group.GROUP_CAP
-    vectors.  verdict's flags and recheck's comparison both read it;
-    only the last (field, n) is kept, like group._points."""
-    try:
-        return group_mod.normalizer_census(n, field).types()
-    except CapExceededError:
-        return None
-
-
 def _same(claimed, value):
     """claimed == value with the types matching all the way down, so a
     claimed True or 2.0 never stands for a recomputed 1 or 2."""
@@ -613,8 +597,8 @@ def recheck(L, evidence, seed=0):
     with it like any other.  Every recorded field is verified: an item
     is also refused when its alpha or alpha_index is not the element it
     names, when a CycleTypeSample's in_normalizer_census differs from
-    the membership of its type in the normalizer census (a census
-    refused by its cap refuses the item), when a DiscWitness's
+    the membership of its type in the normalizer census (read off the
+    census's fixed-point types, _normalizer_flag), when a DiscWitness's
     constant_term or square_class differs from the recomputed one, and
     when a NCycleGuarantee's or Char2SumCondition's fields differ from
     theirs.  A malformed payload (a missing field, a value of the wrong
@@ -633,9 +617,8 @@ def recheck(L, evidence, seed=0):
         if ct is None or not _same(pl.get("cycle_type"), list(ct)):
             return False
         if "in_normalizer_census" in pl:
-            types = _normalizer_types_of(Ln.base, Ln.qdeg)
-            return types is not None and _same(pl["in_normalizer_census"],
-                                               ct in types)
+            return _same(pl["in_normalizer_census"],
+                         _normalizer_flag(ct, Ln.qdeg, Ln.q))
         return True
     if kind == "DiscWitness":
         alpha = _recorded_alpha(Ln, pl, seed)

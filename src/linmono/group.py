@@ -29,7 +29,8 @@ dimensions in closed form, and fixed_space_cycle_type, the Mobius step,
 turns them into cycle lengths.  The Singer normalizer is GammaL(1, q^n),
 whose elements x -> g^t x^(q^i) have fixed spaces read off exponent
 arithmetic (normalizer_census); only engine.verify_normalizer, which
-checks the group that S and F generate, walks the closure.  For
+checks the group that S and F generate, walks the closure; the census
+flags need only its fixed-point types (normalizer_fixed_point_types).  For
 GL(n, q) a cycle type depends only on the similarity class, so gl_census
 walks the classes (one partition lam_f per monic irreducible f != x, as
 in Green, "The characters of the finite general linear groups", 1955,
@@ -713,3 +714,15 @@ def normalizer_census(n, field, seed=0):
             order = m1 * R // math.gcd(t, R)
             ctr[fixed_space_cycle_type(q, n, order, dim)] += M // R
     return CycleCensus(order=n * M, counts=tuple(sorted(ctr.items())))
+
+
+def normalizer_fixed_point_types(n, q):
+    """The cycle types of the elements of GammaL(1, q^n) fixing a nonzero
+    vector, as sorted (length, multiplicity) pairs, never expanded.  Fixing
+    v, x -> a x^(q^i) is conjugate by x -> v x to x -> x^(q^i), of the type
+    of phi^e, e = gcd(i, n): one j-cycle per monic irreducible of degree j
+    over F_(q^e), j | n/e."""
+    return {((1, q ** e - 1),) + tuple(
+                (j, poly_mod.num_irreducible(q ** e, j))
+                for j in _divisors(n // e)[1:])
+            for e in _divisors(n)}

@@ -318,25 +318,20 @@ def test_verdict_samples_once(spec, lin, kmax, monkeypatch):
     assert len(calls) == 1
 
 
-def test_verdict_and_recheck_share_one_normalizer_census(monkeypatch):
-    """verdict's flags and recheck's comparison read one cached census:
-    a GammaL document and the recheck of all its items build it once."""
-    calls = []
-    inner = group_mod.normalizer_census
+def test_verdict_and_recheck_flags_need_no_census(monkeypatch):
+    """verdict's flags and recheck's comparison build no census: with
+    group.normalizer_census refusing, every document still verdicts and
+    every item of it rechecks, GammaL(1, 3^6) among them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a census was built")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    engine._normalizer_types_of.cache_clear()
-    monkeypatch.setattr(group_mod, "normalizer_census", counted)
-    try:
-        evidence = verdict(X27).evidence
+    monkeypatch.setattr(group_mod, "normalizer_census", refuse)
+    for L, kwargs in [(X27, {}), (X27X3, {}),
+                      (parse_linpoly(F3, "0,0,0,0,0,0,1"),
+                       {"kmax": 1, "budget": 4})]:
+        evidence = verdict(L, **kwargs).evidence
         assert any("in_normalizer_census" in e.payload for e in evidence)
-        assert all(recheck(X27, e) for e in evidence)
-    finally:
-        engine._normalizer_types_of.cache_clear()
-    assert len(calls) == 1
+        assert all(recheck(L, e) for e in evidence)
 
 
 def test_verdict_monomial_after_shift():
@@ -636,17 +631,18 @@ def test_recheck_compares_in_normalizer_census_with_the_census():
                 is False, (e.payload["cycle_type"], bad)
 
 
-def test_recheck_refuses_in_normalizer_census_past_the_cap(monkeypatch):
-    item = next(e for e in verdict(X27).evidence
-                if e.kind == "CycleTypeSample")
-    engine._normalizer_types_of.cache_clear()
-    monkeypatch.setattr(group_mod, "GROUP_CAP", 25)  # below 3^3 - 1
-    try:
-        for flag in (True, False):
-            assert recheck(X27, _tampered(item, in_normalizer_census=flag)) \
-                is False, flag
-    finally:
-        engine._normalizer_types_of.cache_clear()
+def test_recheck_compares_in_normalizer_census_past_the_group_cap():
+    """GammaL(1, 2^23) has more vectors than any census builds: the twist's
+    sample at k = 1, alpha = 1 has the type of phi, 1 and (2^23 - 2)/23
+    23-cycles, so it is in the census; the flipped flag is refused."""
+    L = parse_linpoly(F2, "0," * 23 + "1")  # x^(2^23)
+    assert L.qdeg == 23 and 2 ** 23 - 1 > group_mod.GROUP_CAP
+    item = Evidence("CycleTypeSample", {
+        "k": 1, "alpha_index": 1, "alpha": F2.element_at(1).to_obj(),
+        "cycle_type": [1] + [23] * ((2 ** 23 - 2) // 23),
+        "in_normalizer_census": True}, "")
+    assert recheck(L, item) is True
+    assert recheck(L, _tampered(item, in_normalizer_census=False)) is False
 
 
 def _same_lcm_other_type(ct):

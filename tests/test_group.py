@@ -20,7 +20,8 @@ from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census,
                            generate_group, gl_census, gl_classes, gl_elements,
                            gl_order, irreducible_orders, mat_identity,
                            mat_mul, mat_pow, mat_vec, monic_irreducibles,
-                           normalizer_census, nonzero_vectors,
+                           normalizer_census, normalizer_fixed_point_types,
+                           nonzero_vectors,
                            partitions, perm_cycle_type, perm_sign,
                            permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus)
@@ -404,6 +405,47 @@ def test_normalizer_census_fixed_point_types_all_odd():
     # the odd element of order 2 really is present
     assert (2,) * 13 in nc
     assert perm_sign((2,) * 13) == -1
+
+
+def test_normalizer_fixed_point_types_are_the_census_types_with_a_1():
+    """For every q <= 16 and n with q^n - 1 <= GROUP_CAP, the compact
+    fixed-point types are the closed-form census's types that have a
+    1-cycle, and each sums to q^n - 1."""
+    pairs = 0
+    for q in _prime_powers_up_to(16):
+        field = parse_field_spec(str(q))
+        n = 1
+        while q ** n - 1 <= group_mod.GROUP_CAP:
+            fixed = normalizer_fixed_point_types(n, q)
+            assert fixed == {tuple(sorted(Counter(t).items())) for t in
+                             normalizer_census(n, field).types() if 1 in t}
+            assert all(sum(d * c for d, c in t) == q ** n - 1
+                       for t in fixed)
+            pairs += 1
+            n += 1
+    assert pairs == 84
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 3), (4, 5),
+                                  (2, 23), (3, 43), (2, 101)])
+def test_normalizer_fixed_point_types_at_prime_n(q, n):
+    """For prime n, the identity and the type of phi: 1^(q^n - 1) and
+    1^(q - 1) n^((q^n - q)/n), whose lengths are odd for odd n -- the
+    fact the DiscWitness exclusion rests on."""
+    fixed = normalizer_fixed_point_types(n, q)
+    assert fixed == {((1, q ** n - 1),),
+                     ((1, q - 1), (n, (q ** n - q) // n))}
+    if n % 2:
+        assert all(d % 2 for t in fixed for d, _ in t)
+
+
+def test_normalizer_fixed_point_types_are_never_expanded():
+    """At q = 2, n = 101 the type of phi has about 10^28 lengths; the
+    compact form takes well under 10 ms."""
+    import time
+    start = time.perf_counter()
+    normalizer_fixed_point_types(101, 2)
+    assert time.perf_counter() - start < 0.01
 
 
 @pytest.mark.parametrize("spec, n", [("2", 3), ("3", 3), ("4", 3),

@@ -238,7 +238,10 @@ def _field_at(base, k, seed):
 
 def _alphas(Ln, k_range, budget, seed, salt):
     """The alpha stream shared by sampling and witness search: yields
-    (k, alpha index, alpha, L(alpha)) in ascending (k, index) order.
+    (k, alpha index, alpha, L_alpha) in ascending (k, index) order, with
+    L_alpha = linpoly.specialize(Ln, alpha), so L is evaluated once per
+    alpha.  Ln has a_0 = 0 (normalize), so L_alpha's a_0 is
+    -L(alpha)/alpha, zero exactly when alpha is a root of L.
 
     Per-k targets come from _allocate; a k stops once it has yielded its
     target of alphas with L(alpha) != 0.  Those with L(alpha) = 0 are
@@ -265,10 +268,10 @@ def _alphas(Ln, k_range, budget, seed, salt):
             if got >= want:
                 break
             alpha = E.element_at(idx)
-            v = lin_mod.evaluate(Ln, alpha)
-            if not v.is_zero:
+            spec = lin_mod.specialize(Ln, alpha)
+            if spec.coeffs[0] != E.zero_rep:
                 got += 1
-            yield k, idx, alpha, v
+            yield k, idx, alpha, spec
 
 
 def sample_cycle_types(L, k_range, budget=500, seed=0):
@@ -286,11 +289,10 @@ def sample_cycle_types(L, k_range, budget=500, seed=0):
     Ln, _ = normalize(L)
     samples = []
     skipped = 0
-    for k, idx, alpha, v in _alphas(Ln, k_range, budget, seed, "sample"):
-        if v.is_zero:
+    for k, idx, alpha, spec in _alphas(Ln, k_range, budget, seed, "sample"):
+        if spec.coeffs[0] == spec.field.zero_rep:  # alpha is a root of L
             skipped += 1
             continue
-        spec = lin_mod.specialize(Ln, alpha)
         ct = poly_mod.factor_degrees(lin_mod.reduced(spec))
         samples.append(Sample(k=k, alpha_index=idx, alpha=alpha.to_obj(),
                               cycle_type=ct))
@@ -322,10 +324,9 @@ def disc_nonsquare_witness(L, k_range, budget=DISC_SEARCH_BUDGET, seed=0):
     if L.base.p == 2:
         raise ValueError("discriminant witnesses need odd characteristic")
     Ln, _ = normalize(L)
-    for k, idx, alpha, v in _alphas(Ln, k_range, budget, seed, "disc"):
-        if v.is_zero:
+    for k, idx, alpha, spec in _alphas(Ln, k_range, budget, seed, "disc"):
+        if spec.coeffs[0] == spec.field.zero_rep:  # alpha is a root of L
             continue
-        spec = lin_mod.specialize(Ln, alpha)
         cls = lin_mod.disc_square_class(spec)
         if cls is lin_mod.SquareClass.NONSQUARE:
             payload = {"k": k, "alpha_index": idx,
@@ -883,11 +884,10 @@ def verify_factor_identity(field, n):
     for L in _monic_lins(field, n, [field.zero_rep]):
         usable = False
         for ai in range(1, q):
-            alpha = field.element_at(ai)
-            if lin_mod.evaluate(L, alpha).is_zero:
+            spec = lin_mod.specialize(L, field.element_at(ai))
+            if spec.coeffs[0] == field.zero_rep:  # alpha is a root of L
                 continue
             usable = True
-            spec = lin_mod.specialize(L, alpha)
             dense = lin_mod.to_poly(spec)
             degs = poly_mod.factor_degrees(dense)
             checked += 1

@@ -15,6 +15,18 @@ runs its exhaustive search on them, and group.irreducible_orders, and
 through it group.gl_census, finds the irreducibles of each degree and
 their orders on the tables of the extension of that degree.
 
+A product in F_{p^d} over the prime field is one integer product
+(Kronecker substitution).  Each rep packs into an int with one byte per
+coefficient, constant term lowest.  The product's 2d - 1 byte slots are
+reduced mod p by one bytes.translate, and its d - 1 high slots fold back
+onto x^k mod the modulus, k = d .. 2d - 2, packed once per field.  A
+product slot sums at most d terms below (p - 1)^2, and a folded slot one
+reduced coefficient and d - 1 such terms, so no slot carries into the
+next while d (p - 1)^2 < 256: for p = 2 every d below the cardinality
+cap, and d <= 63, 15, 7 and 2 for p = 3, 5, 7 and 11.  Past that bound
+the d^2 schoolbook convolution runs.  Tower layers keep their loop over
+the base field's product.
+
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base
 reps for an extension.  The polynomial and matrix layers work on reps
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import random
+from operator import mul as _int_mul
 
 # Hard cap on field cardinality.  Exponent arithmetic (Frobenius, Euler
 # criterion) stays cheap below this, and nothing in the intended scale
@@ -80,6 +93,18 @@ def prime_divisors(n):
     return out
 
 
+def _packed_high_powers(p, d, modulus):
+    """x^k mod the monic modulus over F_p, k = d .. 2d - 2, each packed
+    into an int with one byte per coefficient (constant term lowest)."""
+    cur = [(-c) % p for c in modulus[:d]]  # x^d
+    out = []
+    for _ in range(d - 1):
+        out.append(int.from_bytes(bytes(cur), "little"))
+        top = cur[-1]
+        cur = [(lo - top * c) % p for lo, c in zip([0] + cur[:-1], modulus)]
+    return tuple(out)
+
+
 class Field:
     """A prime field or a one-step extension of another Field.
 
@@ -98,7 +123,7 @@ class Field:
     """
 
     __slots__ = ("p", "base", "degree", "modulus", "order", "key",
-                 "zero_rep", "one_rep", "_hash")
+                 "zero_rep", "one_rep", "_hash", "_packed")
 
     def __init__(self, p, base, degree, modulus):
         self.p = p
@@ -116,6 +141,13 @@ class Field:
             self.zero_rep = (base.zero_rep,) * degree
             self.one_rep = (base.one_rep,) + (base.zero_rep,) * (degree - 1)
         self._hash = hash(self.key)
+        # The packed product wherever no byte slot can carry (see the
+        # module docstring); the schoolbook loop in mul otherwise.
+        self._packed = None
+        if (base is not None and base.base is None
+                and degree * (p - 1) ** 2 < 256):
+            self._packed = (bytes(v % p for v in range(256)),
+                            _packed_high_powers(p, degree, modulus))
 
     # -- identity ----------------------------------------------------------
 
@@ -180,8 +212,18 @@ class Field:
     def mul(self, x, y):
         if self.base is None:
             return (x * y) % self.p
-        b = self.base
         d = self.degree
+        if self._packed is not None:
+            # One integer product with a byte per coefficient, then the
+            # high slots folded back onto x^k mod m, k = d .. 2d - 2.
+            mod_p, high = self._packed
+            prod = (int.from_bytes(bytes(x), "little")
+                    * int.from_bytes(bytes(y), "little"))
+            slots = prod.to_bytes(2 * d - 1, "little").translate(mod_p)
+            low = (int.from_bytes(slots[:d], "little")
+                   + sum(map(_int_mul, slots[d:], high)))
+            return tuple(low.to_bytes(d, "little").translate(mod_p))
+        b = self.base
         if b.base is None:
             # Coefficients are plain ints; delay the mod until the end of
             # each convolution slot.
@@ -220,13 +262,16 @@ class Field:
         return tuple(prod[:d])
 
     def pow(self, x, e):
+        """x^e by left-to-right square and multiply from x at the
+        leading bit: bitlen(|e|) + popcount(|e|) - 2 products for
+        e != 0, and x^(-1) by inv for e < 0."""
         if e < 0:
             x = self.inv(x)
             e = -e
-        r = self.one_rep
         if e == 0:
-            return r
-        for bit in bin(e)[2:]:
+            return self.one_rep
+        r = x
+        for bit in bin(e)[3:]:
             r = self.mul(r, r)
             if bit == "1":
                 r = self.mul(r, x)

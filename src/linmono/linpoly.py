@@ -348,12 +348,15 @@ def frobenius_cycle_type(L):
     mu of N (which has coefficients in F_q), the order of x modulo f and
     the partition lam_f of the f-primary part.  poly.factor splits mu,
     of degree <= n; ord(f) divides q^(deg f) - 1 and poly.order_of_x
-    finds it from there.  When deg mu = n (N is cyclic, the usual case)
-    a factor f^m of mu has lam_f = (m); otherwise the ranks of f(N)^j,
-    j <= m, built from the powers N^j, give dim ker f(N)^j = deg f *
-    sum_(e in lam_f) min(e, j), and lam_f is the conjugate of the rank
-    differences.  x^(q^(deg f) - 1) != 1 modulo f would mean poly.factor
-    returned a reducible f: an internal failure (AssertionError).
+    finds it from there; for a linear f = x - c, the most common kind,
+    it is the order of c in F_q*, found from q - 1 by field powers.
+    When deg mu = n (N is cyclic, the usual case) a factor f^m of mu
+    has lam_f = (m); otherwise the ranks of f(N)^j, j <= m, built from
+    the powers N^j, give dim ker f(N)^j = deg f * sum_(e in lam_f)
+    min(e, j), and lam_f is the conjugate of the rank differences.
+    x^(q^(deg f) - 1) != 1 modulo f (c^(q - 1) != 1 for f = x - c)
+    would mean poly.factor returned a reducible f, or x: an internal
+    failure (AssertionError).
     """
     E, K = L.field, L.base
     n, q = L.qdeg, L.q
@@ -381,7 +384,10 @@ def frobenius_cycle_type(L):
     parts, ords = [], {}
     for f, m in poly_mod.factor(mu):
         e = q ** f.degree - 1
-        ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
+        if f.degree == 1:  # x = c modulo x - c: the order of c in F_q*
+            ords[f] = _order_in(K, K.neg(f.coeffs[0]), e)
+        else:
+            ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
         if ords[f] is None:
             raise AssertionError("x^(q^%d - 1) is not 1 modulo %s"
                                  % (f.degree, f))
@@ -416,20 +422,39 @@ def _frobenius_matrix(L):
     """The transpose of N = C^(q^(k-1)) ... C^(q) C over L's field.
     group.companion_matrix of the monic recurrence polynomial is C
     transposed, so the product runs in the opposite order; a transpose
-    has the same ranks and minimal polynomial."""
+    has the same ranks and minimal polynomial.  Each factor is a column
+    shift plus one new column, O(n^2) field operations."""
     E = L.field
     lead = E.inv(L.coeffs[-1])
     coeffs = [E.mul(c, lead) for c in L.coeffs[:-1]]
-
-    def companion(cs):
-        return group_mod.companion_matrix(
-            E, poly_mod.Poly._mk(E, cs + [E.one_rep]))
-
-    N = companion(coeffs)
+    z = E.zero_rep
+    N = group_mod.companion_matrix(
+        E, poly_mod.Poly._mk(E, coeffs + [E.one_rep]))
     for _ in range(_degree_over(E, L.base) - 1):
         coeffs = [E.pow(c, L.q) for c in coeffs]
-        N = group_mod.mat_mul(E, N, companion(coeffs))
+        # Times the companion matrix of coeffs: columns 1 .. n-1 move one
+        # place left, and the new last column is N times -coeffs.
+        rows = []
+        for row in N:
+            acc = z
+            for v, c in zip(row, coeffs):
+                if v != z and c != z:
+                    acc = E.add(acc, E.mul(v, c))
+            rows.append(row[1:] + (E.neg(acc),))
+        N = tuple(rows)
     return N
+
+
+def _order_in(K, c, e):
+    """Multiplicative order of c in K, from an exponent e with c^e = 1,
+    as poly.order_of_x finds the order of x; None when c^e != 1."""
+    one = K.one_rep
+    if K.pow(c, e) != one:
+        return None
+    for r in prime_divisors(e):
+        while e % r == 0 and K.pow(c, e // r) == one:
+            e //= r
+    return e
 
 
 def _down(E, K, rep):

@@ -281,3 +281,38 @@ def closure_normalizer_census(n, field, seed=0):
                   for perm in closure(field, [S, F], cap=expected + 1))
     return CycleCensus(order=sum(ctr.values()),
                        counts=tuple(sorted(ctr.items())))
+
+
+def schoolbook_mul(field, x, y):
+    """x y in field by the d^2 schoolbook convolution and a reduction by
+    the modulus, one tower step at a time, with base products taken by
+    this oracle too: the reference for Field.mul's packed product, in
+    which no Field.mul runs."""
+    b = field.base
+    if b is None:
+        return (x * y) % field.p
+    d = field.degree
+    prod = [b.zero_rep] * (2 * d - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] = b.add(prod[i + j], schoolbook_mul(b, xi, yj))
+    mod = field.modulus
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        for j in range(d):
+            prod[k - d + j] = b.sub(prod[k - d + j],
+                                    schoolbook_mul(b, c, mod[j]))
+    return tuple(prod[:d])
+
+
+def square_and_multiply_pow(field, x, e):
+    """x^e by the square and multiply loop that starts from one."""
+    if e < 0:
+        x = field.inv(x)
+        e = -e
+    r = field.one_rep
+    for bit in bin(e)[2:]:
+        r = field.mul(r, r)
+        if bit == "1":
+            r = field.mul(r, x)
+    return r

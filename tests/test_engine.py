@@ -318,6 +318,38 @@ def test_verdict_samples_once(spec, lin, kmax, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("search", ["sample", "disc"])
+def test_l_is_evaluated_once_per_alpha(search, monkeypatch):
+    """_alphas yields each alpha's specialization, and the sampler and
+    the witness search use it: L(alpha) is computed once per alpha
+    drawn, roots of L included.  x^27 + 2x^3 = (x^9 - x)^3 vanishes on
+    F_9, so every alpha of F_3 and F_9 is a root, and some of F_81."""
+    L = parse_linpoly(F3, "0,2,0,1")
+    evaluated, drawn = [], []
+    inner_evaluate, inner_alphas = lin_mod.evaluate, engine._alphas
+
+    def counted_evaluate(*args):
+        evaluated.append(args)
+        return inner_evaluate(*args)
+
+    def counted_alphas(*args):
+        for item in inner_alphas(*args):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(lin_mod, "evaluate", counted_evaluate)
+    monkeypatch.setattr(engine, "_alphas", counted_alphas)
+    if search == "sample":
+        run = sample_cycle_types(L, range(1, 5), budget=40)
+        assert run.skipped > 2 + 8
+        assert len(drawn) == len(run.samples) + run.skipped
+    else:
+        assert disc_nonsquare_witness(L, range(1, 5)) is not None
+        assert sum(spec.coeffs[0] == spec.field.zero_rep
+                   for *_, spec in drawn) > 2 + 8
+    assert len(evaluated) == len(drawn)
+
+
 def test_verdict_and_recheck_flags_need_no_census(monkeypatch):
     """verdict's flags and recheck's comparison build no census: with
     group.normalizer_census refusing, every document still verdicts and

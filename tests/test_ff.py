@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from linmono.ff import (TABLE_CAP, CapExceededError, Field, FieldElement,
-                        FieldMismatchError, embed, extend_field, frobenius,
-                        is_prime, is_square, log_tables, make_field,
-                        parse_field_spec, prime_divisors)
+from _oracles import schoolbook_mul, square_and_multiply_pow
+from linmono.ff import (CARDINALITY_CAP, TABLE_CAP, CapExceededError, Field,
+                        FieldElement, FieldMismatchError, embed, extend_field,
+                        frobenius, is_prime, is_square, log_tables,
+                        make_field, parse_field_spec, prime_divisors)
 
 
 def test_is_prime_small():
@@ -317,3 +318,120 @@ def test_log_tables_cap(monkeypatch):
         monkeypatch.setattr(Field, meth, no_arithmetic)
     with pytest.raises(CapExceededError):
         log_tables(F)
+
+
+# (p, d) on both sides of the packed product's byte bound
+# d (p - 1)^2 < 256, and of the wider bound (2d - 1)(p - 1)^2 < 256.
+# Those past CARDINALITY_CAP are quotient rings F_p[x]/(m) with a random
+# monic m: the product and its reduction do not need m irreducible.
+_PACKED_CASES = ([(2, d) for d in range(2, 41)]
+                 + [(2, 255), (2, 256), (3, 2), (3, 5), (3, 6), (3, 25),
+                    (3, 32), (3, 33), (3, 63), (3, 64), (5, 2), (5, 8),
+                    (5, 9), (5, 15), (5, 16), (7, 2), (7, 4), (7, 5),
+                    (7, 7), (7, 8), (11, 2), (11, 3), (13, 2), (13, 3)])
+
+
+def _field_or_ring(p, d):
+    if p ** d <= CARDINALITY_CAP:
+        return make_field(p, d)
+    rng = random.Random("ring:%d:%d" % (p, d))
+    modulus = ((rng.randrange(1, p),)
+               + tuple(rng.randrange(p) for _ in range(d - 1)) + (1,))
+    return Field(p, make_field(p), d, modulus)
+
+
+def _mul_inputs(F, rng):
+    """Zero, one, x^(d-1), the rep with every coefficient p - 1 (each
+    product slot at its bound) and random reps."""
+    top = F.base.order - 1
+    if F.base.base is None:
+        full = (top,) * F.degree
+    else:
+        full = (F.base.rep_at(top),) * F.degree
+    xd = (F.base.zero_rep,) * (F.degree - 1) + (F.base.one_rep,)
+    return ([F.zero_rep, F.one_rep, xd, full]
+            + [F.random_rep(rng) for _ in range(5)])
+
+
+@pytest.mark.parametrize("p,d", _PACKED_CASES)
+def test_mul_equals_schoolbook(p, d):
+    """Field.mul equals the schoolbook convolution on zero, one, x^(d-1),
+    the all-(p - 1) rep and random reps; the packed product is chosen
+    exactly where every slot fits in a byte."""
+    F = _field_or_ring(p, d)
+    assert (F._packed is not None) == (d * (p - 1) ** 2 < 256)
+    rng = random.Random("mul:%d:%d" % (p, d))
+    xs = _mul_inputs(F, rng)
+    pairs = [(x, y) for x in xs for y in xs]
+    if d > 64:  # the oracle is quadratic: keep the edge pairs only
+        pairs = [(x, y) for x, y in pairs if x == xs[3] or y == xs[3]]
+    for x, y in pairs:
+        assert F.mul(x, y) == schoolbook_mul(F, x, y), (x, y)
+
+
+@pytest.mark.parametrize("spec", ["2^2+3", "3^2+2", "3^2+3"])
+def test_tower_mul_equals_schoolbook(spec):
+    """Towers keep their loop over the (packed) base product."""
+    F = parse_field_spec(spec)
+    xs = _mul_inputs(F, random.Random(spec))
+    for x in xs:
+        for y in xs:
+            assert F.mul(x, y) == schoolbook_mul(F, x, y), (x, y)
+
+
+@pytest.mark.parametrize("p,d", [(2, 12), (3, 6), (5, 3), (7, 4)])
+def test_mul_by_seed_uses_that_seeds_modulus(p, d):
+    """Two seeds that build different moduli for one (p, d) each multiply
+    modulo their own modulus."""
+    F0 = make_field(p, d, seed=0)
+    F1 = next(F for s in range(1, 50)
+              for F in [make_field(p, d, seed=s)]
+              if F.modulus != F0.modulus)
+    rng = random.Random("seeds")
+    xs = _mul_inputs(F0, rng)
+    differ = 0
+    for x in xs:
+        for y in xs:
+            a, b = F0.mul(x, y), F1.mul(x, y)
+            assert a == schoolbook_mul(F0, x, y)
+            assert b == schoolbook_mul(F1, x, y)
+            differ += a != b
+    assert differ > 0
+
+
+@pytest.mark.parametrize("spec", ["7", "2^6", "3^2+2"])
+def test_pow_equals_square_and_multiply_from_one(spec):
+    F = parse_field_spec(spec)
+    rng = random.Random(spec)
+    xs = [F.one_rep] + [F.rep_at(rng.randrange(1, F.order))
+                        for _ in range(3)]
+    for e in range(-5, 301):
+        for x in xs:
+            assert F.pow(x, e) == square_and_multiply_pow(F, x, e), (x, e)
+        if e >= 0:
+            assert F.pow(F.zero_rep, e) == \
+                square_and_multiply_pow(F, F.zero_rep, e)
+
+
+@pytest.mark.parametrize("spec", ["7", "2^6", "3^2+2"])
+def test_pow_makes_bitlen_plus_popcount_minus_two_products(monkeypatch,
+                                                           spec):
+    """x^e starts from x at the leading bit: bitlen(e) - 1 squarings and
+    popcount(e) - 1 multiplies by x, none for e = 0 or 1.  Only products
+    in F itself count, not those of its base field."""
+    F = parse_field_spec(spec)
+    calls = []
+    real_mul = Field.mul
+
+    def counting_mul(self, x, y):
+        if self is F:
+            calls.append(1)
+        return real_mul(self, x, y)
+
+    monkeypatch.setattr(Field, "mul", counting_mul)
+    x = F.rep_at(F.order - 1)
+    for e in range(-5, 301):
+        calls.clear()
+        F.pow(x, e)
+        m = abs(e)
+        assert len(calls) == max(0, m.bit_length() + bin(m).count("1") - 2), e

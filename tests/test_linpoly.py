@@ -6,14 +6,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linmono import group as group_mod
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
-                        parse_field_spec)
+                        parse_field_spec, prime_divisors)
 from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
                              evaluate, frobenius_cycle_type, parse_linpoly,
                              reduced, root_space, specialize, square_class,
                              to_poly)
-from linmono.poly import Poly, discriminant, factor_degrees
+from linmono.poly import Poly, discriminant, factor_degrees, order_of_x
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -295,6 +296,60 @@ def test_fixed_counts_equal_root_space_dimensions(spec, lin, k):
         if seen == 4:
             break
     assert seen > 0
+
+
+@pytest.mark.parametrize("spec,lin,k,idx,ct", [
+    ("2", "0,1,1,1", 2, 1, (1, 1, 1, 2, 2)),
+    ("3", "0,0,1,1", 4, 10, (1,) * 8 + (3,) * 6),
+])
+def test_frobenius_cycle_type_repeated_linear_factor(spec, lin, k, idx, ct):
+    """mu = (x - 1)^2 with n = 3: N - I is nonzero and squares to zero,
+    so N is not cyclic and its 1-primary part is (2, 1).  The linear
+    factor's order comes from field powers, the partition from ranks."""
+    K = parse_field_spec(spec)
+    E = extend_field(K, k)
+    La = specialize(parse_linpoly(K, lin), E.element_at(idx))
+    N = linpoly._frobenius_matrix(La)
+    A = [[E.sub(v, E.one_rep if i == j else E.zero_rep)
+          for j, v in enumerate(row)] for i, row in enumerate(N)]
+    zero = tuple((E.zero_rep,) * 3 for _ in range(3))
+    assert tuple(map(tuple, A)) != zero
+    assert group_mod.mat_mul(E, A, A) == zero
+    assert frobenius_cycle_type(La) == ct == factor_degrees(reduced(La))
+
+
+@pytest.mark.parametrize("spec,lin,k", [("3", "0,1,0,1", 3),
+                                        ("2", "1,0,1,1", 4),
+                                        ("4", "0,[0,1],1", 3)])
+def test_frobenius_matrix_equals_companion_product(spec, lin, k):
+    """The column-shift product equals the matrix product of the twisted
+    companion matrices C, C^(q), ..., C^(q^(k-1)) in the same order."""
+    K = parse_field_spec(spec)
+    E = extend_field(K, k)
+    L = parse_linpoly(K, lin)
+    for i in range(1, E.order, max(1, E.order // 12)):
+        La = specialize(L, E.element_at(i))
+        lead = E.inv(La.coeffs[-1])
+        cs = [E.mul(c, lead) for c in La.coeffs[:-1]]
+        N = None
+        for _ in range(k):
+            C = group_mod.companion_matrix(E, Poly(E, cs + [E.one_rep]))
+            N = C if N is None else group_mod.mat_mul(E, N, C)
+            cs = [E.pow(c, K.order) for c in cs]
+        assert linpoly._frobenius_matrix(La) == N
+
+
+@pytest.mark.parametrize("spec", ["2", "7", "3^2", "2^2+2"])
+def test_linear_factor_order_is_the_order_of_x(spec):
+    """x mod x - c has the order of c in F_q*; x itself has none."""
+    K = parse_field_spec(spec)
+    q = K.order
+    for i in range(1, q):
+        c = K.rep_at(i)
+        f = Poly(K, [K.neg(c), K.one_rep])
+        assert linpoly._order_in(K, c, q - 1) == \
+            order_of_x(f, q - 1, prime_divisors(q - 1))
+    assert linpoly._order_in(K, K.zero_rep, q - 1) is None
 
 
 def test_frobenius_cycle_type_errors():

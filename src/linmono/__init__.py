@@ -14,9 +14,9 @@ from .poly import (Poly, discriminant, factor, factor_degrees,
 from .linpoly import (LinPoly, SquareClass, disc_square_class, evaluate,
                       parse_linpoly, reduced, root_space, specialize,
                       square_class, to_poly)
-from .group import (CycleCensus, census, cycle_type_of, frobenius_matrix,
-                    generate_group, gl_census, gl_order, normalizer_census,
-                    perm_sign, singer_generator, singer_modulus)
+from .group import (CycleCensus, frobenius_matrix, generate_group,
+                    gl_census, gl_order, normalizer_census, perm_sign,
+                    singer_generator, singer_modulus)
 from .engine import (Evidence, Sample, SampleRun, Verdict,
                      disc_nonsquare_witness, normalize, order_lcm_evidence,
                      recheck, sample_cycle_types, verdict,
@@ -35,9 +35,9 @@ __all__ = [
     "LinPoly", "SquareClass", "disc_square_class", "evaluate",
     "parse_linpoly", "reduced", "root_space", "specialize",
     "square_class", "to_poly",
-    "CycleCensus", "census", "cycle_type_of", "frobenius_matrix",
-    "generate_group", "gl_census", "gl_order", "normalizer_census",
-    "perm_sign", "singer_generator", "singer_modulus",
+    "CycleCensus", "frobenius_matrix", "generate_group", "gl_census",
+    "gl_order", "normalizer_census", "perm_sign", "singer_generator",
+    "singer_modulus",
     "Evidence", "Sample", "SampleRun", "Verdict",
     "disc_nonsquare_witness", "normalize", "order_lcm_evidence", "recheck",
     "sample_cycle_types", "verdict", "verify_alternating_char2",

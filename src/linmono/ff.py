@@ -609,24 +609,26 @@ def exceeds_cap(b, e, cap=CARDINALITY_CAP):
     return b > cap or e >= cap.bit_length() or b ** e > cap
 
 
-def _search_modulus(base, k, seed):
-    """First monic irreducible of degree k over base in a seeded
-    pseudorandom candidate stream.  Candidates have nonzero constant term
-    (x itself is never wanted as a modulus)."""
+def _search_modulus(base, k, seed, stream="linmono.modulus", accept=None):
+    """First monic irreducible of degree k over base, as a coefficient
+    tuple, in the seeded pseudorandom candidate stream named stream that
+    also passes accept (a Poly predicate) when one is given.  Candidates
+    have nonzero constant term (x itself is never wanted as a modulus).
+    Field moduli use the default stream; group.singer_modulus draws from
+    "linmono.singer" and accepts only primitive candidates."""
     from . import poly  # deferred: poly builds on this module
 
-    rng = random.Random("linmono.modulus:%s:%d:%d"
-                        % (base.spec_string(), k, seed))
+    rng = random.Random("%s:%s:%d:%d" % (stream, base.spec_string(), k, seed))
     bo = base.order
     for _ in range(_MODULUS_TRIES):
         coeffs = [base.rep_at(rng.randrange(1, bo))]
         coeffs += [base.rep_at(rng.randrange(bo)) for _ in range(k - 1)]
         coeffs.append(base.one_rep)
         cand = poly.Poly(base, coeffs)
-        if poly.is_irreducible(cand):
+        if poly.is_irreducible(cand) and (accept is None or accept(cand)):
             return tuple(coeffs)
-    raise RuntimeError("no irreducible modulus found (degree %d over %r)"
-                       % (k, base))
+    raise RuntimeError("no modulus found in stream %s (degree %d over %r)"
+                       % (stream, k, base))
 
 
 def parse_field_spec(spec, seed=0):

@@ -5,13 +5,17 @@ travels alongside as an argument.  That keeps everything hashable and
 cheap.
 
 The centerpiece is the Singer model: a companion matrix S of a primitive
-degree-n polynomial (a generator of a cyclic group of order q^n - 1
+degree-n polynomial f (a generator of a cyclic group of order q^n - 1
 acting irreducibly on F_q^n) and the matrix F of v -> v^q in the same
 field model F_q[x]/(f), so that F S F^(-1) = S^q holds on the nose
-(conjugation_ok checks it as F S = S^q F, with no inverse).  The
-normalizer <S, F> has order n(q^n - 1) and every nonzero-vector
-stabilizer in it has order n; both facts are checked directly by the
-verification layer rather than trusted.
+(conjugation_ok checks it as F S = S^q F, with no inverse).  The model
+reuses the primitives every field is built with: f is drawn by
+ff._search_modulus, the seeded search behind every field modulus, with
+primitivity as its acceptance test, and the columns of F are
+poly._frobenius_base(f), the Frobenius base distinct-degree factoring
+steps with.  The normalizer <S, F> has order n(q^n - 1) and every
+nonzero-vector stabilizer in it has order n; both facts are checked
+directly by the verification layer rather than trusted.
 
 Permutation structure: a matrix acts on the q^n - 1 nonzero column
 vectors, ranked lexicographically; cycle types are sorted tuples of cycle
@@ -49,14 +53,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from operator import itemgetter
 
 from . import poly as poly_mod
-from .ff import (CapExceededError, Field, extend_field, log_tables,
-                 prime_divisors)
+from .ff import (CapExceededError, Field, _search_modulus, extend_field,
+                 log_tables, prime_divisors)
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -166,30 +169,22 @@ def companion_matrix(field, f):
 
 @functools.cache
 def singer_modulus(n, field, seed=0):
-    """Monic primitive polynomial of degree n over field, from a seeded
-    search.  Shared by singer_generator and frobenius_matrix so both live
-    in the same field model."""
+    """Monic primitive polynomial of degree n over field: the first
+    irreducible candidate of ff._search_modulus's seeded "linmono.singer"
+    stream on which x has order q^n - 1.  Shared by singer_generator and
+    frobenius_matrix so both live in the same field model."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    q = field.order
-    N = q ** n - 1
+    N = field.order ** n - 1
     prime_divs = prime_divisors(N)
-    rng = random.Random("linmono.singer:%s:%d:%d"
-                        % (field.spec_string(), n, seed))
     x = poly_mod.Poly.x(field)
-    for _ in range(20000):
-        coeffs = [field.rep_at(rng.randrange(1, q))]
-        coeffs += [field.rep_at(rng.randrange(q)) for _ in range(n - 1)]
-        coeffs.append(field.one_rep)
-        f = poly_mod.Poly(field, coeffs)
-        if not poly_mod.is_irreducible(f):
-            continue
-        # primitivity: x has full order N in field[x]/(f)
-        one = poly_mod.Poly.constant(field, 1)
-        if all(poly_mod.pow_mod(x, N // r, f) != one for r in prime_divs):
-            return f
-    raise RuntimeError("no primitive polynomial found (degree %d over %r)"
-                       % (n, field))
+    one = poly_mod.Poly.constant(field, 1)
+
+    def primitive(f):
+        return all(poly_mod.pow_mod(x, N // r, f) != one for r in prime_divs)
+
+    return poly_mod.Poly(field, _search_modulus(
+        field, n, seed, stream="linmono.singer", accept=primitive))
 
 
 def singer_generator(n, field, seed=0):
@@ -208,19 +203,13 @@ def singer_generator(n, field, seed=0):
 
 def frobenius_matrix(n, field, seed=0):
     """Matrix of v -> v^q on F_{q^n} = field[x]/(f) in the power basis,
-    with the same modulus f as singer_generator.  Order is exactly n."""
-    f = singer_modulus(n, field, seed)
-    q = field.order
-    x = poly_mod.Poly.x(field)
-    h = poly_mod.pow_mod(x, q, f)
+    with the same modulus f as singer_generator.  Column j is x^(jq) mod
+    f, read off poly._frobenius_base(f), the base distinct-degree
+    factoring steps with.  Order is exactly n, checked on the matrix."""
+    base = poly_mod._frobenius_base(singer_modulus(n, field, seed))
     z = field.zero_rep
-    cols = [[field.one_rep] + [z] * (n - 1)]
-    acc = poly_mod.Poly.constant(field, 1)
-    for _ in range(1, n):
-        acc = (acc * h) % f
-        col = list(acc.coeffs) + [z] * (n - len(acc.coeffs))
-        cols.append(col)
-    F = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    cols = [g.coeffs + (z,) * (n - len(g.coeffs)) for g in base]
+    F = tuple(tuple(col[i] for col in cols) for i in range(n))
     ident = mat_identity(field, n)
     acc_pow = ident
     for d in range(1, n + 1):

@@ -120,23 +120,23 @@ def parse_linpoly(base, s, field=None):
 
 # -- dense forms -----------------------------------------------------------
 
-def to_poly(L, target=None):
-    """The dense polynomial of degree q^n over target (default: the
-    coefficient field).  Refused when q^n would exceed the dense cap; use
-    evaluate for large q-degrees."""
-    return _dense(L, target, 0)
+def to_poly(L):
+    """The dense polynomial of degree q^n over the coefficient field.
+    Refused when q^n would exceed the dense cap; use evaluate for large
+    q-degrees."""
+    return _dense(L, 0)
 
 
-def reduced(L, target=None):
+def reduced(L):
     """L(x)/x as a dense polynomial of degree q^n - 1: coefficient a_i
     lands at exponent q^i - 1.  Refused as to_poly is."""
-    return _dense(L, target, 1)
+    return _dense(L, 1)
 
 
-def _dense(L, target, shift):
+def _dense(L, shift):
     """to_poly (shift 0) or reduced (shift 1): a_i at exponent
     q^i - shift."""
-    K = _target_field(L, target)
+    K = L.field
     n = L.qdeg
     q = L.q
     if q ** n > poly_mod.DENSE_CAP:
@@ -145,26 +145,8 @@ def _dense(L, target, shift):
             "use evaluate instead" % (n, q, q ** n))
     out = [K.zero_rep] * (q ** n + 1 - shift)
     for i, c in enumerate(L.coeffs):
-        out[q ** i - shift] = _up(L, K, c)
+        out[q ** i - shift] = c
     return poly_mod.Poly._mk(K, out)
-
-
-def _target_field(L, target):
-    if target is None:
-        return L.field
-    if not isinstance(target, Field):
-        raise TypeError("target must be a Field")
-    if not target.has_layer(L.field):
-        raise FieldMismatchError(
-            "target %r does not contain the coefficient field %r"
-            % (target, L.field))
-    return target
-
-
-def _up(L, K, rep):
-    if K == L.field:
-        return rep
-    return embed_rep(K, L.field, rep)
 
 
 # -- evaluation and specialization -----------------------------------------

@@ -8,14 +8,15 @@ here.  Everything is deterministic given the explicit seeds.
 
 Distinct-degree factoring builds one Frobenius base per input polynomial
 and takes each gcd against the shrinking cofactor, so the base is never
-rebuilt after a split.  Division by a monic polynomial needs no inverse.
+rebuilt after a split.  The irreducibility test is that split too.
+Division by a monic polynomial needs no inverse.
 """
 
 from __future__ import annotations
 
 import random
 
-from .ff import Field, FieldElement, FieldMismatchError, prime_divisors
+from .ff import Field, FieldElement, FieldMismatchError
 
 # to_dense-style materialization guard: a dense vector longer than this is
 # a sign the caller wanted the evaluation path instead.
@@ -321,6 +322,8 @@ def _frobenius_base(f):
     Since c^Q = c for every coefficient, g -> g^Q mod f is the linear map
     g_i -> sum g_i * base[i]; the base makes repeated Frobenius steps a
     matter of deg^2 coefficient operations instead of a fresh powering.
+    Read as coordinate columns, the base is also the matrix of v -> v^Q
+    on K[x]/(f) (group.frobenius_matrix).
     """
     K = f.field
     d = f.degree
@@ -349,7 +352,8 @@ def _frobenius_map(g, f, base):
 def _ddf(f):
     """Distinct-degree split of a monic squarefree f: [(product, d)] with
     d ascending, each product collecting all irreducible factors of degree
-    exactly d.
+    exactly d.  factor_degrees, factor and is_irreducible all read it:
+    f is irreducible exactly when the split is [(f, deg f)].
 
     One Frobenius base on f serves every step: g = x^(Q^d) mod f advances
     by one linear map, and each split takes gcd(cur, g - x) against the
@@ -457,28 +461,14 @@ def factor(f, seed=0):
 
 
 def is_irreducible(f):
-    """Rabin test: x^(Q^n) = x mod f and gcd(x^(Q^(n/r)) - x, f) = 1 for
-    every prime r dividing n = deg f."""
-    if f.is_zero or f.degree == 0:
+    """True iff f is irreducible: nonconstant, squarefree, and split by
+    _ddf into one slice of degree deg f, i.e. with no factor of degree
+    d <= deg f / 2.  That is at most deg f / 2 Frobenius steps on the
+    one base of f."""
+    if f.is_zero or f.degree == 0 or not is_squarefree(f):
         return False
     f = f.monic()
-    n = f.degree
-    if n == 1:
-        return True
-    K = f.field
-    x = Poly.x(K)
-    base = _frobenius_base(f)
-    powers = {}
-    g = x
-    for j in range(1, n + 1):
-        g = _frobenius_map(g, f, base)
-        powers[j] = g
-    if powers[n] != x:
-        return False
-    for r in prime_divisors(n):
-        if gcd(f, powers[n // r] - x).degree != 0:
-            return False
-    return True
+    return [d for _, d in _ddf(f)] == [f.degree]
 
 
 def mobius(n):

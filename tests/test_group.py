@@ -26,7 +26,7 @@ from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census,
                            permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus)
 from linmono.poly import (Poly, is_irreducible, num_irreducible,
-                          order_of_x)
+                          order_of_x, pow_mod)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -103,6 +103,21 @@ def test_frobenius_conjugation_relation():
         # S^q != S, so the identity does not conjugate S to S^q
         assert not conjugation_ok(field, S, mat_identity(field, n))
         assert mat_pow(field, F, n) == mat_identity(field, n)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5],
+                         ids=lambda K: K.spec_string())
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_frobenius_matrix_columns_are_powers_of_x(field, n, seed):
+    """Column j of F is x^(jq) mod f, each powered from x alone."""
+    f = singer_modulus(n, field, seed)
+    F = frobenius_matrix(n, field, seed)
+    x = Poly.x(field)
+    for j in range(n):
+        want = pow_mod(x, j * field.order, f).coeffs
+        want += (field.zero_rep,) * (n - len(want))
+        assert tuple(row[j] for row in F) == want, j
 
 
 def test_generate_group_small():

@@ -70,7 +70,7 @@ def test_evaluate_agrees_with_dense_poly():
     for a in F3.elements():
         assert evaluate(L, a) == dense.evaluate(a)
     E = extend_field(F3, 2)
-    denseE = to_poly(L, target=E)
+    denseE = to_poly(LinPoly(F3, [2, 1, 1], field=E))  # L's a_i in E
     for i in range(9):
         a = E.element_at(i)
         assert evaluate(L, a) == denseE.evaluate(a)

@@ -25,6 +25,8 @@ F5 = make_field(5)
 F9 = make_field(3, 2)
 F8 = make_field(2, 3)
 F81 = parse_field_spec("3^2+2")  # a tower: F_81 over F_9
+F4 = make_field(2, 2)
+F16 = parse_field_spec("2^2+2")  # a tower: F_16 over F_4
 
 
 def _rand_poly(field, degree, rng):
@@ -144,13 +146,30 @@ def test_order_of_x_descends_from_a_true_claim_and_refuses_a_false_one():
                 assert order_of_x(f, e, prime_divisors(e)) is None, str(f)
 
 
-@pytest.mark.parametrize("field,max_deg", [(F2, 6), (F3, 4), (F5, 3)])
+@pytest.mark.parametrize("field,max_deg", [
+    (F2, 6), (F3, 4), (F5, 3), (F4, 3), (F9, 2), (F16, 2)])
 def test_irreducibility_matches_oracle(field, max_deg):
     oracle = brute_irreducibles(field, max_deg)
     oracle_set = {f.coeffs for f in oracle}
     for d in range(1, max_deg + 1):
         for f in all_monic(field, d):
             assert is_irreducible(f) == (f.coeffs in oracle_set), str(f)
+
+
+@pytest.mark.parametrize("field,coeffs,root", [
+    (F2, [1, 0, 1, 0, 1], ([1, 1, 1], 2)),  # x^4 + x^2 + 1
+    (F3, [2, 0, 0, 1, 0, 0, 1], ([2, 1, 1], 3)),  # x^6 + x^3 + 2
+])
+def test_inseparable_power_is_not_irreducible(field, coeffs, root):
+    """f = g(x^p) is a p-th power of an irreducible g, with f' = 0."""
+    f = Poly(field, coeffs)
+    g, m = root
+    g = Poly(field, g)
+    assert is_irreducible(g)
+    assert _product(field, [g] * m) == f
+    assert f.derivative().is_zero
+    assert not is_squarefree(f)
+    assert not is_irreducible(f)
 
 
 @pytest.mark.parametrize("field,max_deg", [(F2, 6), (F3, 4), (F9, 2)])

@@ -231,9 +231,23 @@ def _allocate(ks, q, budget):
     return plan
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
+def _fields_at(base, seed):
+    """The extensions of base built so far for this seed, by degree;
+    _field_at fills it.  Only the last (base, seed) is kept, like
+    group._points and _exact_types: one document samples and rechecks
+    over one base and seed, and every other seed would add its fields
+    for the life of the module."""
+    return {}
+
+
 def _field_at(base, k, seed):
-    return extend_field(base, k, seed)
+    """extend_field(base, k, seed), built once per k for the last
+    (base, seed)."""
+    fields = _fields_at(base, seed)
+    if k not in fields:
+        fields[k] = extend_field(base, k, seed)
+    return fields[k]
 
 
 def _alphas(Ln, k_range, budget, seed, salt):

@@ -24,8 +24,32 @@ product slot sums at most d terms below (p - 1)^2, and a folded slot one
 reduced coefficient and d - 1 such terms, so no slot carries into the
 next while d (p - 1)^2 < 256: for p = 2 every d below the cardinality
 cap, and d <= 63, 15, 7 and 2 for p = 3, 5, 7 and 11.  Past that bound
-the d^2 schoolbook convolution runs.  Tower layers keep their loop over
-the base field's product.
+the d^2 schoolbook convolution runs.
+
+Field.muladd(acc, x, y) is acc + x y, the step of the
+multiply-accumulate loops in poly (all but Poly.__mul__, which says
+why), linpoly, group and the loops below; a subtraction negates its
+multiplier once.  On the packed product it adds the packed acc into
+the folded slots, which then hold at most 2(p - 1) + (d - 1)(p - 1)^2:
+within d (p - 1)^2 for p >= 3, and d + 1 < 256 for p = 2, since
+d <= 40 under the cap.  (Added to the product's slots before the first
+reduction, acc would carry at F_{7^7}: 7 * 36 + 6 = 258.)
+
+A tower of degree D over a packed F_{p^e} multiplies by one integer
+product too, while D e (p - 1)^2 < 256: for F_{9^D} every D under the
+cap, for F_{25^D} D <= 7, for F_{49^D} D <= 3.  Each operand packs with
+3e - 2 bytes per base coefficient, so a z-coefficient of the product,
+of y-degree 2e - 2, leaves room for y-degree 3e - 3.  A product slot
+sums at most D e terms below (p - 1)^2.  After one translate, each
+high z-coefficient k = D .. 2D - 2 is reduced by one big-int
+multiply-add against z^k mod the modulus, packed once per field: a slot
+then holds two reduced coefficients (the low product's and acc's) and
+D - 1 sums of e terms, within D e (p - 1)^2.  After a second translate,
+every z-coefficient's y-slots e .. 3e - 3 fold onto y^t mod the base's
+modulus in one pass of masked multiply-adds, a slot summing one reduced
+coefficient and 2e - 2 terms, below 2e (p - 1)^2 <= D e (p - 1)^2; a
+third translate ends it.  Towers past that bound, towers of towers and
+towers over a schoolbook base keep the loop over the base's muladd.
 
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base
@@ -93,16 +117,18 @@ def prime_divisors(n):
     return out
 
 
-def _packed_high_powers(p, d, modulus):
-    """x^k mod the monic modulus over F_p, k = d .. 2d - 2, each packed
-    into an int with one byte per coefficient (constant term lowest)."""
-    cur = [(-c) % p for c in modulus[:d]]  # x^d
+def _high_powers(base, modulus, count):
+    """x^k mod the monic modulus over base, k = deg .. deg + count - 1,
+    as reps (tuples of base reps), deg the modulus's degree."""
+    d = len(modulus) - 1
+    cur = tuple(base.neg(c) for c in modulus[:d])  # x^d
     out = []
-    for _ in range(d - 1):
-        out.append(int.from_bytes(bytes(cur), "little"))
-        top = cur[-1]
-        cur = [(lo - top * c) % p for lo, c in zip([0] + cur[:-1], modulus)]
-    return tuple(out)
+    for _ in range(count):
+        out.append(cur)
+        top = base.neg(cur[-1])
+        cur = tuple(base.muladd(lo, top, c)
+                    for lo, c in zip((base.zero_rep,) + cur[:-1], modulus))
+    return out
 
 
 class Field:
@@ -123,7 +149,7 @@ class Field:
     """
 
     __slots__ = ("p", "base", "degree", "modulus", "order", "key",
-                 "zero_rep", "one_rep", "_hash", "_packed")
+                 "zero_rep", "one_rep", "_hash", "_packed", "_tower")
 
     def __init__(self, p, base, degree, modulus):
         self.p = p
@@ -141,13 +167,20 @@ class Field:
             self.zero_rep = (base.zero_rep,) * degree
             self.one_rep = (base.one_rep,) + (base.zero_rep,) * (degree - 1)
         self._hash = hash(self.key)
-        # The packed product wherever no byte slot can carry (see the
-        # module docstring); the schoolbook loop in mul otherwise.
-        self._packed = None
-        if (base is not None and base.base is None
-                and degree * (p - 1) ** 2 < 256):
-            self._packed = (bytes(v % p for v in range(256)),
-                            _packed_high_powers(p, degree, modulus))
+        # The packed products wherever no byte slot can carry (see the
+        # module docstring); the loops in muladd otherwise.
+        self._packed = self._tower = None
+        if base is None:
+            return
+        if base.base is None:
+            if degree * (p - 1) ** 2 < 256:
+                self._packed = (
+                    bytes(v % p for v in range(256)),
+                    tuple(int.from_bytes(bytes(r), "little")
+                          for r in _high_powers(base, modulus, degree - 1)))
+        elif (base._packed is not None
+              and degree * base.degree * (p - 1) ** 2 < 256):
+            self._tower = self._tower_layout()
 
     # -- identity ----------------------------------------------------------
 
@@ -212,28 +245,36 @@ class Field:
     def mul(self, x, y):
         if self.base is None:
             return (x * y) % self.p
-        d = self.degree
         if self._packed is not None:
-            # One integer product with a byte per coefficient, then the
-            # high slots folded back onto x^k mod m, k = d .. 2d - 2.
-            mod_p, high = self._packed
-            prod = (int.from_bytes(bytes(x), "little")
-                    * int.from_bytes(bytes(y), "little"))
-            slots = prod.to_bytes(2 * d - 1, "little").translate(mod_p)
-            low = (int.from_bytes(slots[:d], "little")
-                   + sum(map(_int_mul, slots[d:], high)))
-            return tuple(low.to_bytes(d, "little").translate(mod_p))
+            return self._packed_product(x, y, 0)
+        if self._tower is not None:
+            return self._tower_product(x, y, 0)
+        return self.muladd(self.zero_rep, x, y)
+
+    def muladd(self, acc, x, y):
+        """acc + x y, the step of a multiply-accumulate loop: one
+        packed product where mul has one, with acc added before its last
+        reductions (see the module docstring)."""
         b = self.base
+        if b is None:
+            return (acc + x * y) % self.p
+        if self._packed is not None:
+            return self._packed_product(
+                x, y, int.from_bytes(bytes(acc), "little"))
+        if self._tower is not None:
+            return self._tower_product(x, y, int.from_bytes(
+                self._tower[0].join(map(bytes, acc)), "little"))
+        d = self.degree
+        mod = self.modulus
         if b.base is None:
             # Coefficients are plain ints; delay the mod until the end of
             # each convolution slot.
             p = b.p
-            prod = [0] * (2 * d - 1)
+            prod = list(acc) + [0] * (d - 1)
             for i, xi in enumerate(x):
                 if xi:
                     for j, yj in enumerate(y):
                         prod[i + j] += xi * yj
-            mod = self.modulus
             for k in range(2 * d - 2, d - 1, -1):
                 c = prod[k] % p
                 if c:
@@ -244,22 +285,82 @@ class Field:
                             prod[off + j] -= c * mj
             return tuple(v % p for v in prod[:d])
         bz = b.zero_rep
-        prod = [bz] * (2 * d - 1)
+        prod = list(acc) + [bz] * (d - 1)
         for i, xi in enumerate(x):
             if xi != bz:
                 for j, yj in enumerate(y):
                     if yj != bz:
-                        prod[i + j] = b.add(prod[i + j], b.mul(xi, yj))
-        mod = self.modulus
+                        prod[i + j] = b.muladd(prod[i + j], xi, yj)
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c != bz:
+                c = b.neg(c)
                 off = k - d
                 for j in range(d):
                     mj = mod[j]
                     if mj != bz:
-                        prod[off + j] = b.sub(prod[off + j], b.mul(c, mj))
+                        prod[off + j] = b.muladd(prod[off + j], c, mj)
         return tuple(prod[:d])
+
+    def _packed_product(self, x, y, acc):
+        """acc + x y over the prime field, acc packed: one integer
+        product with a byte per coefficient, then the high slots folded
+        back onto x^k mod m, k = d .. 2d - 2."""
+        d = self.degree
+        mod_p, high = self._packed
+        prod = (int.from_bytes(bytes(x), "little")
+                * int.from_bytes(bytes(y), "little"))
+        slots = prod.to_bytes(2 * d - 1, "little").translate(mod_p)
+        low = (int.from_bytes(slots[:d], "little") + acc
+               + sum(map(_int_mul, slots[d:], high)))
+        return tuple(low.to_bytes(d, "little").translate(mod_p))
+
+    def _tower_layout(self):
+        """The constants of _tower_product: the pad between base
+        coefficients, the mod-p table, z^k mod M, k = D .. 2D - 2,
+        packed with 3e - 2 bytes per base coefficient, y^t mod m,
+        t = e .. 3e - 3, packed with a byte per coefficient, and the
+        byte counts, masks and slices that cut a packed product."""
+        b, D = self.base, self.degree
+        e = b.degree
+        s = 3 * e - 2
+        pad = bytes(s - e)
+        mod_p = b._packed[0]
+        high_z = [(8 * s * k, (1 << 8 * (2 * e - 1)) - 1,
+                   int.from_bytes(pad.join(map(bytes, r)), "little"))
+                  for k, r in enumerate(_high_powers(b, self.modulus, D - 1),
+                                        D)]
+        high_y = [(8 * t, int.from_bytes(bytes(r), "little"))
+                  for t, r in enumerate(_high_powers(b.base, b.modulus,
+                                                     2 * e - 2), e)]
+        low_y = sum(((1 << 8 * e) - 1) << 8 * s * k for k in range(D))
+        unit = sum(255 << 8 * s * k for k in range(D))
+        return (pad, mod_p, (2 * D - 1) * s, D * s, (1 << 8 * s * D) - 1,
+                high_z, low_y, unit, high_y,
+                tuple(slice(s * k, s * k + e) for k in range(D)))
+
+    def _tower_product(self, x, y, acc):
+        """acc + x y in a tower over a packed base, acc packed: one
+        integer product of the operands packed with 3e - 2 bytes per
+        base coefficient, one multiply-add per high z-coefficient
+        against z^k mod M, and one fold of every z-coefficient's high
+        y-slots onto y^t mod m."""
+        (pad, mod_p, nprod, nout, low_z, high_z, low_y, unit, high_y,
+         slices) = self._tower
+        prod = (int.from_bytes(pad.join(map(bytes, x)), "little")
+                * int.from_bytes(pad.join(map(bytes, y)), "little"))
+        prod = int.from_bytes(
+            prod.to_bytes(nprod, "little").translate(mod_p), "little")
+        acc += prod & low_z
+        for shift, mask, zk in high_z:
+            acc += ((prod >> shift) & mask) * zk
+        acc = int.from_bytes(
+            acc.to_bytes(nout, "little").translate(mod_p), "little")
+        low = acc & low_y
+        for shift, yt in high_y:
+            low += ((acc >> shift) & unit) * yt
+        out = low.to_bytes(nout, "little").translate(mod_p)
+        return tuple([tuple(out[sl]) for sl in slices])
 
     def pow(self, x, e):
         """x^e by left-to-right square and multiply from x at the
@@ -327,16 +428,18 @@ class Field:
             for k in range(len(quo) - 1, -1, -1):
                 c = quo[k] = b.mul(r0[k + top], lead)
                 if c != bz:
+                    c = b.neg(c)
                     for j in range(top):
-                        r0[k + j] = b.sub(r0[k + j], b.mul(c, r1[j]))
+                        r0[k + j] = b.muladd(r0[k + j], c, r1[j])
             rem = r0[:top]
             while rem and rem[-1] == bz:
                 rem.pop()
             s2 = s0 + [bz] * (len(quo) + len(s1) - 1 - len(s0))
             for i, qi in enumerate(quo):
                 if qi != bz:
+                    qi = b.neg(qi)
                     for j, sj in enumerate(s1):
-                        s2[i + j] = b.sub(s2[i + j], b.mul(qi, sj))
+                        s2[i + j] = b.muladd(s2[i + j], qi, sj)
             r0, r1, s0, s1 = r1, rem, s1, s2
         c = b.inv(r1[0])
         return tuple(b.mul(v, c) for v in (s1 + [bz] * d)[:d])

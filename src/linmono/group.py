@@ -95,7 +95,7 @@ def mat_mul(field, A, B):
             tuple(sum(A[i][k] * B[k][j] for k in range(n)) % p
                   for j in range(n))
             for i in range(n))
-    add, mul, z = field.add, field.mul, field.zero_rep
+    muladd, z = field.muladd, field.zero_rep
     out = []
     for i in range(n):
         row = []
@@ -107,7 +107,7 @@ def mat_mul(field, A, B):
                 if a != z:
                     b = B[k][j]
                     if b != z:
-                        acc = add(acc, mul(a, b))
+                        acc = muladd(acc, a, b)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -119,7 +119,7 @@ def mat_vec(field, A, v):
         p = field.p
         return tuple(sum(A[i][k] * v[k] for k in range(n)) % p
                      for i in range(n))
-    add, mul, z = field.add, field.mul, field.zero_rep
+    muladd, z = field.muladd, field.zero_rep
     out = []
     for i in range(n):
         acc = z
@@ -129,7 +129,7 @@ def mat_vec(field, A, v):
             if a != z:
                 b = v[k]
                 if b != z:
-                    acc = add(acc, mul(a, b))
+                    acc = muladd(acc, a, b)
         out.append(acc)
     return tuple(out)
 

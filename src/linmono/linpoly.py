@@ -169,7 +169,7 @@ def evaluate(L, x):
             t = E.pow(t, q)
         if c != L.field.zero_rep:
             cr = c if E == L.field else embed_rep(E, L.field, c)
-            acc = E.add(acc, E.mul(cr, t))
+            acc = E.muladd(acc, cr, t)
     return FieldElement(E, acc)
 
 
@@ -288,8 +288,8 @@ def _kernel_basis(K, M, n):
         rows[r] = [K.mul(inv, v) for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != z:
-                f = rows[i][c]
-                rows[i] = [K.sub(vi, K.mul(f, vr))
+                f = K.neg(rows[i][c])
+                rows[i] = [K.muladd(vi, f, vr)
                            for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
@@ -396,7 +396,7 @@ def _rank_at(E, g, powers):
             c = embed_rep(E, g.field, c)
             for row, prow in zip(A, powers[j]):
                 for i, v in enumerate(prow):
-                    row[i] = E.add(row[i], E.mul(c, v))
+                    row[i] = E.muladd(row[i], c, v)
     return n - len(_kernel_basis(E, A, n))
 
 
@@ -421,7 +421,7 @@ def _frobenius_matrix(L):
             acc = z
             for v, c in zip(row, coeffs):
                 if v != z and c != z:
-                    acc = E.add(acc, E.mul(v, c))
+                    acc = E.muladd(acc, v, c)
             rows.append(row[1:] + (E.neg(acc),))
         N = tuple(rows)
     return N

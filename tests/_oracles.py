@@ -58,6 +58,17 @@ def brute_factor(f, irreducibles):
                                         for c in gm[0].coeffs)))
 
 
+def irreducible_by_trial_division(f):
+    """Whether f is irreducible, by trial division of f by every monic
+    polynomial of degree 1 .. deg f / 2: no squarefree test, no list of
+    irreducibles and no Frobenius step."""
+    if f.is_zero or f.degree < 1:
+        return False
+    return not any((f % g).is_zero
+                   for d in range(1, f.degree // 2 + 1)
+                   for g in all_monic(f.field, d))
+
+
 def brute_is_irreducible(f, irreducibles):
     f = f.monic()
     for p in irreducibles:

@@ -830,6 +830,19 @@ def test_recheck_refuses_lost_primes_and_random_wrong_claims(L):
     assert seen > 0
 
 
+def test_field_at_keeps_only_the_last_base_and_seed():
+    """_field_at builds each degree once for the last (base, seed), and a
+    second seed evicts the first seed's fields."""
+    E2 = engine._field_at(F3, 2, 0)
+    E3 = engine._field_at(F3, 3, 0)
+    assert engine._field_at(F3, 2, 0) is E2
+    assert engine._field_at(F3, 3, 0) is E3
+    engine._field_at(F3, 2, 1)
+    assert engine._fields_at.cache_info().currsize == 1
+    again = engine._field_at(F3, 2, 0)
+    assert again == E2 and again is not E2
+
+
 def test_recheck_keeps_types_apart_across_polynomials_and_seeds():
     """The same (k, alpha_index) under two L, and under two seeds whose
     F_9 moduli differ, has its own type each time: a type computed for

@@ -371,7 +371,7 @@ def test_mul_equals_schoolbook(p, d):
 
 @pytest.mark.parametrize("spec", ["2^2+3", "3^2+2", "3^2+3"])
 def test_tower_mul_equals_schoolbook(spec):
-    """Towers keep their loop over the (packed) base product."""
+    """Towers over a packed base multiply by the packed tower product."""
     F = parse_field_spec(spec)
     xs = _mul_inputs(F, random.Random(spec))
     for x in xs:
@@ -435,3 +435,83 @@ def test_pow_makes_bitlen_plus_popcount_minus_two_products(monkeypatch,
         F.pow(x, e)
         m = abs(e)
         assert len(calls) == max(0, m.bit_length() + bin(m).count("1") - 2), e
+
+
+# Every shape of field product, by the path Field.mul takes: "prime",
+# "packed" (one integer product over the prime field), "schoolbook" (the
+# loop over a prime base past the packed bound), "tower" (one integer
+# product over a packed base, D e (p - 1)^2 < 256) and "loop" (the loop
+# over the base's muladd: past that bound, towers of towers and towers
+# over unpacked bases).
+_PATHS = [("7", "prime"), ("3^6", "packed"), ("2^12", "packed"),
+          ("7^7", "packed"), ("11^3", "schoolbook"), ("13^2", "schoolbook"),
+          ("3^2+2", "tower"), ("3^2+3", "tower"), ("3^2+6", "tower"),
+          ("2^2+2", "tower"), ("2^2+3", "tower"), ("2^2+20", "tower"),
+          ("5^2+7", "tower"), ("7^2+3", "tower"), ("5^2+8", "loop"),
+          ("7^2+4", "loop"), ("2^2+2+2", "loop"), ("13^2+2", "loop")]
+
+
+def _path(F):
+    if F.base is None:
+        return "prime"
+    if F._packed is not None:
+        return "packed"
+    if F._tower is not None:
+        return "tower"
+    return "schoolbook" if F.base.base is None else "loop"
+
+
+@pytest.mark.parametrize("spec,path", _PATHS)
+def test_product_path_follows_the_slot_bound(spec, path):
+    """Each spec takes the pinned path, and a tower over a packed base of
+    degree e is packed exactly where D e (p - 1)^2 < 256: F_{25^7}
+    (224) is the widest packed 5^2 tower and F_{25^8} (256) loops."""
+    F = parse_field_spec(spec)
+    assert _path(F) == path
+    b = F.base
+    if b is not None and b._packed is not None:
+        assert (path == "tower") == (
+            F.degree * b.degree * (F.p - 1) ** 2 < 256)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _PATHS])
+def test_muladd_equals_add_of_mul(spec):
+    """muladd(acc, x, y) = add(acc, mul(x, y)), and mul equals the
+    schoolbook oracle, on every product path, on zero, one, x^(d-1), the
+    all-(p - 1) rep and random reps.  At F_{7^7} the all-6 product's
+    middle slot is 7 * 36 = 252, so an acc of 6 added to that slot
+    before its reduction would carry; at F_{25^8} the all-(4, 4)
+    product's middle slot is 8 * 2 * 16 = 256."""
+    F = parse_field_spec(spec)
+    rng = random.Random("muladd:" + spec)
+    if F.base is None:
+        xs = [0, 1, F.p - 1] + [F.random_rep(rng) for _ in range(5)]
+    else:
+        xs = _mul_inputs(F, rng)
+    accs = xs[:4] + [F.random_rep(rng) for _ in range(2)]
+    for x in xs:
+        for y in xs:
+            assert F.mul(x, y) == schoolbook_mul(F, x, y), (x, y)
+            for acc in accs:
+                assert F.muladd(acc, x, y) == F.add(acc, F.mul(x, y)), \
+                    (acc, x, y)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, path in _PATHS
+                                  if path == "tower"])
+def test_packed_tower_product_equals_the_loop(spec):
+    """The packed tower product and muladd equal the loop over the base's
+    muladd, run on the same field with the packing switched off, on
+    random pairs and on the all-(p - 1) rep."""
+    F = parse_field_spec(spec)
+    loop = Field(F.p, F.base, F.degree, F.modulus)
+    loop._tower = None
+    assert loop == F
+    rng = random.Random("tower:" + spec)
+    full = _mul_inputs(F, rng)[3]
+    pairs = [(full, full)] + [(F.random_rep(rng), F.random_rep(rng))
+                              for _ in range(40)]
+    for x, y in pairs:
+        assert F.mul(x, y) == loop.mul(x, y), (x, y)
+        assert F.muladd(full, x, y) == loop.muladd(full, x, y), (x, y)
+        assert F.muladd(y, x, y) == loop.muladd(y, x, y), (x, y)

@@ -17,7 +17,7 @@ from linmono.poly import (Poly, discriminant, factor, factor_degrees, gcd,
                           resultant, squarefree_decomposition)
 
 from _oracles import (all_monic, brute_factor, brute_irreducibles,
-                      brute_is_irreducible)
+                      brute_is_irreducible, irreducible_by_trial_division)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -154,6 +154,21 @@ def test_irreducibility_matches_oracle(field, max_deg):
     for d in range(1, max_deg + 1):
         for f in all_monic(field, d):
             assert is_irreducible(f) == (f.coeffs in oracle_set), str(f)
+
+
+@pytest.mark.parametrize("field,max_deg", [(F2, 6), (F3, 6), (F4, 4)])
+def test_irreducibility_matches_trial_division(field, max_deg):
+    """is_irreducible, which runs no squarefree test, agrees with trial
+    division on every monic f of each degree, the q^(n-1) non-squarefree
+    ones of degree n >= 2 among them."""
+    q = field.order
+    for n in range(1, max_deg + 1):
+        repeated = 0
+        for f in all_monic(field, n):
+            assert is_irreducible(f) == irreducible_by_trial_division(f), \
+                str(f)
+            repeated += not is_squarefree(f)
+        assert repeated == (q ** (n - 1) if n >= 2 else 0)
 
 
 @pytest.mark.parametrize("field,coeffs,root", [

@@ -152,21 +152,17 @@ def _parse_lin(field, text):
 
 
 def _analyze_doc(field, L, args):
-    v = engine.verdict(L, n=args.n, kmax=args.kmax, budget=args.budget,
-                       seed=args.seed)
+    kmax = engine.checked_kmax(L, args.n, args.kmax)
+    v = engine.verdict(L, kmax=kmax, budget=args.budget, seed=args.seed)
     doc = {"command": "analyze", "field": field.spec_string(),
-           "lin": L.coeff_objs(),
-           "kmax": args.kmax if args.kmax is not None else L.qdeg + 3,
+           "lin": L.coeff_objs(), "kmax": kmax,
            "budget": args.budget, "seed": args.seed}
     doc.update(v.to_json())
     return doc, (0 if v.family in ("GL", "GammaL") else 2)
 
 
 def _sample_doc(field, L, args):
-    kmax = args.kmax if args.kmax is not None else L.qdeg + 3
-    if args.n is not None and args.n != L.qdeg:
-        raise ValueError("q-degree mismatch: polynomial has %d, caller "
-                         "said %d" % (L.qdeg, args.n))
+    kmax = engine.checked_kmax(L, args.n, args.kmax)
     run = engine.sample_cycle_types(L, range(1, kmax + 1),
                                     budget=args.budget, seed=args.seed)
     notes = []

@@ -438,7 +438,16 @@ def _normalizer_census_flags(Ln, n, samples):
                    % (flags.count(False), len(samples), order))
 
 
-def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
+def checked_kmax(L, n=None, kmax=None):
+    """kmax, or its default L's q-degree + 3, after checking a caller's
+    q-degree n (None: no check) against L's."""
+    if n is not None and n != L.qdeg:
+        raise ValueError("q-degree mismatch: polynomial has %d, caller "
+                         "said %d" % (L.qdeg, n))
+    return L.qdeg + 3 if kmax is None else kmax
+
+
+def verdict(L, n=None, kmax=None, budget=12, seed=0):
     """Decide the Galois group of (L(x) + tx)/x over F_q(t) when a
     theorem applies, otherwise return Inconclusive with evidence.
 
@@ -455,14 +464,7 @@ def verdict(L, n=None, q=None, kmax=None, budget=12, seed=0):
         raise ValueError("verdict needs a monic polynomial")
     nv = L.qdeg
     qv = L.q
-    if n is not None and n != nv:
-        raise ValueError("q-degree mismatch: polynomial has %d, caller "
-                         "said %d" % (nv, n))
-    if q is not None and q != qv:
-        raise ValueError("base order mismatch: polynomial has %d, caller "
-                         "said %d" % (qv, q))
-    if kmax is None:
-        kmax = nv + 3
+    kmax = checked_kmax(L, n, kmax)
     ks = range(1, kmax + 1)
     p = L.base.p
     Ln, shifted = normalize(L)

@@ -24,7 +24,9 @@ product slot sums at most d terms below (p - 1)^2, and a folded slot one
 reduced coefficient and d - 1 such terms, so no slot carries into the
 next while d (p - 1)^2 < 256: for p = 2 every d below the cardinality
 cap, and d <= 63, 15, 7 and 2 for p = 3, 5, 7 and 11.  Past that bound
-the d^2 schoolbook convolution runs.
+(F_{11^3}, F_{13^2}, F_{7^8}, ...) the loop over the base's muladd runs,
+as it does in every unpacked field: one base muladd per coefficient pair
+and per folded term.
 
 Field.muladd(acc, x, y) is acc + x y, the step of the
 multiply-accumulate loops in poly (all but Poly.__mul__, which says
@@ -49,7 +51,7 @@ every z-coefficient's y-slots e .. 3e - 3 fold onto y^t mod the base's
 modulus in one pass of masked multiply-adds, a slot summing one reduced
 coefficient and 2e - 2 terms, below 2e (p - 1)^2 <= D e (p - 1)^2; a
 third translate ends it.  Towers past that bound, towers of towers and
-towers over a schoolbook base keep the loop over the base's muladd.
+towers over an unpacked base keep the loop over the base's muladd.
 
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base
@@ -266,31 +268,13 @@ class Field:
                 self._tower[0].join(map(bytes, acc)), "little"))
         d = self.degree
         mod = self.modulus
-        if b.base is None:
-            # Coefficients are plain ints; delay the mod until the end of
-            # each convolution slot.
-            p = b.p
-            prod = list(acc) + [0] * (d - 1)
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, yj in enumerate(y):
-                        prod[i + j] += xi * yj
-            for k in range(2 * d - 2, d - 1, -1):
-                c = prod[k] % p
-                if c:
-                    off = k - d
-                    for j in range(d):
-                        mj = mod[j]
-                        if mj:
-                            prod[off + j] -= c * mj
-            return tuple(v % p for v in prod[:d])
-        bz = b.zero_rep
+        bz, base_muladd = b.zero_rep, b.muladd
         prod = list(acc) + [bz] * (d - 1)
         for i, xi in enumerate(x):
             if xi != bz:
                 for j, yj in enumerate(y):
                     if yj != bz:
-                        prod[i + j] = b.muladd(prod[i + j], xi, yj)
+                        prod[i + j] = base_muladd(prod[i + j], xi, yj)
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c != bz:
@@ -299,7 +283,7 @@ class Field:
                 for j in range(d):
                     mj = mod[j]
                     if mj != bz:
-                        prod[off + j] = b.muladd(prod[off + j], c, mj)
+                        prod[off + j] = base_muladd(prod[off + j], c, mj)
         return tuple(prod[:d])
 
     def _packed_product(self, x, y, acc):
@@ -379,67 +363,39 @@ class Field:
         return r
 
     def inv(self, x):
-        """x^(-1), by the extended Euclidean algorithm: u with
-        u x = 1 modulo the modulus, whose remainder sequence ends in a
-        nonzero constant because the modulus is irreducible."""
+        """x^(-1): pow(x, -1, p) in a prime field, and otherwise the u
+        with u x = 1 modulo the modulus, by the extended Euclidean
+        algorithm over the base's inv, mul and muladd; the remainder
+        sequence ends in a nonzero constant because the modulus is
+        irreducible."""
         if x == self.zero_rep:
             raise ZeroDivisionError("inverse of zero in %r" % self)
         b = self.base
         if b is None:
             return pow(x, -1, self.p)
         d = self.degree
-        if b.base is None:
-            # Plain int coefficients, as in mul: the mod is delayed to
-            # the end of each division and each cofactor update.
-            p = b.p
-            r0, r1 = list(self.modulus), list(x)
-            s0, s1 = [0], [1]  # r_i = s_i x modulo the modulus
-            while not r1[-1]:
-                r1.pop()
-            while len(r1) > 1:
-                top = len(r1) - 1
-                lead = pow(r1[-1], -1, p)
-                quo = [0] * (len(r0) - top)
-                for k in range(len(quo) - 1, -1, -1):
-                    c = quo[k] = r0[k + top] * lead % p
-                    if c:
-                        for j in range(top):
-                            r0[k + j] -= c * r1[j]
-                rem = [v % p for v in r0[:top]]
-                while rem and not rem[-1]:
-                    rem.pop()
-                s2 = s0 + [0] * (len(quo) + len(s1) - 1 - len(s0))
-                for i, qi in enumerate(quo):
-                    if qi:
-                        for j, sj in enumerate(s1):
-                            s2[i + j] -= qi * sj
-                r0, r1, s0, s1 = r1, rem, s1, [v % p for v in s2]
-            c = pow(r1[0], -1, p)
-            return tuple((v * c) % p for v in (s1 + [0] * d)[:d])
-        bz = b.zero_rep
+        bz, base_muladd = b.zero_rep, b.muladd
         r0, r1 = list(self.modulus), list(x)
-        s0, s1 = [bz], [b.one_rep]
+        s0, s1 = [bz], [b.one_rep]  # r_i = s_i x modulo the modulus
         while r1[-1] == bz:
             r1.pop()
         while len(r1) > 1:
             top = len(r1) - 1
-            lead = b.inv(r1[-1])
-            quo = [bz] * (len(r0) - top)
-            for k in range(len(quo) - 1, -1, -1):
-                c = quo[k] = b.mul(r0[k + top], lead)
+            lead = b.neg(b.inv(r1[-1]))
+            nquo = [bz] * (len(r0) - top)  # minus the quotient
+            for k in range(len(nquo) - 1, -1, -1):
+                c = nquo[k] = b.mul(r0[k + top], lead)
                 if c != bz:
-                    c = b.neg(c)
                     for j in range(top):
-                        r0[k + j] = b.muladd(r0[k + j], c, r1[j])
+                        r0[k + j] = base_muladd(r0[k + j], c, r1[j])
             rem = r0[:top]
             while rem and rem[-1] == bz:
                 rem.pop()
-            s2 = s0 + [bz] * (len(quo) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(quo):
-                if qi != bz:
-                    qi = b.neg(qi)
+            s2 = s0 + [bz] * (len(nquo) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(nquo):
+                if c != bz:
                     for j, sj in enumerate(s1):
-                        s2[i + j] = b.muladd(s2[i + j], qi, sj)
+                        s2[i + j] = base_muladd(s2[i + j], c, sj)
             r0, r1, s0, s1 = r1, rem, s1, s2
         c = b.inv(r1[0])
         return tuple(b.mul(v, c) for v in (s1 + [bz] * d)[:d])

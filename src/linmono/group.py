@@ -2,7 +2,9 @@
 
 Matrices are plain tuples of row tuples of raw field reps; the Field
 travels alongside as an argument.  That keeps everything hashable and
-cheap.
+cheap.  mat_mul and mat_vec run one multiply-accumulate loop over
+field.muladd on every field; which product that step takes (prime,
+packed, tower or loop) is ff's choice alone.
 
 The centerpiece is the Singer model: a companion matrix S of a primitive
 degree-n polynomial f (a generator of a cyclic group of order q^n - 1
@@ -89,12 +91,6 @@ def mat_identity(field, n):
 
 def mat_mul(field, A, B):
     n = len(A)
-    if field.base is None:
-        p = field.p
-        return tuple(
-            tuple(sum(A[i][k] * B[k][j] for k in range(n)) % p
-                  for j in range(n))
-            for i in range(n))
     muladd, z = field.muladd, field.zero_rep
     out = []
     for i in range(n):
@@ -115,10 +111,6 @@ def mat_mul(field, A, B):
 
 def mat_vec(field, A, v):
     n = len(A)
-    if field.base is None:
-        p = field.p
-        return tuple(sum(A[i][k] * v[k] for k in range(n)) % p
-                     for i in range(n))
     muladd, z = field.muladd, field.zero_rep
     out = []
     for i in range(n):
@@ -418,17 +410,8 @@ def gl_elements(n, field):
     zero_vec = (field.zero_rep,) * n
     out = []
 
-    def scaled(c, v):
-        if field.base is None:
-            p = field.p
-            return tuple((c * x) % p for x in v)
-        return tuple(field.mul(c, x) for x in v)
-
-    def vadd(u, v):
-        if field.base is None:
-            p = field.p
-            return tuple((a + b) % p for a, b in zip(u, v))
-        return tuple(field.add(a, b) for a, b in zip(u, v))
+    def vadd_scaled(u, c, v):
+        return tuple(field.muladd(a, c, b) for a, b in zip(u, v))
 
     def rec(rows, span):
         if len(rows) == n:
@@ -439,7 +422,7 @@ def gl_elements(n, field):
                 new_span = set(span)
                 for s in span:
                     for c in nonzero_scalars:
-                        new_span.add(vadd(s, scaled(c, v)))
+                        new_span.add(vadd_scaled(s, c, v))
                 rec(rows + [v], new_span)
 
     rec([], {zero_vec})

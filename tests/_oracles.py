@@ -192,6 +192,24 @@ def brute_stabilizer_orders(field, elements):
             for v in nonzero_vectors(field, n)]
 
 
+def prime_mat_mul(field, A, B):
+    """A B over a prime field by plain integer sums, each entry reduced
+    mod p once: the reference for group.mat_mul there, with no Field
+    arithmetic."""
+    assert field.base is None
+    n = len(A)
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) % field.p
+                       for j in range(n))
+                 for i in range(n))
+
+
+def prime_mat_vec(field, A, v):
+    """A v over a prime field by plain integer sums: the reference for
+    group.mat_vec there."""
+    assert field.base is None
+    return tuple(sum(a * c for a, c in zip(row, v)) % field.p for row in A)
+
+
 def mat_det(field, A):
     """Determinant by Gaussian elimination."""
     n = len(A)

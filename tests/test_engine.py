@@ -445,8 +445,6 @@ def test_verdict_input_validation():
         verdict(parse_linpoly(F3, "0,1,0,2"))  # not monic
     with pytest.raises(ValueError):
         verdict(X27, n=2)
-    with pytest.raises(ValueError):
-        verdict(X27, q=9)
 
 
 def test_verdict_skipped_alphas_reported():

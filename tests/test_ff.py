@@ -142,11 +142,13 @@ def test_field_axioms_exhaustive(spec):
         assert a * (b + c) == a * b + a * c
 
 
-@pytest.mark.parametrize("spec", ["2", "7", "2^7", "3^6", "5^3", "2^2+3",
-                                  "3^2+2"])
+@pytest.mark.parametrize("spec", ["2", "7", "2^7", "3^6", "5^3", "11^3",
+                                  "13^2", "2^2+3", "3^2+2", "2^2+2+2"])
 def test_inverse_by_euclid_equals_fermat(spec):
     """Every nonzero x: inv(x) x = 1, and inv(x) is the Fermat power
-    x^(Q-2); prime fields, prime-base extensions and towers."""
+    x^(Q-2); prime fields, and the one Euclid over the base's arithmetic
+    on packed and unpacked prime-base extensions, towers and a tower of
+    towers."""
     F = parse_field_spec(spec)
     for i in range(1, F.order):
         x = F.rep_at(i)
@@ -438,13 +440,13 @@ def test_pow_makes_bitlen_plus_popcount_minus_two_products(monkeypatch,
 
 
 # Every shape of field product, by the path Field.mul takes: "prime",
-# "packed" (one integer product over the prime field), "schoolbook" (the
-# loop over a prime base past the packed bound), "tower" (one integer
-# product over a packed base, D e (p - 1)^2 < 256) and "loop" (the loop
-# over the base's muladd: past that bound, towers of towers and towers
-# over unpacked bases).
+# "packed" (one integer product over the prime field), "tower" (one
+# integer product over a packed base, D e (p - 1)^2 < 256) and "loop"
+# (the loop over the base's muladd: a prime base past the packed bound,
+# towers past the tower bound, towers of towers and towers over
+# unpacked bases).
 _PATHS = [("7", "prime"), ("3^6", "packed"), ("2^12", "packed"),
-          ("7^7", "packed"), ("11^3", "schoolbook"), ("13^2", "schoolbook"),
+          ("7^7", "packed"), ("11^3", "loop"), ("13^2", "loop"),
           ("3^2+2", "tower"), ("3^2+3", "tower"), ("3^2+6", "tower"),
           ("2^2+2", "tower"), ("2^2+3", "tower"), ("2^2+20", "tower"),
           ("5^2+7", "tower"), ("7^2+3", "tower"), ("5^2+8", "loop"),
@@ -458,7 +460,7 @@ def _path(F):
         return "packed"
     if F._tower is not None:
         return "tower"
-    return "schoolbook" if F.base.base is None else "loop"
+    return "loop"
 
 
 @pytest.mark.parametrize("spec,path", _PATHS)

@@ -11,9 +11,7 @@ Field arithmetic itself uses no lookup tables, and an inverse is an
 extended Euclidean algorithm against the modulus.  log_tables builds, on
 request and cached per field, exp/log/Zech tables over enumeration
 indices for fields of at most TABLE_CAP elements.  engine.verify_gmg
-runs its exhaustive search on them, and group.irreducible_orders, and
-through it group.gl_census, finds the irreducibles of each degree and
-their orders on the tables of the extension of that degree.
+runs its exhaustive search on them.
 
 A product in F_{p^d} over the prime field is one integer product
 (Kronecker substitution).  Each rep packs into an int with one byte per
@@ -105,7 +103,8 @@ def is_prime(n):
 
 
 def prime_divisors(n):
-    """Distinct prime divisors of n >= 1, ascending."""
+    """Distinct prime divisors of n >= 1, ascending, by trial division
+    by 2 and the odd d."""
     out = []
     d = 2
     while d * d <= n:
@@ -113,7 +112,7 @@ def prime_divisors(n):
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out

@@ -37,17 +37,18 @@ whose elements x -> g^t x^(q^i) have fixed spaces read off exponent
 arithmetic (normalizer_census); only engine.verify_normalizer, which
 checks the group that S and F generate, walks the closure; the census
 flags need only its fixed-point types (normalizer_fixed_point_types).  For
-GL(n, q) a cycle type depends only on the similarity class, so gl_census
-walks the classes (one partition lam_f per monic irreducible f != x, as
-in Green, "The characters of the finite general linear groups", 1955,
-and Macdonald, Symmetric Functions and Hall Polynomials, ch. IV), reads
-each class's cycle type off (f, lam_f) (class_cycle_type), and weights
-it by the class size |GL(n, q)| / |centralizer|.  class_cycle_type is
-shared: linpoly.frobenius_cycle_type, which recheck runs, hands it the
-class data of a Frobenius matrix.  The irreducibles and their orders
-come from one primitive element of each F_(q^d) (irreducible_orders).
-gl_elements, the row-by-row enumeration of every invertible matrix,
-stays as the brute-force oracle for it.
+GL(n, q) a cycle type depends only on the similarity class (one
+partition lam_f per monic irreducible f != x, as in Green, "The
+characters of the finite general linear groups", 1955, and Macdonald,
+Symmetric Functions and Hall Polynomials, ch. IV), and both it and the
+class size |GL(n, q)| / |centralizer| depend only on the multiset of
+(deg f, ord f, lam_f).  So gl_census walks class types: the counts of
+irreducibles of each degree and order are integer arithmetic on the
+divisors of q^d - 1 (_irreducible_types), and each type's cycle type is
+read off its parts (class_cycle_type).  class_cycle_type is shared:
+linpoly.frobenius_cycle_type, which recheck runs, hands it the class
+data of a Frobenius matrix.  gl_elements, the row-by-row enumeration of
+every invertible matrix, stays as the brute-force oracle for gl_census.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import poly as poly_mod
-from .ff import (CapExceededError, Field, _search_modulus, extend_field,
-                 log_tables, prime_divisors)
+from .ff import CapExceededError, _search_modulus, prime_divisors
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -69,12 +69,13 @@ from .ff import (CapExceededError, Field, _search_modulus, extend_field,
 # stop being desk-checkable.
 CENSUS_CAP = 3 ** 9
 
-# Class censuses walk about q^n similarity classes and read each one's
-# cycle type off its class data, one fixed-space count per divisor of
-# the class's order; the irreducibles of degree d <= n come from the
-# q^d - 1 powers of one primitive element.  So the work grows like q^n,
-# not q^(2n).  The bound admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7);
-# raising it would change which argv are refused.
+# Class censuses walk class types, fewer than the q^n similarity
+# classes, and read each one's cycle type off its parts, one fixed-space
+# count per divisor of its order; the irreducible types of degree
+# d <= n come from the divisors of q^d - 1.  The census document
+# expands each cycle type to q^n - 1 lengths, so the bound stays: it
+# admits GL(4,3), GL(5,2), GL(5,3) and GL(3,7), and raising it would
+# change which argv are refused.
 CLASS_CENSUS_CAP = 7 ** 3
 
 # Breadth-first closure default bound.
@@ -430,60 +431,6 @@ def gl_elements(n, field):
     return out
 
 
-def irreducible_orders(field, d):
-    """(f, ord f) for every monic irreducible f != x of degree d over
-    field, in canonical enumeration order of f's coefficients; ord f is
-    the order of x modulo f.
-
-    Nothing is tested for irreducibility.  With g the primitive element
-    of E = F_(q^d) that ff.log_tables picks and Q = q^d, the roots of
-    each such f are g^(j q^r), r < d, for the least j of a Frobenius
-    orbit {j q^r mod (Q - 1)} of length d, and ord f = (Q - 1) /
-    gcd(j, Q - 1) (Lidl & Niederreiter, Finite Fields, ch. 3).  f is the
-    product of the X - g^(j q^r), multiplied out on logarithms to base g
-    with Zech's logarithms; its coefficients lie in field, whose elements
-    are the ones of E with enumeration index below q.  Refused
-    (CapExceededError) above ff.TABLE_CAP elements in E."""
-    E = extend_field(field, d, 0)
-    exp, _, zech = log_tables(E)
-    q, Q1 = field.order, E.order - 1
-    minus = Q1 // 2 if field.p != 2 else 0  # log of -1
-
-    def plus(a, b):  # log(g^a + g^b), None standing for log 0
-        if a is None or b is None:
-            return b if a is None else a
-        z = zech[(b - a) % Q1]
-        return None if z is None else (a + z) % Q1
-
-    found = []
-    for j in range(Q1):
-        orbit = [j]
-        for _ in range(d - 1):
-            orbit.append(orbit[-1] * q % Q1)
-        if min(orbit) < j or len(set(orbit)) < d:
-            continue
-        logs = [0]  # of the coefficients, lowest degree first
-        for e in orbit:
-            r = (e + minus) % Q1  # log of -g^e
-            low = [None if a is None else (a + r) % Q1 for a in logs]
-            logs = [low[0]] + list(map(plus, logs, low[1:])) + [0]
-        index = tuple(0 if a is None else exp[a] for a in logs)
-        if max(index) >= q:
-            raise AssertionError("minimal polynomial of g^%d is not over "
-                                 "the base field" % j)
-        found.append((index, Q1 // math.gcd(j, Q1)))
-    found.sort()
-    return [(poly_mod.Poly(field, [field.rep_at(i) for i in index]), o)
-            for index, o in found]
-
-
-def monic_irreducibles(field, d):
-    """Monic irreducible polynomials of degree d over field other than x,
-    in canonical enumeration order of their coefficients
-    (irreducible_orders)."""
-    return [f for f, _ in irreducible_orders(field, d)]
-
-
 def partitions(s, largest=None):
     """Partitions of s as non-increasing tuples, largest first part
     first."""
@@ -509,47 +456,6 @@ def primary_centralizer_order(Q, lam):
         for j in range(1, m + 1):
             out *= Q ** j - 1
     return out
-
-
-def gl_classes(n, field):
-    """(parts, class size) for every similarity class of GL(n, q).
-
-    A class is a partition lam_f for each monic irreducible f != x with
-    sum deg(f) |lam_f| = n; parts is the tuple of pairs (f, lam_f) with
-    lam_f nonempty, in enumeration order of f.  The class size is
-    |GL(n, q)| over the centralizer order, the product of the primary
-    centralizer orders.
-    """
-    return _class_walk(n, field.order,
-                       [f for d in range(1, n + 1)
-                        for f in monic_irreducibles(field, d)])
-
-
-def _class_walk(n, q, irreducibles):
-    """gl_classes over the given list of every monic irreducible f != x
-    of degree <= n, in enumeration order."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    order = gl_order(n, q)
-
-    def walk(i, remaining, parts, cent):
-        if remaining == 0:
-            size, rest = divmod(order, cent)
-            assert rest == 0, "centralizer order does not divide |GL|"
-            yield tuple(parts), size
-            return
-        if i == len(irreducibles) or irreducibles[i].degree > remaining:
-            return
-        f = irreducibles[i]
-        d = f.degree
-        yield from walk(i + 1, remaining, parts, cent)
-        for s in range(1, remaining // d + 1):
-            for lam in partitions(s):
-                yield from walk(
-                    i + 1, remaining - d * s, parts + [(f, lam)],
-                    cent * primary_centralizer_order(q ** d, lam))
-
-    return walk(0, n, [], 1)
 
 
 def _divisors(m):
@@ -598,10 +504,10 @@ def fixed_space_cycle_type(q, n, order, dim):
     return tuple(lengths)
 
 
-def class_cycle_type(field, parts, ords):
+def class_cycle_type(field, parts):
     """Cycle type on the nonzero vectors of the similarity class with
-    primary parts ((f, lam_f), ...), as gl_classes yields them; ords
-    maps each f to ord(f), the order of x modulo f.
+    primary parts ((deg f, ord f, lam_f), ...), one per irreducible f of
+    the class; ord f is the order of x modulo f.
 
     On F_q[x]/(f^e), x^d - 1 has f-adic valuation p^v_p(d) when ord(f)
     divides d and 0 otherwise, so the fixed space of A^d has dimension
@@ -609,39 +515,96 @@ def class_cycle_type(field, parts, ords):
     has order lcm_f ord(f) times the least power of p that is >= every
     part."""
     q, p = field.order, field.p
-    top = max((lam[0] for _, lam in parts), default=1)
+    top = max((lam[0] for _, _, lam in parts), default=1)
     pt = 1
     while pt < top:
         pt *= p
-    order = math.lcm(*(ords[f] for f, _ in parts)) * pt
+    order = math.lcm(*(o for _, o, _ in parts)) * pt
 
     def dim(d):
         pv = 1
         while d % (pv * p) == 0:
             pv *= p
-        return sum(f.degree * sum(min(e, pv) for e in lam)
-                   for f, lam in parts if d % ords[f] == 0)
+        return sum(deg * sum(min(e, pv) for e in lam)
+                   for deg, o, lam in parts if d % o == 0)
 
-    n = sum(f.degree * sum(lam) for f, lam in parts)
+    n = sum(deg * sum(lam) for deg, _, lam in parts)
     return fixed_space_cycle_type(q, n, order, dim)
 
 
+def _irreducible_types(q, n):
+    """(d, e, count) for each degree d <= n and each order e: count
+    monic irreducibles f != x of degree d over F_q have ord f = e.
+
+    The roots of such an f are elements of order e, and their Frobenius
+    orbit has length d exactly when q has order d modulo e.  So every
+    divisor e of q^d - 1 on which q has order d carries phi(e) / d
+    irreducibles, and no other e carries any (Lidl & Niederreiter,
+    Finite Fields, Thm 3.5).  x - 1, at d = 1, is the one entry with
+    e = 1.  Entries come in ascending d."""
+    types = [(1, 1, 1)]
+    for d in range(1, n + 1):
+        lower = [q ** (d // r) - 1 for r in prime_divisors(d)]
+        types.extend((d, e, _totient(e) // d)
+                     for e in _divisors(q ** d - 1)[1:]
+                     if all(m % e for m in lower))
+    return types
+
+
 def gl_census(n, field):
-    """Cycle-type census of GL(n, q), one similarity class at a time:
-    the class's cycle type from its class data, counted with the class
-    size.  Refused above CLASS_CENSUS_CAP vectors."""
+    """Cycle-type census of GL(n, q), one class type at a time.
+
+    A similarity class is a partition lam_f for each monic irreducible
+    f != x with sum deg(f) |lam_f| = n (Green, 1955; Macdonald, ch. IV),
+    and its cycle type and size depend only on the multiset of
+    (deg f, ord f, lam_f).  So the walk gives partitions to the
+    irreducible types of _irreducible_types, not to irreducibles: a
+    class type in which a type of c irreducibles has k of them take
+    partitions, m_lam of them lam, stands for c! / ((c - k)! prod
+    m_lam!) classes, each of size |GL(n, q)| over the product of the
+    primary centralizer orders.  Each recursive step adds one part of
+    degree >= 1, so the recursion is at most n deep.  Only field.order
+    and field.p are read: no field, table or polynomial is built.
+    Refused above CLASS_CENSUS_CAP vectors."""
     q = field.order
     if q ** n > CLASS_CENSUS_CAP:
         raise CapExceededError(
             "general-linear census refused above q^n = %d vectors"
             % CLASS_CENSUS_CAP)
-    found = [fo for d in range(1, n + 1)
-             for fo in irreducible_orders(field, d)]
-    ords = dict(found)
-    ctr = Counter()
-    for parts, size in _class_walk(n, q, [f for f, _ in found]):
-        ctr[class_cycle_type(field, parts, ords)] += size
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    types = _irreducible_types(q, n)
+    lams = [(lam, s) for s in range(1, n + 1) for lam in partitions(s)]
     order = gl_order(n, q)
+    ctr = Counter()
+
+    def walk(i, j, remaining, parts, cent, ways, used, run):
+        # The last part gave lams[j] to an irreducible of types[i]; used
+        # irreducibles of that type have a part, the last run of them
+        # lams[j].  Later parts come at (i, j) or after, so each
+        # multiset is walked once.
+        if remaining == 0:
+            size, rest = divmod(order, cent)
+            assert rest == 0, "centralizer order does not divide |GL|"
+            ctr[class_cycle_type(field, parts)] += ways * size
+            return
+        for t in range(i, len(types)):
+            d, e, count = types[t]
+            if d > remaining:
+                break
+            u = used if t == i else 0
+            if u == count:
+                continue
+            for k in range(j if t == i else 0, len(lams)):
+                lam, s = lams[k]
+                if d * s > remaining:
+                    break
+                r = run + 1 if (t, k) == (i, j) else 1
+                walk(t, k, remaining - d * s, parts + [(d, e, lam)],
+                     cent * primary_centralizer_order(q ** d, lam),
+                     ways * (count - u) // r, u + 1, r)
+
+    walk(0, 0, n, [], 1, 1, 0, 0)
     assert sum(ctr.values()) == order, "class sizes do not sum to |GL|"
     return CycleCensus(order=order, counts=tuple(sorted(ctr.items())))
 

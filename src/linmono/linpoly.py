@@ -327,11 +327,12 @@ def frobenius_cycle_type(L):
     The cycle type depends only on N's similarity class, and
     group.class_cycle_type, the routine gl_census runs, reads it off the
     class data: for each irreducible factor f of the minimal polynomial
-    mu of N (which has coefficients in F_q), the order of x modulo f and
-    the partition lam_f of the f-primary part.  poly.factor splits mu,
-    of degree <= n; ord(f) divides q^(deg f) - 1 and poly.order_of_x
-    finds it from there; for a linear f = x - c, the most common kind,
-    it is the order of c in F_q*, found from q - 1 by field powers.
+    mu of N (which has coefficients in F_q), the part (deg f, ord f,
+    lam_f), with ord f the order of x modulo f and lam_f the partition
+    of the f-primary part.  poly.factor splits mu, of degree <= n;
+    ord(f) divides q^(deg f) - 1 and poly.order_of_x finds it from
+    there; for a linear f = x - c, the most common kind, it is the order
+    of c in F_q*, found from q - 1 by field powers.
     When deg mu = n (N is cyclic, the usual case) a factor f^m of mu
     has lam_f = (m); otherwise the ranks of f(N)^j, j <= m, built from
     the powers N^j, give dim ker f(N)^j = deg f * sum_(e in lam_f)
@@ -363,27 +364,27 @@ def frobenius_cycle_type(L):
                             n + 1)[0]
     deg = max(j for j, c in enumerate(dep) if c != z)
     mu = poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
-    parts, ords = [], {}
+    parts = []
     for f, m in poly_mod.factor(mu):
         e = q ** f.degree - 1
         if f.degree == 1:  # x = c modulo x - c: the order of c in F_q*
-            ords[f] = _order_in(K, K.neg(f.coeffs[0]), e)
+            o = _order_in(K, K.neg(f.coeffs[0]), e)
         else:
-            ords[f] = poly_mod.order_of_x(f, e, prime_divisors(e))
-        if ords[f] is None:
+            o = poly_mod.order_of_x(f, e, prime_divisors(e))
+        if o is None:
             raise AssertionError("x^(q^%d - 1) is not 1 modulo %s"
                                  % (f.degree, f))
         if deg == n:
-            parts.append((f, (m,)))
+            parts.append((f.degree, o, (m,)))
             continue
         dims, g = [0], poly_mod.Poly.constant(K, 1)
         for _ in range(m):
             g = g * f
             dims.append(n - _rank_at(E, g, powers))
         conj = [(b - a) // f.degree for a, b in zip(dims, dims[1:])]
-        parts.append((f, tuple(sum(1 for c in conj if c > i)
-                               for i in range(conj[0]))))
-    return group_mod.class_cycle_type(K, parts, ords)
+        parts.append((f.degree, o, tuple(sum(1 for c in conj if c > i)
+                                         for i in range(conj[0]))))
+    return group_mod.class_cycle_type(K, parts)
 
 
 def _rank_at(E, g, powers):

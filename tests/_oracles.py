@@ -5,14 +5,32 @@ only -- no distinct-degree or equal-degree machinery -- so factorization
 results can be checked against an independent path.
 """
 
+import functools
 import itertools
 from collections import Counter, deque
 
-from linmono.group import (CycleCensus, closure, companion_matrix,
-                           frobenius_matrix, mat_identity, mat_mul, mat_pow,
-                           mat_vec, nonzero_vectors, perm_cycle_type,
-                           singer_generator)
-from linmono.poly import Poly
+from linmono.group import (CycleCensus, class_cycle_type, closure,
+                           companion_matrix, frobenius_matrix, gl_order,
+                           mat_identity, mat_mul, mat_pow, mat_vec,
+                           nonzero_vectors, partitions, perm_cycle_type,
+                           primary_centralizer_order, singer_generator)
+from linmono.poly import Poly, order_of_x
+
+
+def trial_prime_divisors(n):
+    """Distinct prime divisors of n >= 1, ascending, by trial division
+    by every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def all_monic(field, degree):
@@ -31,6 +49,21 @@ def brute_irreducibles(field, max_degree):
                        for g in found if 2 * g.degree <= d):
                 found.append(f)
     return found
+
+
+@functools.cache
+def irreducible_orders(field, max_degree):
+    """(f, ord f) for every monic irreducible f != x of degree
+    1..max_degree, f by trial division (brute_irreducibles) and ord f,
+    the order of x modulo f, by poly.order_of_x from q^(deg f) - 1.
+    Cached, since the class oracles below ask for it per field."""
+    x = Poly.x(field)
+    out = []
+    for f in brute_irreducibles(field, max_degree):
+        if f != x:
+            e = field.order ** f.degree - 1
+            out.append((f, order_of_x(f, e, trial_prime_divisors(e))))
+    return tuple(out)
 
 
 def brute_factor(f, irreducibles):
@@ -286,10 +319,55 @@ def block_diagonal(field, blocks):
     return tuple(rows)
 
 
+def gl_classes(n, field):
+    """(parts, class size) for every similarity class of GL(n, q), one
+    irreducible at a time.
+
+    A class is a partition lam_f for each monic irreducible f != x with
+    sum deg(f) |lam_f| = n; parts is the tuple of pairs (f, lam_f) with
+    lam_f nonempty, in brute_irreducibles order.  The class size is
+    |GL(n, q)| over the centralizer order, the product of the primary
+    centralizer orders."""
+    irreducibles = [f for f, _ in irreducible_orders(field, n)]
+    order = gl_order(n, field.order)
+
+    def walk(i, remaining, parts, cent):
+        if remaining == 0:
+            size, rest = divmod(order, cent)
+            assert rest == 0, "centralizer order does not divide |GL|"
+            yield tuple(parts), size
+            return
+        if i == len(irreducibles) or irreducibles[i].degree > remaining:
+            return
+        f = irreducibles[i]
+        d = f.degree
+        yield from walk(i + 1, remaining, parts, cent)
+        for s in range(1, remaining // d + 1):
+            for lam in partitions(s):
+                yield from walk(
+                    i + 1, remaining - d * s, parts + [(f, lam)],
+                    cent * primary_centralizer_order(field.order ** d, lam))
+
+    return list(walk(0, n, [], 1))
+
+
+def class_census(n, field):
+    """Cycle-type census of GL(n, q) over gl_classes: each class's type
+    from linmono.group.class_cycle_type on its (deg f, ord f, lam_f)
+    parts, counted with the class size."""
+    ords = dict(irreducible_orders(field, n))
+    ctr = Counter()
+    for parts, size in gl_classes(n, field):
+        ctr[class_cycle_type(
+            field, [(f.degree, ords[f], lam) for f, lam in parts])] += size
+    return CycleCensus(order=sum(ctr.values()),
+                       counts=tuple(sorted(ctr.items())))
+
+
 def class_representative(field, parts):
     """A matrix in the similarity class with primary parts
-    ((f, lam_f), ...), as linmono.group.gl_classes yields them: block
-    diagonal with one companion matrix of f^e per part e of lam_f."""
+    ((f, lam_f), ...), as gl_classes yields them: block diagonal with
+    one companion matrix of f^e per part e of lam_f."""
     blocks = []
     for f, lam in parts:
         for e in lam:

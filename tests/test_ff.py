@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from _oracles import schoolbook_mul, square_and_multiply_pow
+from _oracles import (schoolbook_mul, square_and_multiply_pow,
+                      trial_prime_divisors)
 from linmono.ff import (CARDINALITY_CAP, TABLE_CAP, CapExceededError, Field,
                         FieldElement, FieldMismatchError, embed, extend_field,
                         frobenius, is_prime, is_square, log_tables,
@@ -24,6 +25,17 @@ def test_prime_divisors():
         divs = prime_divisors(n)
         assert divs == sorted({d for d in range(2, n + 1)
                                if n % d == 0 and is_prime(d)})
+    # against trial division by every d, for every n < 10^5 (every
+    # q^d - 1 the GL census factors at q^d <= 343 among them) and every
+    # q^d - 1 up to 3^11 - 1, as far as the census past its cap reaches
+    for n in range(1, 10 ** 5):
+        assert prime_divisors(n) == trial_prime_divisors(n)
+    for q in range(2, 344):
+        if len(trial_prime_divisors(q)) == 1:
+            Q = q
+            while Q <= 3 ** 11:
+                assert prime_divisors(Q - 1) == trial_prime_divisors(Q - 1)
+                Q *= q
 
 
 def test_prime_field_basics():

@@ -5,28 +5,29 @@ from collections import Counter
 
 import pytest
 
-from _oracles import (brute_closure, brute_cycle_type, brute_irreducibles,
-                      brute_stabilizer_orders, class_representative,
-                      closure_normalizer_census, mat_det, mat_inv,
+from _oracles import (brute_closure, brute_cycle_type,
+                      brute_stabilizer_orders, class_census,
+                      class_representative, closure_normalizer_census,
+                      gl_classes, irreducible_orders, mat_det, mat_inv,
                       mat_pow_signed, normalizer_elements, prime_mat_mul,
                       prime_mat_vec, stabilizer_order, vector_rank)
+from linmono import ff as ff_mod
 from linmono import group as group_mod
 from linmono import poly as poly_mod
-from linmono.ff import (CapExceededError, extend_field, make_field,
-                        parse_field_spec, prime_divisors)
-from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, census,
-                           class_cycle_type, closure, companion_matrix,
-                           conjugation_ok, cycle_type_of, frobenius_matrix,
-                           generate_group, gl_census, gl_classes, gl_elements,
-                           gl_order, irreducible_orders, mat_identity,
-                           mat_mul, mat_pow, mat_vec, monic_irreducibles,
+from linmono.ff import (CapExceededError, make_field, parse_field_spec,
+                        prime_divisors)
+from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, _irreducible_types,
+                           census, class_cycle_type, closure,
+                           companion_matrix, conjugation_ok, cycle_type_of,
+                           frobenius_matrix, generate_group, gl_census,
+                           gl_elements, gl_order, mat_identity, mat_mul,
+                           mat_pow, mat_vec,
                            normalizer_census, normalizer_fixed_point_types,
                            nonzero_vectors,
                            partitions, perm_cycle_type, perm_sign,
                            permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus)
-from linmono.poly import (Poly, is_irreducible, num_irreducible,
-                          order_of_x, pow_mod)
+from linmono.poly import Poly, is_irreducible, num_irreducible, pow_mod
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -519,12 +520,13 @@ def test_partitions_and_irreducibles():
                                    (1, 1, 1, 1)]
     assert [len(list(partitions(s))) for s in range(1, 8)] \
         == [1, 2, 3, 5, 7, 11, 15]
-    for field in (F2, F3, F4):
-        for d in (1, 2, 3):
-            irr = monic_irreducibles(field, d)
-            # x is the one monic irreducible left out
-            assert len(irr) == num_irreducible(field.order, d) - (d == 1)
-            assert all(f.degree == d and is_irreducible(f) for f in irr)
+    # the irreducible types count every monic irreducible but x, also
+    # past the degrees trial division reaches
+    for q, n in ((2, 17), (3, 11), (4, 8), (47, 3), (101, 2)):
+        types = _irreducible_types(q, n)
+        for d in range(1, n + 1):
+            assert sum(c for dd, _, c in types if dd == d) \
+                == num_irreducible(q, d) - (d == 1)
 
 
 def test_primary_centralizer_orders():
@@ -555,35 +557,49 @@ def test_companion_matrix_is_a_root_of_its_polynomial():
     (str(q), d) for q in _prime_powers_up_to(343) for d in range(1, 9)
     if q ** d <= 343] + [("2^2+2", 1), ("2^2+2", 2), ("3^2+2", 1)])
 def test_irreducible_orders_equal_brute_force(spec, d):
-    """The irreducibles read off one primitive element against trial
-    division, in the same order, and each order against poly.order_of_x."""
+    """The irreducible types of degree d against the irreducibles found
+    by trial division, each with its order from poly.order_of_x: for
+    every order e, the count of degree-d irreducibles with ord f = e.
+    The counts sum to every monic irreducible of degree d but x."""
     field = parse_field_spec(spec)
-    x = Poly.x(field)
-    brute = [f for f in brute_irreducibles(field, d)
-             if f.degree == d and f != x]
-    found = irreducible_orders(field, d)
-    assert [f for f, _ in found] == brute
-    assert monic_irreducibles(field, d) == brute
-    e = field.order ** d - 1
-    assert [o for _, o in found] \
-        == [order_of_x(f, e, prime_divisors(e)) for f in brute]
+    q = field.order
+    brute = Counter(o for f, o in irreducible_orders(field, d)
+                    if f.degree == d)
+    types = {e: c for dd, e, c in _irreducible_types(q, d) if dd == d}
+    assert types == brute
+    assert sum(types.values()) == num_irreducible(q, d) - (d == 1)
 
 
-def test_gl_census_tests_no_candidate_and_searches_no_order(monkeypatch):
-    """Past building F_(q^d) (whose modulus search tests a few
-    candidates), the census runs no irreducibility test and no order
-    search."""
+def test_gl_census_builds_no_field(monkeypatch):
+    """The census builds no extension field, log table or polynomial and
+    runs no irreducibility test or order search: it reads only the
+    field's order and characteristic."""
+    from types import SimpleNamespace
     expected = gl_census(3, F7)
-    fields = {d: extend_field(F7, d, 0) for d in (1, 2, 3)}
+    F16 = parse_field_spec("2^2+2")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("gl_census tested or searched")
+        raise AssertionError("gl_census built a field or searched")
 
-    monkeypatch.setattr(group_mod, "extend_field",
-                        lambda base, d, seed=0: fields[d])
+    monkeypatch.setattr(ff_mod, "extend_field", refuse)
+    monkeypatch.setattr(ff_mod, "log_tables", refuse)
     monkeypatch.setattr(poly_mod, "is_irreducible", refuse)
     monkeypatch.setattr(poly_mod, "order_of_x", refuse)
     assert gl_census(3, F7) == expected
+    assert gl_census(3, SimpleNamespace(order=7, p=7)) == expected
+    assert gl_census(2, SimpleNamespace(order=16, p=2)) \
+        == gl_census(2, F16)
+
+
+@pytest.mark.parametrize("spec, n", [
+    (str(q), n) for q in _prime_powers_up_to(343) for n in range(1, 9)
+    if q ** n <= 343] + [("2^2+2", 1), ("2^2+2", 2), ("3^2+2", 1)])
+def test_type_census_equals_class_census(spec, n):
+    """The census by class types against the oracle's census by
+    similarity classes, one partition per irreducible found by trial
+    division."""
+    field = parse_field_spec(spec)
+    assert gl_census(n, field) == class_census(n, field)
 
 
 @pytest.mark.parametrize("field, n", [(F2, 2), (F3, 2), (F4, 2), (F5, 2),
@@ -598,7 +614,7 @@ def test_class_census_equals_enumeration(field, n):
 def test_class_counts_and_sizes(field):
     q = field.order
     for n, expected in ((1, q - 1), (2, q * q - 1), (3, q ** 3 - q)):
-        classes = list(gl_classes(n, field))
+        classes = gl_classes(n, field)
         assert len(classes) == expected
         assert sum(size for _, size in classes) == gl_order(n, q)
         assert all(sum(f.degree * sum(lam) for f, lam in parts) == n
@@ -612,22 +628,25 @@ def test_class_cycle_type_equals_representative(spec, n):
     """The cycle type read off class data against a block-companion
     representative of the class applied to every vector."""
     field = parse_field_spec(spec)
-    ords = {}
-    for d in range(1, n + 1):
-        e = field.order ** d - 1
-        for f in monic_irreducibles(field, d):
-            ords[f] = order_of_x(f, e, prime_divisors(e))
+    ords = dict(irreducible_orders(field, n))
     for parts, _ in gl_classes(n, field):
         A = class_representative(field, parts)
-        assert class_cycle_type(field, parts, ords) \
+        assert class_cycle_type(
+            field, [(f.degree, ords[f], lam) for f, lam in parts]) \
             == cycle_type_of(field, A)
 
 
 def _fixed_point_test(q, cycle_type):
     """The points fixed by g^m form a subspace: for every m, 1 plus the
-    points in cycles of length dividing m is a power of q."""
-    for m in range(1, max(cycle_type) + 1):
-        fixed = 1 + sum(c for c in cycle_type if m % c == 0)
+    points in cycles of length dividing m is a power of q.  g^m fixes
+    what g^gcd(m, ord g) fixes, and ord g is the lcm of the lengths, so
+    the divisors m of that lcm cover every m."""
+    import math
+    lengths = Counter(cycle_type)
+    lcm = math.lcm(*lengths)
+    low = [m for m in range(1, math.isqrt(lcm) + 1) if lcm % m == 0]
+    for m in low + [lcm // m for m in low]:
+        fixed = 1 + sum(c * k for c, k in lengths.items() if m % c == 0)
         while fixed % q == 0:
             fixed //= q
         if fixed != 1:
@@ -635,9 +654,13 @@ def _fixed_point_test(q, cycle_type):
     return True
 
 
-@pytest.mark.parametrize("field, n", [(F3, 4), (F2, 5), (F7, 3)])
-def test_class_census_beyond_enumeration(field, n):
+@pytest.mark.parametrize("field, n", [
+    (F3, 4), (F2, 5), (F7, 3),
+    # past CLASS_CENSUS_CAP, about 0.7 s together
+    (F2, 13), (F3, 9), (F5, 6), (F7, 5), (make_field(101), 2)])
+def test_class_census_beyond_enumeration(field, n, monkeypatch):
     q = field.order
+    monkeypatch.setattr(group_mod, "CLASS_CENSUS_CAP", q ** n)
     cen = gl_census(n, field)
     assert cen.order == gl_order(n, q)
     assert sum(c for _, c in cen.counts) == cen.order
@@ -654,4 +677,4 @@ def test_class_census_cap():
     with pytest.raises(CapExceededError):
         gl_census(6, F3)
     with pytest.raises(ValueError):
-        list(gl_classes(-1, F3))
+        gl_census(-1, F3)

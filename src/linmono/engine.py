@@ -686,6 +686,7 @@ def verify_normalizer(n, field, seed=0):
     is counted, and each position its permutation fixes adds one to that
     vector's stabilizer order.  Violations are listed in rank order."""
     q = field.order
+    group_mod.check_vectors(q, n)
     S = group_mod.singer_generator(n, field, seed)
     F = group_mod.frobenius_matrix(n, field, seed)
     expected = n * (q ** n - 1)
@@ -722,11 +723,7 @@ def verify_gmg(field):
     if p == 2:
         raise ValueError("squares classification needs odd characteristic")
     q = field.order
-    m = 0
-    w = q
-    while w > 1:
-        w //= p
-        m += 1
+    m = math.prod(layer.degree for layer in field.layers())
     total = q ** m - 1
     if total > 20000:
         raise CapExceededError("%d maps exceed the cap 20000" % total)
@@ -846,6 +843,7 @@ def verify_disc_lemma(field, n):
     if field.p == 2:
         raise ValueError("discriminant classes need odd characteristic")
     q = field.order
+    lin_mod.check_dense(q, n)
     count = 0
     mismatches = []
     for L in _monic_lins(field, n, map(field.rep_at, range(1, q))):
@@ -878,6 +876,7 @@ def verify_factor_identity(field, n):
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     q = field.order
+    lin_mod.check_dense(q, n)
     f = (lin_mod.to_poly(lin_mod.LinPoly(
         field, [0] * n + [1]))
         - poly_mod.Poly.x(field))

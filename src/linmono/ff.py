@@ -51,6 +51,13 @@ coefficient and 2e - 2 terms, below 2e (p - 1)^2 <= D e (p - 1)^2; a
 third translate ends it.  Towers past that bound, towers of towers and
 towers over an unpacked base keep the loop over the base's muladd.
 
+Integer arithmetic lives here alone.  prime_divisors, the one
+trial-division loop, backs is_prime, _prime_power_split, divisors,
+totient, mobius and every q^d - 1 factored elsewhere.  The one order
+search, multiplicative_order, backs poly.order_of_x, the linear-factor
+orders of linpoly.frobenius_cycle_type, group's Singer checks
+(singer_modulus, singer_generator, frobenius_matrix) and log_tables.
+
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base
 reps for an extension.  The polynomial and matrix layers work on reps
@@ -88,18 +95,7 @@ class CapExceededError(ValueError):
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_divisors(n) == [n]
 
 
 def prime_divisors(n):
@@ -116,6 +112,47 @@ def prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def divisors(n):
+    """The divisors of n >= 1, ascending."""
+    out = [1]
+    for r in prime_divisors(n):
+        e = 0
+        while n % r ** (e + 1) == 0:
+            e += 1
+        out = [d * r ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def totient(n):
+    """Euler's phi of n >= 1."""
+    for r in prime_divisors(n):
+        n = n // r * (r - 1)
+    return n
+
+
+def mobius(n):
+    """Mobius of n >= 1: 0 when a prime square divides n, else -1 to the
+    number of its primes."""
+    if n < 1:
+        raise ValueError("mobius needs n >= 1")
+    primes = prime_divisors(n)
+    return 0 if any(n % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+
+
+def multiplicative_order(e, primes, is_one):
+    """Order of an element g with g^e = 1, is_one(m) telling whether
+    g^m = 1: each of primes (every prime that may divide e over the
+    order, all prime) is divided out of e while is_one(e // r) holds.
+    None when not is_one(e), so e is no multiple of the order; that is
+    asked only when nothing was divided out, since g^(e/r) = 1 implies
+    g^e = 1."""
+    order = e
+    for r in primes:
+        while order % r == 0 and is_one(order // r):
+            order //= r
+    return None if order == e and not is_one(e) else order
 
 
 def _high_powers(base, modulus, count):
@@ -660,11 +697,11 @@ def extend_field(base, k, seed=0):
 
 
 def exceeds_cap(b, e, cap=CARDINALITY_CAP):
-    """Whether b^e > cap, for ints b >= 2, e >= 1 and cap >= 1.  A b
-    above the cap, or an e of the cap's bit length or more (b^e >= 2^e
-    is then above it), is refused before b^e is taken, which for a huge
-    e would not finish."""
-    return b > cap or e >= cap.bit_length() or b ** e > cap
+    """Whether b^e > cap, for ints b >= 2, e and cap >= 1; never for
+    e <= 0.  A b above the cap, or an e of the cap's bit length or more
+    (b^e >= 2^e is then above it), is refused before b^e is taken, which
+    for a huge e would not finish."""
+    return e > 0 and (b > cap or e >= cap.bit_length() or b ** e > cap)
 
 
 def _search_modulus(base, k, seed, stream="linmono.modulus", accept=None):
@@ -710,20 +747,13 @@ def _prime_power_split(v):
         raise ValueError("field order must be >= 2, got %d" % v)
     if v > CARDINALITY_CAP:  # before trial division up to sqrt(v)
         raise CapExceededError("p^m = %d exceeds the cardinality cap" % v)
-    p = v
-    for cand in range(2, v + 1):
-        if cand * cand > v:
-            break
-        if v % cand == 0:
-            p = cand
-            break
-    m = 0
-    w = v
-    while w % p == 0 and w > 1:
-        w //= p
-        m += 1
-    if w != 1 or not is_prime(p):
+    primes = prime_divisors(v)
+    if len(primes) != 1:
         raise ValueError("%d is not a prime power" % v)
+    p = primes[0]
+    m = 1
+    while p ** m < v:
+        m += 1
     return p, m
 
 
@@ -746,10 +776,10 @@ def log_tables(field):
                                % (q, TABLE_CAP))
     n = q - 1
     one = field.one_rep
-    checks = [n // r for r in prime_divisors(n)]
-    gi = next(i for i in range(1, q)
-              if all(field.pow(field.rep_at(i), e) != one for e in checks))
-    g = field.rep_at(gi)
+    primes = prime_divisors(n)
+    g = next(g for g in map(field.rep_at, range(1, q))
+             if multiplicative_order(
+                 n, primes, lambda m: field.pow(g, m) == one) == n)
     powers = [one]
     for _ in range(n - 1):
         powers.append(field.mul(powers[-1], g))

@@ -13,7 +13,8 @@ field model F_q[x]/(f), so that F S F^(-1) = S^q holds on the nose
 (conjugation_ok checks it as F S = S^q F, with no inverse).  The model
 reuses the primitives every field is built with: f is drawn by
 ff._search_modulus, the seeded search behind every field modulus, with
-primitivity as its acceptance test, and the columns of F are
+primitivity as its acceptance test (ff.multiplicative_order, which also
+checks the orders of S and F), and the columns of F are
 poly._frobenius_base(f), the Frobenius base distinct-degree factoring
 steps with.  The normalizer <S, F> has order n(q^n - 1) and every
 nonzero-vector stabilizer in it has order n; both facts are checked
@@ -44,11 +45,12 @@ Symmetric Functions and Hall Polynomials, ch. IV), and both it and the
 class size |GL(n, q)| / |centralizer| depend only on the multiset of
 (deg f, ord f, lam_f).  So gl_census walks class types: the counts of
 irreducibles of each degree and order are integer arithmetic on the
-divisors of q^d - 1 (_irreducible_types), and each type's cycle type is
-read off its parts (class_cycle_type).  class_cycle_type is shared:
-linpoly.frobenius_cycle_type, which recheck runs, hands it the class
-data of a Frobenius matrix.  gl_elements, the row-by-row enumeration of
-every invertible matrix, stays as the brute-force oracle for gl_census.
+divisors of q^d - 1 (_irreducible_types, by ff.divisors and ff.totient),
+and each type's cycle type is read off its parts (class_cycle_type).
+class_cycle_type is shared: linpoly.frobenius_cycle_type, which recheck
+runs, hands it the class data of a Frobenius matrix.  gl_elements, the
+row-by-row enumeration of every invertible matrix, stays as the
+brute-force oracle for gl_census.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import poly as poly_mod
-from .ff import CapExceededError, _search_modulus, prime_divisors
+from .ff import (CapExceededError, _search_modulus, divisors, exceeds_cap,
+                 multiplicative_order, prime_divisors, totient)
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -164,33 +167,31 @@ def companion_matrix(field, f):
 def singer_modulus(n, field, seed=0):
     """Monic primitive polynomial of degree n over field: the first
     irreducible candidate of ff._search_modulus's seeded "linmono.singer"
-    stream on which x has order q^n - 1.  Shared by singer_generator and
+    stream on which x has order q^n - 1 (poly.order_of_x, so
+    ff.multiplicative_order).  Shared by singer_generator and
     frobenius_matrix so both live in the same field model."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     N = field.order ** n - 1
-    prime_divs = prime_divisors(N)
-    x = poly_mod.Poly.x(field)
-    one = poly_mod.Poly.constant(field, 1)
-
-    def primitive(f):
-        return all(poly_mod.pow_mod(x, N // r, f) != one for r in prime_divs)
-
+    primes = prime_divisors(N)
     return poly_mod.Poly(field, _search_modulus(
-        field, n, seed, stream="linmono.singer", accept=primitive))
+        field, n, seed, stream="linmono.singer",
+        accept=lambda f: poly_mod.order_of_x(f, N, primes) == N))
+
+
+def _check_order(field, A, order, what):
+    """AssertionError unless A has this order (ff.multiplicative_order)."""
+    ident = mat_identity(field, len(A))
+    if multiplicative_order(order, prime_divisors(order),
+                            lambda m: mat_pow(field, A, m) == ident) != order:
+        raise AssertionError("order is not " + what)
 
 
 def singer_generator(n, field, seed=0):
     """Companion matrix of a primitive degree-n polynomial: a cyclic
     generator of order exactly q^n - 1, verified on the matrix itself."""
     S = companion_matrix(field, singer_modulus(n, field, seed))
-    N = field.order ** n - 1
-    ident = mat_identity(field, n)
-    if mat_pow(field, S, N) != ident:
-        raise AssertionError("Singer candidate order does not divide q^n - 1")
-    for r in prime_divisors(N):
-        if mat_pow(field, S, N // r) == ident:
-            raise AssertionError("Singer candidate order below q^n - 1")
+    _check_order(field, S, field.order ** n - 1, "q^n - 1")
     return S
 
 
@@ -203,14 +204,7 @@ def frobenius_matrix(n, field, seed=0):
     z = field.zero_rep
     cols = [g.coeffs + (z,) * (n - len(g.coeffs)) for g in base]
     F = tuple(tuple(col[i] for col in cols) for i in range(n))
-    ident = mat_identity(field, n)
-    acc_pow = ident
-    for d in range(1, n + 1):
-        acc_pow = mat_mul(field, acc_pow, F)
-        if acc_pow == ident and d < n:
-            raise AssertionError("Frobenius matrix order %d below n" % d)
-    if acc_pow != ident:
-        raise AssertionError("Frobenius matrix order does not divide n")
+    _check_order(field, F, n, "n")
     return F
 
 
@@ -222,6 +216,13 @@ def conjugation_ok(field, S, F):
 
 # -- group generation and permutation structure ----------------------------
 
+def check_vectors(q, n):
+    """Refuse F_q^n when it has more than GROUP_CAP nonzero vectors
+    (CapExceededError), by ff.exceeds_cap before q^n is taken."""
+    if exceeds_cap(q, n, GROUP_CAP + 1):
+        raise CapExceededError("too many vectors to permute")
+
+
 @functools.lru_cache(maxsize=1)
 def _points(field, n):
     """(vectors, position) for F_q^n minus 0: the nonzero vectors in rank
@@ -231,8 +232,7 @@ def _points(field, n):
     Only the last (field, n) is kept.  A census or closure works in one
     space, and keeping every space would hold up to GROUP_CAP vectors
     per space for the life of the module."""
-    if field.order ** n - 1 > GROUP_CAP:
-        raise CapExceededError("too many vectors to permute")
+    check_vectors(field.order, n)
     vecs = nonzero_vectors(field, n)
     return vecs, {v: i for i, v in enumerate(vecs)}
 
@@ -458,24 +458,6 @@ def primary_centralizer_order(Q, lam):
     return out
 
 
-def _divisors(m):
-    """The divisors of m >= 1, ascending."""
-    divisors = [1]
-    for r in prime_divisors(m):
-        e = 0
-        while m % r ** (e + 1) == 0:
-            e += 1
-        divisors = [d * r ** i for d in divisors for i in range(e + 1)]
-    return sorted(divisors)
-
-
-def _totient(m):
-    """Euler's phi of m >= 1."""
-    for r in prime_divisors(m):
-        m = m // r * (r - 1)
-    return m
-
-
 def fixed_space_cycle_type(q, n, order, dim):
     """Sorted cycle lengths of an invertible linear map A of the given
     order on the nonzero vectors of F_q^n, from dim(d), the dimension of
@@ -487,14 +469,14 @@ def fixed_space_cycle_type(q, n, order, dim):
     the divisors downwards, the count at d loses the count at d / r.
     Counts that are not a cycle type of F_q^n minus 0 are an internal
     error (AssertionError)."""
-    divisors = _divisors(order)
-    exact = {d: q ** dim(d) - 1 for d in divisors}
+    divs = divisors(order)
+    exact = {d: q ** dim(d) - 1 for d in divs}
     for r in prime_divisors(order):
-        for d in reversed(divisors):
+        for d in reversed(divs):
             if d % r == 0:
                 exact[d] -= exact[d // r]
     lengths = []
-    for d in divisors:
+    for d in divs:
         if exact[d] % d:
             raise AssertionError("fixed counts are not a cycle type")
         lengths.extend([d] * (exact[d] // d))
@@ -507,7 +489,8 @@ def fixed_space_cycle_type(q, n, order, dim):
 def class_cycle_type(field, parts):
     """Cycle type on the nonzero vectors of the similarity class with
     primary parts ((deg f, ord f, lam_f), ...), one per irreducible f of
-    the class; ord f is the order of x modulo f.
+    the class; ord f is the order of x modulo f (poly.order_of_x, by
+    ff.multiplicative_order).
 
     On F_q[x]/(f^e), x^d - 1 has f-adic valuation p^v_p(d) when ord(f)
     divides d and 0 otherwise, so the fixed space of A^d has dimension
@@ -545,8 +528,8 @@ def _irreducible_types(q, n):
     types = [(1, 1, 1)]
     for d in range(1, n + 1):
         lower = [q ** (d // r) - 1 for r in prime_divisors(d)]
-        types.extend((d, e, _totient(e) // d)
-                     for e in _divisors(q ** d - 1)[1:]
+        types.extend((d, e, totient(e) // d)
+                     for e in divisors(q ** d - 1)[1:]
                      if all(m % e for m in lower))
     return types
 
@@ -567,7 +550,7 @@ def gl_census(n, field):
     and field.p are read: no field, table or polynomial is built.
     Refused above CLASS_CENSUS_CAP vectors."""
     q = field.order
-    if q ** n > CLASS_CENSUS_CAP:
+    if exceeds_cap(q, n, CLASS_CENSUS_CAP):
         raise CapExceededError(
             "general-linear census refused above q^n = %d vectors"
             % CLASS_CENSUS_CAP)
@@ -629,10 +612,9 @@ def normalizer_census(n, field, seed=0):
     if n < 1:
         raise ValueError("degree must be >= 1")
     q = field.order
+    check_vectors(q, n)
     M = q ** n - 1
-    if M > GROUP_CAP:
-        raise CapExceededError("too many vectors to permute")
-    ctr = Counter({(d,) * (M // d): _totient(d) for d in _divisors(M)})
+    ctr = Counter({(d,) * (M // d): totient(d) for d in divisors(M)})
     for i in range(1, n):
         c = math.gcd(i, n)
         R = q ** c - 1
@@ -659,5 +641,5 @@ def normalizer_fixed_point_types(n, q):
     over F_(q^e), j | n/e."""
     return {((1, q ** e - 1),) + tuple(
                 (j, poly_mod.num_irreducible(q ** e, j))
-                for j in _divisors(n // e)[1:])
-            for e in _divisors(n)}
+                for j in divisors(n // e)[1:])
+            for e in divisors(n)}

@@ -20,11 +20,13 @@ discriminant of L(x)/x is readable off the constant coefficient
 from __future__ import annotations
 
 import enum
+import sys
 
 from . import group as group_mod
 from . import poly as poly_mod
 from .ff import (CapExceededError, Field, FieldElement, FieldMismatchError,
-                 embed_rep, is_square, prime_divisors)
+                 embed_rep, exceeds_cap, is_square, multiplicative_order,
+                 prime_divisors)
 
 
 class SquareClass(enum.Enum):
@@ -133,16 +135,26 @@ def reduced(L):
     return _dense(L, 1)
 
 
+def check_dense(q, n):
+    """Refuse a dense form of degree q^n above poly.DENSE_CAP, by
+    ff.exceeds_cap before q^n is taken; the degree is written "q^n"
+    where Python would not print it (sys.get_int_max_str_digits())."""
+    if exceeds_cap(q, n, poly_mod.DENSE_CAP):
+        digits = sys.get_int_max_str_digits()
+        huge = digits and exceeds_cap(q, n, 10 ** digits - 1)
+        raise CapExceededError(
+            "dense form of q-degree %d over F_%d has degree %s; "
+            "use evaluate instead"
+            % (n, q, "%d^%d" % (q, n) if huge else q ** n))
+
+
 def _dense(L, shift):
     """to_poly (shift 0) or reduced (shift 1): a_i at exponent
     q^i - shift."""
     K = L.field
     n = L.qdeg
     q = L.q
-    if q ** n > poly_mod.DENSE_CAP:
-        raise CapExceededError(
-            "dense form of q-degree %d over F_%d has degree %d; "
-            "use evaluate instead" % (n, q, q ** n))
+    check_dense(q, n)
     out = [K.zero_rep] * (q ** n + 1 - shift)
     for i, c in enumerate(L.coeffs):
         out[q ** i - shift] = c
@@ -330,9 +342,9 @@ def frobenius_cycle_type(L):
     mu of N (which has coefficients in F_q), the part (deg f, ord f,
     lam_f), with ord f the order of x modulo f and lam_f the partition
     of the f-primary part.  poly.factor splits mu, of degree <= n;
-    ord(f) divides q^(deg f) - 1 and poly.order_of_x finds it from
-    there; for a linear f = x - c, the most common kind, it is the order
-    of c in F_q*, found from q - 1 by field powers.
+    ord(f) divides q^(deg f) - 1, and ff.multiplicative_order finds it
+    from there: on powers of x modulo f (poly.order_of_x), or for a
+    linear f = x - c, the most common kind, on powers of c in F_q*.
     When deg mu = n (N is cyclic, the usual case) a factor f^m of mu
     has lam_f = (m); otherwise the ranks of f(N)^j, j <= m, built from
     the powers N^j, give dim ker f(N)^j = deg f * sum_(e in lam_f)
@@ -368,7 +380,9 @@ def frobenius_cycle_type(L):
     for f, m in poly_mod.factor(mu):
         e = q ** f.degree - 1
         if f.degree == 1:  # x = c modulo x - c: the order of c in F_q*
-            o = _order_in(K, K.neg(f.coeffs[0]), e)
+            c = K.neg(f.coeffs[0])
+            o = multiplicative_order(e, prime_divisors(e),
+                                     lambda j: K.pow(c, j) == K.one_rep)
         else:
             o = poly_mod.order_of_x(f, e, prime_divisors(e))
         if o is None:
@@ -426,18 +440,6 @@ def _frobenius_matrix(L):
             rows.append(row[1:] + (E.neg(acc),))
         N = tuple(rows)
     return N
-
-
-def _order_in(K, c, e):
-    """Multiplicative order of c in K, from an exponent e with c^e = 1,
-    as poly.order_of_x finds the order of x; None when c^e != 1."""
-    one = K.one_rep
-    if K.pow(c, e) != one:
-        return None
-    for r in prime_divisors(e):
-        while e % r == 0 and K.pow(c, e // r) == one:
-            e //= r
-    return e
 
 
 def _down(E, K, rep):

@@ -9,14 +9,16 @@ here.  Everything is deterministic given the explicit seeds.
 Distinct-degree factoring builds one Frobenius base per input polynomial
 and takes each gcd against the shrinking cofactor, so the base is never
 rebuilt after a split.  The irreducibility test is that split too.
-Division by a monic polynomial needs no inverse.
+Division by a monic polynomial needs no inverse.  order_of_x, the
+order of x modulo f, is ff.multiplicative_order on pow_mod.
 """
 
 from __future__ import annotations
 
 import random
 
-from .ff import Field, FieldElement, FieldMismatchError
+from .ff import (Field, FieldElement, FieldMismatchError, divisors, mobius,
+                 multiplicative_order)
 
 # to_dense-style materialization guard: a dense vector longer than this is
 # a sign the caller wanted the evaluation path instead.
@@ -243,18 +245,13 @@ def pow_mod(a, e, m):
 
 
 def order_of_x(f, e, primes):
-    """Multiplicative order of x modulo f, from a claimed exponent e with
-    x^e = 1 mod f: each of the given primes (every prime that may divide
-    e over the order) is divided out of e while x^e stays 1.  None when
-    x^e != 1, so the claim is false."""
+    """Multiplicative order of x modulo f by ff.multiplicative_order on
+    pow_mod, from a claimed e with x^e = 1 mod f and the primes that may
+    divide e over the order.  None when x^e != 1: the claim is false."""
     x = Poly.x(f.field)
     one = Poly.constant(f.field, 1)
-    if pow_mod(x, e, f) != one:
-        return None
-    for r in primes:
-        while e % r == 0 and pow_mod(x, e // r, f) == one:
-            e //= r
-    return e
+    return multiplicative_order(e, primes,
+                                lambda m: pow_mod(x, m, f) == one)
 
 
 # -- squarefree structure --------------------------------------------------
@@ -485,30 +482,10 @@ def is_irreducible(f):
     return [d for _, d in _ddf(f)] == [f.degree]
 
 
-def mobius(n):
-    if n < 1:
-        raise ValueError("mobius needs n >= 1")
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
-
-
 def num_irreducible(q, d):
     """Number of monic irreducibles of degree d over F_q (necklace count):
     (1/d) * sum over e | d of mobius(e) * q^(d/e)."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += mobius(e) * q ** (d // e)
+    total = sum(mobius(e) * q ** (d // e) for e in divisors(d))
     assert total % d == 0
     return total // d
 

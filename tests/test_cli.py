@@ -308,6 +308,50 @@ def test_huge_field_specs_are_refused_at_once(flags, shown):
             in check(json.loads(proc.stdout))["error"])
 
 
+_DENSE_REFUSAL = ("dense form of q-degree %d over F_3 has degree 3^%d; "
+                  "use evaluate instead")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("census --q 3 --n 100000000",
+     "general-linear census refused above q^n = 343 vectors"),
+    ("census --normalizer-only --q 3 --n 100000000",
+     "too many vectors to permute"),
+    ("verify normalizer --q 3 --n 100000000", "too many vectors to permute"),
+    # the Singer model would factor 2^61 - 1 by trial division first
+    ("verify normalizer --q 2 --n 61", "too many vectors to permute"),
+    ("verify disc --q 3 --n 100000000", _DENSE_REFUSAL % (10 ** 8, 10 ** 8)),
+    ("verify identity --q 3 --n 100000000",
+     _DENSE_REFUSAL % (10 ** 8, 10 ** 8)),
+    # 3^10000 has more digits than Python prints as a decimal
+    ("verify disc --q 3 --n 10000", _DENSE_REFUSAL % (10000, 10000)),
+    ("verify identity --q 3 --n 10000", _DENSE_REFUSAL % (10000, 10000)),
+])
+def test_huge_n_is_refused_before_q_to_the_n(argv, error):
+    """Each cap is tested by ff.exceeds_cap before q^n is taken and
+    before any L, Singer model or vector is built, so each of these
+    exits 1 at once with the cap's own error document."""
+    proc = subprocess.run([sys.executable, "-m", "linmono", *argv.split()],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == json.dumps({"error": error}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n, degree", [
+    (23, str(3 ** 23)),
+    (9012, str(3 ** 9012)),  # 4300 digits, the most Python prints
+    (9013, "3^9013"),
+])
+def test_dense_refusal_keeps_every_printable_degree(n, degree):
+    """Where Python prints q^n in decimal, the dense-cap refusal keeps
+    the number it always printed; only past that it writes q^n."""
+    code, out, _ = run_cli("verify", "disc", "--q", "3", "--n", str(n))
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "dense form of q-degree %d over F_3 has degree %s; use evaluate "
+        "instead" % (n, degree))
+
+
 @pytest.mark.parametrize("command, code", [("sample", 0), ("analyze", 2)])
 def test_huge_kmax_returns_promptly(command, code):
     """A kmax of 100000 at budget 12 gives the documents of kmax 60, but

@@ -1,5 +1,7 @@
-"""Field towers: construction, arithmetic laws, enumeration, embedding."""
+"""Field towers: construction, arithmetic laws, enumeration, embedding,
+and the integer routines every module reads."""
 
+import math
 import random
 
 import pytest
@@ -7,9 +9,13 @@ import pytest
 from _oracles import (schoolbook_mul, square_and_multiply_pow,
                       trial_prime_divisors)
 from linmono.ff import (CARDINALITY_CAP, TABLE_CAP, CapExceededError, Field,
-                        FieldElement, FieldMismatchError, embed, extend_field,
-                        frobenius, is_prime, is_square, log_tables,
-                        make_field, parse_field_spec, prime_divisors)
+                        FieldElement, FieldMismatchError, _prime_power_split,
+                        divisors, embed, extend_field, frobenius, is_prime,
+                        is_square, log_tables, make_field, mobius,
+                        multiplicative_order, parse_field_spec,
+                        prime_divisors, totient)
+from linmono.group import (gl_elements, gl_order, mat_identity, mat_mul,
+                           mat_pow)
 
 
 def test_is_prime_small():
@@ -36,6 +42,111 @@ def test_prime_divisors():
             while Q <= 3 ** 11:
                 assert prime_divisors(Q - 1) == trial_prime_divisors(Q - 1)
                 Q *= q
+
+
+def _least_power(one, mul, g):
+    """The least m >= 1 with g^m = one, by repeated multiplication."""
+    m, y = 1, g
+    while y != one:
+        y, m = mul(y, g), m + 1
+    return m
+
+
+def _check_orders(elements, one, mul, power, e):
+    """multiplicative_order from the exponent e (and 2e) against the
+    least power for each element; a proper divisor order - 1 of the
+    order is refused (None)."""
+    primes = trial_prime_divisors(e)
+    for g in elements:
+        order = _least_power(one, mul, g)
+
+        def is_one(m, g=g):
+            return power(g, m) == one
+
+        assert multiplicative_order(e, primes, is_one) == order
+        assert multiplicative_order(2 * e, trial_prime_divisors(2 * e),
+                                    is_one) == order
+        if order > 1:
+            assert multiplicative_order(order - 1, primes, is_one) is None
+
+
+@pytest.mark.parametrize("spec", [str(q) for q in range(2, 50)
+                                  if len(trial_prime_divisors(q)) == 1]
+                         + ["2^2+2", "3^2+2"])
+def test_multiplicative_order_in_fields(spec):
+    F = parse_field_spec(spec)
+    _check_orders([F.rep_at(i) for i in range(1, F.order)], F.one_rep,
+                  F.mul, F.pow, F.order - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_multiplicative_order_of_matrices(q):
+    """Every invertible 2 x 2 matrix over F_2 and F_3, from the exponent
+    |GL(2, q)|."""
+    F = make_field(q)
+    elements = gl_elements(2, F)
+    assert len(elements) == gl_order(2, q)
+    _check_orders(elements, mat_identity(F, 2),
+                  lambda A, B: mat_mul(F, A, B),
+                  lambda A, m: mat_pow(F, A, m), gl_order(2, q))
+
+
+def test_divisors_totient_mobius_by_definition():
+    for n in range(1, 2000):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == divs
+        assert totient(n) == sum(math.gcd(k, n) == 1
+                                 for k in range(1, n + 1))
+        factors, m = [], n  # prime factors with multiplicity
+        for r in trial_prime_divisors(n):
+            while m % r == 0:
+                factors.append(r)
+                m //= r
+        squarefree = len(set(factors)) == len(factors)
+        assert mobius(n) == ((-1) ** len(factors) if squarefree else 0)
+        assert sum(mobius(d) for d in divs) == (n == 1)
+    with pytest.raises(ValueError):
+        mobius(0)
+
+
+def test_is_prime_and_prime_power_split_below_10_000():
+    bound = 10 ** 4
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for r in range(2, math.isqrt(bound) + 1):
+        if sieve[r]:
+            sieve[r * r::r] = bytes(len(range(r * r, bound, r)))
+    powers = {}
+    for p in range(2, bound):
+        if sieve[p]:
+            m, v = 1, p
+            while v < bound:
+                powers[v] = (p, m)
+                m, v = m + 1, v * p
+    for v in range(-2, bound):
+        assert is_prime(v) == (v >= 2 and bool(sieve[v]))
+        if v in powers:
+            assert _prime_power_split(v) == powers[v]
+            continue
+        with pytest.raises(ValueError) as exc:
+            _prime_power_split(v)
+        assert str(exc.value) == ("field order must be >= 2, got %d" % v
+                                  if v < 2 else "%d is not a prime power" % v)
+
+
+def test_is_prime_and_prime_power_split_near_the_cap():
+    """2^40 - 87 is prime; 2 (2^39 - 7) = 2^40 - 14 is not a prime
+    power, and is refused with the message of any other composite."""
+    prime, composite = 2 ** 40 - 87, 2 * (2 ** 39 - 7)
+    assert trial_prime_divisors(prime) == [prime]
+    assert trial_prime_divisors(composite) == [2, 2 ** 39 - 7]
+    assert is_prime(prime) and is_prime(2 ** 39 - 7)
+    assert not is_prime(composite)
+    assert _prime_power_split(prime) == (prime, 1)
+    with pytest.raises(ValueError) as exc:
+        _prime_power_split(composite)
+    assert str(exc.value) == "%d is not a prime power" % composite
+    assert parse_field_spec(str(prime)).order == prime
 
 
 def test_prime_field_basics():

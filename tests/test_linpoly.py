@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from linmono import group as group_mod
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
-                        parse_field_spec, prime_divisors)
+                        multiplicative_order, parse_field_spec,
+                        prime_divisors)
 from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
                              evaluate, frobenius_cycle_type, parse_linpoly,
                              reduced, root_space, specialize, square_class,
@@ -341,15 +342,22 @@ def test_frobenius_matrix_equals_companion_product(spec, lin, k):
 
 @pytest.mark.parametrize("spec", ["2", "7", "3^2", "2^2+2"])
 def test_linear_factor_order_is_the_order_of_x(spec):
-    """x mod x - c has the order of c in F_q*; x itself has none."""
+    """x mod x - c has the order of c in F_q*, which
+    frobenius_cycle_type finds by ff.multiplicative_order on K.pow; x
+    itself has none."""
     K = parse_field_spec(spec)
     q = K.order
+    primes = prime_divisors(q - 1)
+
+    def order_in_k(c):
+        return multiplicative_order(q - 1, primes,
+                                    lambda m: K.pow(c, m) == K.one_rep)
+
     for i in range(1, q):
         c = K.rep_at(i)
         f = Poly(K, [K.neg(c), K.one_rep])
-        assert linpoly._order_in(K, c, q - 1) == \
-            order_of_x(f, q - 1, prime_divisors(q - 1))
-    assert linpoly._order_in(K, K.zero_rep, q - 1) is None
+        assert order_in_k(c) == order_of_x(f, q - 1, primes)
+    assert order_in_k(K.zero_rep) is None
 
 
 def test_frobenius_cycle_type_errors():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from linmono import poly
-from linmono.ff import Field, make_field, parse_field_spec, prime_divisors
+from linmono.ff import (Field, make_field, mobius, parse_field_spec,
+                        prime_divisors)
 from linmono.poly import (Poly, discriminant, factor, factor_degrees, gcd,
-                          is_irreducible, is_squarefree, mobius,
-                          num_irreducible, order_of_x, parse_poly, pow_mod,
-                          resultant, squarefree_decomposition)
+                          is_irreducible, is_squarefree, num_irreducible,
+                          order_of_x, parse_poly, pow_mod, resultant,
+                          squarefree_decomposition)
 
 from _oracles import (all_monic, brute_factor, brute_irreducibles,
                       brute_is_irreducible, irreducible_by_trial_division)

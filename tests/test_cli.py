@@ -639,6 +639,15 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "23ef6c309f57c09b7867cd980c4fb0911fd3f68774577dcfa7bd8494f90ce953"),
     ("verify gmg --q 4",
      "f7fee50359d134ff1a8b902882bcd6d05695cf9ad8127c510d0e13f4643d1dbc"),
+    # necklace counts and the forcing step: prime fields, F_4 and a tower
+    ("verify identity --q 3 --n 3",
+     "f0fdf8624c19401f5dc8001ad45b127ad2cc157b03b3b9fa4e957d3edb1e198d"),
+    ("verify identity --q 2 --n 8",
+     "467ac6bfa4e96f8711242cb404f56a1255e9b8b4638fa3faa8b804221563b132"),
+    ("verify identity --q 4 --n 2",
+     "a59fa7ddbbbf2a8a4e9497209df66d16a5638d6ef55b27d57ed729934b8b906d"),
+    ("verify identity --q 2^2+2 --n 2",
+     "43754585957005a72440c46bbb115c0b7ba67508665a224c8a4a4dcf9d16df41"),
 ])
 def test_golden_documents(argv, digest):
     """sha256 of the exit code and stdout, pinned across versions: the

@@ -20,7 +20,6 @@ import json
 import sys
 
 from . import engine, group as group_mod, linpoly as lin_mod
-from . import poly as poly_mod
 from .ff import (CapExceededError, FieldMismatchError, make_field,
                  parse_field_spec)
 

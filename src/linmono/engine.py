@@ -33,21 +33,22 @@ Everything this module reports is evidence a referee can recheck:
 recheck re-verifies an item from L and its payload alone.  It computes
 the exact cycle type at each recorded alpha from the similarity-class
 data of the n x n Frobenius matrix of L_alpha
-(linpoly.frobenius_cycle_type): the irreducible factors f of its minimal
-polynomial, each ord(f) found from q^(deg f) - 1 down, and the
-partition of each f-primary part, which group.class_cycle_type, the
-routine of the GL census, turns into the type.  A claimed cycle type
-must equal it, and an OrderLcm's lcm must equal the lcm of the types it
-names.  Only that minimal polynomial, of degree <= n, is factored, never
-L_alpha(x)/x, so the sampler and the recheck reach each recorded type by
-different algorithms.  Exact types are kept for the current L in one
-functools cache (_exact_types), one per Frobenius class: alpha's type
-depends only on k and the closed point {t, t^q, ...} of the
-specialization's a_0 = t, so the items of one document compute each
-class once and specialize each (k, alpha) once.  Every recorded field
-beside the claim (alpha and alpha_index, a sample's census flag, a
-DiscWitness's constant term and class) must equal its recomputed value,
-and a malformed payload rechecks False instead of raising.
+(linpoly.frobenius_cycle_type): the irreducible factors f of its
+characteristic polynomial, each ord(f) found from q^(deg f) - 1 down,
+and the partition of each f-primary part, which group.class_cycle_type,
+the routine of the GL census, turns into the type.  A claimed cycle
+type must equal it, and an OrderLcm's lcm must equal the lcm of the
+types it names.  Only that characteristic polynomial, of degree n, is
+factored, never L_alpha(x)/x, so the sampler and the recheck reach each
+recorded type by different algorithms.  Exact types are kept for the
+current L in one functools cache (_exact_types), one per Frobenius
+class: alpha's type depends only on k and the closed point
+{t, t^q, ...} of the specialization's a_0 = t, so the items of one
+document compute each class once and specialize each (k, alpha) once.
+Every recorded field beside the claim (alpha and alpha_index, a
+sample's census flag, a DiscWitness's constant term and class) must
+equal its recomputed value, and a malformed payload rechecks False
+instead of raising.
 
 Verdicts: "GammaL" for the pure twist L = x^(q^n) (group GammaL(1, q^n)
 of order n(q^n - 1)); "GL" when a theorem applies (q odd with n an odd
@@ -872,7 +873,9 @@ def verify_factor_identity(field, n):
     x^(q^n) - x factors into exactly the monic irreducibles of degree
     dividing n with necklace-formula counts; and whenever a specialized
     L_alpha (a_0 = 0, alpha in F_q^*, L(alpha) != 0) has all factor
-    degrees dividing n, it literally equals x^(q^n) - x."""
+    degrees dividing n, it literally equals x^(q^n) - x.  L_alpha(x) is x
+    times L_alpha(x)/x, whose degrees are linpoly.frobenius_cycle_type,
+    and it is compared with x^(q^n) - x on its n + 1 coefficients."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     q = field.order
@@ -891,7 +894,8 @@ def verify_factor_identity(field, n):
                 for d in range(1, n + 1) if n % d == 0}
     necklace_ok = observed == expected
     # the forcing step
-    target = f
+    target = (field.neg(field.one_rep),) + (field.zero_rep,) * (n - 1) \
+        + (field.one_rep,)
     checked = 0
     skipped_L = 0
     violations = []
@@ -903,11 +907,10 @@ def verify_factor_identity(field, n):
             if spec.coeffs[0] == field.zero_rep:  # alpha is a root of L
                 continue
             usable = True
-            dense = lin_mod.to_poly(spec)
-            degs = poly_mod.factor_degrees(dense)
+            degs = (1,) + lin_mod.frobenius_cycle_type(spec)
             checked += 1
             if all(n % d == 0 for d in degs):
-                if dense == target:
+                if spec.coeffs == target:
                     forced.append({"lin": L.coeff_objs(), "alpha_index": ai})
                 else:
                     violations.append({"lin": L.coeff_objs(),

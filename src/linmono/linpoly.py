@@ -277,11 +277,9 @@ def _degree_over(E, K):
 
 
 def _kernel_basis(K, M, n):
-    """Kernel basis of a matrix over K with n columns (rows of raw reps).
-
-    The basis vector of a free column c is 1 at c and 0 at every other
-    free column and at every pivot after c, so the first one is the first
-    linear dependence among the columns."""
+    """Kernel basis of a matrix over K with n columns (rows of raw reps):
+    one vector per free column c, 1 at c and 0 at every other free
+    column."""
     rows = [list(r) for r in M]
     nrows = len(rows)
     z = K.zero_rep
@@ -338,46 +336,27 @@ def frobenius_cycle_type(L):
 
     The cycle type depends only on N's similarity class, and
     group.class_cycle_type, the routine gl_census runs, reads it off the
-    class data: for each irreducible factor f of the minimal polynomial
-    mu of N (which has coefficients in F_q), the part (deg f, ord f,
-    lam_f), with ord f the order of x modulo f and lam_f the partition
-    of the f-primary part.  poly.factor splits mu, of degree <= n;
-    ord(f) divides q^(deg f) - 1, and ff.multiplicative_order finds it
-    from there: on powers of x modulo f (poly.order_of_x), or for a
-    linear f = x - c, the most common kind, on powers of c in F_q*.
-    When deg mu = n (N is cyclic, the usual case) a factor f^m of mu
-    has lam_f = (m); otherwise the ranks of f(N)^j, j <= m, built from
-    the powers N^j, give dim ker f(N)^j = deg f * sum_(e in lam_f)
-    min(e, j), and lam_f is the conjugate of the rank differences.
-    x^(q^(deg f) - 1) != 1 modulo f (c^(q - 1) != 1 for f = x - c)
-    would mean poly.factor returned a reducible f, or x: an internal
-    failure (AssertionError).
+    class data: for each irreducible factor f^m of the characteristic
+    polynomial chi of N (which has coefficients in F_q), the part
+    (deg f, ord f, lam_f), with ord f the order of x modulo f and lam_f
+    the partition of m into the block sizes of the f-primary part.
+    _charpoly finds chi in O(n^3) and poly.factor splits it; ord(f)
+    divides q^(deg f) - 1, and ff.multiplicative_order finds it from
+    there: on powers of x modulo f (poly.order_of_x), or for a linear
+    f = x - c, the most common kind, on powers of c in F_q*.  lam_f = (1)
+    when m = 1; otherwise _primary_partition reads it off the ranks of
+    the powers of f(N).  x^(q^(deg f) - 1) != 1 modulo f (c^(q - 1) != 1
+    for f = x - c) would mean poly.factor returned a reducible f, or x:
+    an internal failure (AssertionError).
     """
     E, K = L.field, L.base
     n, q = L.qdeg, L.q
-    z = E.zero_rep
-    if n < 1 or L.coeffs[0] == z:
+    if n < 1 or L.coeffs[0] == E.zero_rep:
         raise ValueError("need q-degree >= 1 and a_0 != 0")
     N = _frobenius_matrix(L)
-    # mu of one vector divides mu of N; degree n means they are equal.
-    # Below degree n it may have coefficients outside F_q, so it is only
-    # taken down to F_q at degree n.
-    vecs = [(E.one_rep,) + (z,) * (n - 1)]
-    for _ in range(n):
-        vecs.append(group_mod.mat_vec(E, N, vecs[-1]))
-    dep = _kernel_basis(E, [list(col) for col in zip(*vecs)], n + 1)[0]
-    powers = None
-    if dep[n] == z:
-        powers = [group_mod.mat_identity(E, n)]
-        for _ in range(n):
-            powers.append(group_mod.mat_mul(E, powers[-1], N))
-        dep = _kernel_basis(E, [[P[i][j] for P in powers]
-                                for i in range(n) for j in range(n)],
-                            n + 1)[0]
-    deg = max(j for j, c in enumerate(dep) if c != z)
-    mu = poly_mod.Poly._mk(K, [_down(E, K, c) for c in dep[:deg + 1]])
+    chi = poly_mod.Poly._mk(K, [_down(E, K, c) for c in _charpoly(E, N)])
     parts = []
-    for f, m in poly_mod.factor(mu):
+    for f, m in poly_mod.factor(chi):
         e = q ** f.degree - 1
         if f.degree == 1:  # x = c modulo x - c: the order of c in F_q*
             c = K.neg(f.coeffs[0])
@@ -388,39 +367,83 @@ def frobenius_cycle_type(L):
         if o is None:
             raise AssertionError("x^(q^%d - 1) is not 1 modulo %s"
                                  % (f.degree, f))
-        if deg == n:
-            parts.append((f.degree, o, (m,)))
-            continue
-        dims, g = [0], poly_mod.Poly.constant(K, 1)
-        for _ in range(m):
-            g = g * f
-            dims.append(n - _rank_at(E, g, powers))
-        conj = [(b - a) // f.degree for a, b in zip(dims, dims[1:])]
-        parts.append((f.degree, o, tuple(sum(1 for c in conj if c > i)
-                                         for i in range(conj[0]))))
+        lam = (1,) if m == 1 else _primary_partition(E, N, f, m)
+        parts.append((f.degree, o, lam))
     return group_mod.class_cycle_type(K, parts)
 
 
-def _rank_at(E, g, powers):
-    """Rank over E of g(N), g over a tower layer of E, from the powers
-    N^j."""
-    n = len(powers[0])
-    A = [[E.zero_rep] * n for _ in range(n)]
-    for j, c in enumerate(g.coeffs):
-        if c != g.field.zero_rep:
-            c = embed_rep(E, g.field, c)
-            for row, prow in zip(A, powers[j]):
-                for i, v in enumerate(prow):
-                    row[i] = E.muladd(row[i], c, v)
-    return n - len(_kernel_basis(E, A, n))
+def _charpoly(E, A):
+    """Coefficient reps, constant first, of the characteristic polynomial
+    of the square matrix A over E, in O(n^3) (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).  A similarity
+    brings A to upper Hessenberg form H column by column: a row and
+    column swap moves a nonzero entry to the subdiagonal (a column with
+    none is skipped), and row operations, undone on the columns, clear
+    the entries under it.  The leading blocks of H then have p_i =
+    (x - h_ii) p_(i-1) - sum_(j<i) h_ji h_(j+1,j)...h_(i,i-1) p_(j-1)."""
+    n, z = len(A), E.zero_rep
+    H = [list(row) for row in A]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1] != z), None)
+        if i is None:
+            continue
+        H[i], H[m] = H[m], H[i]
+        for row in H:
+            row[i], row[m] = row[m], row[i]
+        inv = E.inv(H[m][m - 1])
+        for j in range(m + 1, n):
+            u = E.mul(H[j][m - 1], inv)
+            if u != z:  # row j -= u row m, then column m += u column j
+                nu = E.neg(u)
+                H[j] = [E.muladd(a, nu, b) for a, b in zip(H[j], H[m])]
+                for row in H:
+                    row[m] = E.muladd(row[m], u, row[j])
+    p = [[E.one_rep]]
+    for i in range(n):
+        pi, t = [z] + p[i], E.one_rep
+        for j in range(i, -1, -1):  # t = h_(j+1,j) ... h_(i,i-1)
+            c = E.neg(E.mul(t, H[j][i]))
+            if c != z:
+                for d, v in enumerate(p[j]):
+                    pi[d] = E.muladd(pi[d], c, v)
+            t = E.mul(t, H[j][j - 1]) if j else z
+            if t == z:
+                break
+        p.append(pi)
+    return p[n]
+
+
+def _primary_partition(E, N, f, m):
+    """The partition lam of m into the block sizes of the f-primary part
+    of N, for f irreducible over a layer of E with multiplicity m >= 2 in
+    N's characteristic polynomial.  The steps of dim ker f(N)^j / deg f
+    = sum_(e in lam) min(e, j), j = 1, 2, ..., are the conjugate of lam.
+    After a step of 1 one part is left, so the steps are 1 up to m from
+    there, and a cyclic primary part, lam = (m), stops at j = 1."""
+    n = len(N)
+    A = group_mod.mat_identity(E, n)
+    for c in reversed(f.coeffs[:-1]):  # Horner
+        c = embed_rep(E, f.field, c)
+        A = [[E.add(v, c) if i == j else v for j, v in enumerate(row)]
+             for i, row in enumerate(group_mod.mat_mul(E, A, N))]
+    steps, dim, P = [], 0, A
+    while True:
+        d = len(_kernel_basis(E, P, n)) // f.degree
+        steps.append(d - dim)
+        dim = d
+        if steps[-1] == 1 or dim == m:
+            break
+        P = group_mod.mat_mul(E, P, A)
+    steps += [1] * (m - dim)
+    return tuple(sum(1 for s in steps if s > i) for i in range(steps[0]))
 
 
 def _frobenius_matrix(L):
     """The transpose of N = C^(q^(k-1)) ... C^(q) C over L's field.
     group.companion_matrix of the monic recurrence polynomial is C
     transposed, so the product runs in the opposite order; a transpose
-    has the same ranks and minimal polynomial.  Each factor is a column
-    shift plus one new column, O(n^2) field operations."""
+    has the same ranks and characteristic polynomial.  Each factor is a
+    column shift plus one new column, O(n^2) field operations."""
     E = L.field
     lead = E.inv(L.coeffs[-1])
     coeffs = [E.mul(c, lead) for c in L.coeffs[:-1]]
@@ -446,8 +469,8 @@ def _down(E, K, rep):
     """The rep over the tower layer K of an element of E lying in K."""
     while E != K:
         if any(c != E.base.zero_rep for c in rep[1:]):
-            raise AssertionError("minimal polynomial has a coefficient "
-                                 "outside F_q")
+            raise AssertionError("characteristic polynomial has a "
+                                 "coefficient outside F_q")
         E, rep = E.base, rep[0]
     return rep
 

@@ -2,6 +2,7 @@
 root spaces, square classes."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
                              evaluate, frobenius_cycle_type, parse_linpoly,
                              reduced, root_space, specialize, square_class,
                              to_poly)
-from linmono.poly import Poly, discriminant, factor_degrees, order_of_x
+from linmono.poly import (Poly, discriminant, factor_degrees, is_irreducible,
+                          order_of_x)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -270,11 +272,13 @@ def test_frobenius_cycle_type_exhaustive(spec, n, kmax):
     ("3", "0,1,0,1", 2),     # x^27 + x^3, alpha in F_9
     ("3", "1,2,1", 2),
     ("2", "0,1,1,1", 3),     # characteristic 2
-    ("2", "0,1,1,1", 2),     # mu of degree 2 < n: ranks from N^j
+    ("2", "0,1,1,1", 2),     # N not cyclic: ranks of f(N)^j
     ("3", "0,2,1,1", 2),     # the same for q = 3
     ("3", "0,0,1", 2),       # x^9 - x over F_9: N = I
     ("4", "0,[0,1],1", 2),   # F_16 as a tower over F_4
     ("5", "0,3,1", 1),
+    # n = 23: N is not cyclic at every alpha of F_4
+    ("2", "0,1,1," + "0," * 20 + "1", 2),
 ])
 def test_fixed_counts_equal_root_space_dimensions(spec, lin, k):
     """The m-th Frobenius power fixes 1 + (sum of the cycle lengths that
@@ -317,6 +321,120 @@ def test_frobenius_cycle_type_repeated_linear_factor(spec, lin, k, idx, ct):
     assert tuple(map(tuple, A)) != zero
     assert group_mod.mat_mul(E, A, A) == zero
     assert frobenius_cycle_type(La) == ct == factor_degrees(reduced(La))
+
+
+def _test_matrices(K, rng):
+    """Seeded n x n matrices over K, n <= 8, as lists of rows: dense,
+    singular, nilpotent (strictly lower triangular), already Hessenberg,
+    one whose first subdiagonal entry is 0 above a nonzero entry (the row
+    and column swap), and one whose first column is cleared below the
+    diagonal (the skipped column)."""
+    z = K.zero_rep
+    for n in range(1, 9):
+        M = [[K.random_rep(rng) for _ in range(n)] for _ in range(n)]
+        yield M
+        yield M[:-1] + [M[0]]
+        yield [[v if j < i else z for j, v in enumerate(row)]
+               for i, row in enumerate(M)]
+        yield [[v if i <= j + 1 else z for j, v in enumerate(row)]
+               for i, row in enumerate(M)]
+        if n >= 3:
+            S = [row[:] for row in M]
+            S[1][0], S[2][0] = z, K.rep_at(1 + rng.randrange(K.order - 1))
+            yield S
+            yield [row if i == 0 else [z] + row[1:]
+                   for i, row in enumerate(M)]
+
+
+def _companions(K, rng):
+    """(f, C(f)) for seeded monic f of degree 1..8 over K."""
+    for n in range(1, 9):
+        f = Poly(K, [K.random_rep(rng) for _ in range(n)] + [K.one_rep])
+        yield f, group_mod.companion_matrix(K, f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_charpoly_matches_sympy(p):
+    """_charpoly's Hessenberg reduction and block recurrence give sympy's
+    characteristic polynomial reduced mod p, swap and skipped column
+    included, and a companion matrix gives its own polynomial."""
+    sympy = pytest.importorskip("sympy")
+    K = make_field(p)
+    rng = random.Random("linmono.test.charpoly:%d" % p)
+    for M in _test_matrices(K, rng):
+        want = sympy.Matrix(M).charpoly().all_coeffs()[::-1]
+        assert linpoly._charpoly(K, M) == [int(c) % p for c in want], M
+    for f, C in _companions(K, rng):
+        assert linpoly._charpoly(K, C) == list(f.coeffs)
+
+
+@pytest.mark.parametrize("spec", ["4", "9", "2^2+2"])
+def test_charpoly_over_extension_fields(spec):
+    """Over F_4, F_9 and the tower F_16 over F_4: chi is monic of
+    degree n, its x^(n-1) coefficient is minus the trace, chi(M) = 0,
+    and a companion matrix gives its own polynomial."""
+    K = parse_field_spec(spec)
+    rng = random.Random("linmono.test.charpoly:%s" % spec)
+    for M in _test_matrices(K, rng):
+        n = len(M)
+        chi = linpoly._charpoly(K, M)
+        assert len(chi) == n + 1 and chi[n] == K.one_rep
+        trace = K.zero_rep
+        for i in range(n):
+            trace = K.add(trace, M[i][i])
+        assert chi[n - 1] == K.neg(trace)
+        A = group_mod.mat_identity(K, n)
+        for c in reversed(chi[:-1]):  # Horner: chi(M)
+            A = [[K.add(v, c) if i == j else v for j, v in enumerate(row)]
+                 for i, row in enumerate(group_mod.mat_mul(K, A, M))]
+        assert all(v == K.zero_rep for row in A for v in row), M
+    for f, C in _companions(K, rng):
+        assert linpoly._charpoly(K, C) == list(f.coeffs)
+
+
+def _conjugate(K, A, rng):
+    """P A P^-1 for a seeded product P of transvections: row i += u row
+    j, then column j -= u column i."""
+    A = [list(row) for row in A]
+    n = len(A)
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        u = K.random_rep(rng)
+        A[i] = [K.muladd(a, u, b) for a, b in zip(A[i], A[j])]
+        for row in A:
+            row[j] = K.muladd(row[j], K.neg(u), row[i])
+    return A
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "2^2+2"])
+def test_primary_partition_of_block_sums(spec):
+    """N = P (C(f^l_1) + C(f^l_2) + ...) P^-1 has f-primary partition
+    lam = (l_1, l_2, ...): for every partition of every m >= 2 with
+    deg f * m <= 8, for f = x - 1, x - c and an irreducible quadratic."""
+    K = parse_field_spec(spec)
+    rng = random.Random("linmono.test.primary:%s" % spec)
+    fs = [Poly(K, [K.neg(K.rep_at(c)), K.one_rep])
+          for c in (1, 2) if c < K.order]
+    fs.append(next(f for f in (Poly(K, [K.rep_at(i), K.one_rep,
+                                        K.one_rep])
+                               for i in range(K.order))
+                   if is_irreducible(f)))
+    for f in fs:
+        for m in range(2, 8 // f.degree + 1):
+            for lam in group_mod.partitions(m):
+                n = f.degree * m
+                D = [[K.zero_rep] * n for _ in range(n)]
+                at = 0
+                for part in lam:
+                    g = Poly.constant(K, 1)
+                    for _ in range(part):
+                        g = g * f
+                    for i, row in enumerate(group_mod.companion_matrix(K, g)):
+                        D[at + i][at:at + g.degree] = row
+                    at += g.degree
+                N = _conjugate(K, D, rng)
+                assert linpoly._primary_partition(K, N, f, m) == lam, \
+                    (f, lam)
 
 
 @pytest.mark.parametrize("spec,lin,k", [("3", "0,1,0,1", 3),

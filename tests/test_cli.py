@@ -648,6 +648,13 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "a59fa7ddbbbf2a8a4e9497209df66d16a5638d6ef55b27d57ed729934b8b906d"),
     ("verify identity --q 2^2+2 --n 2",
      "43754585957005a72440c46bbb115c0b7ba67508665a224c8a4a4dcf9d16df41"),
+    # q - 1 > 1 alphas per L, and q = 2 at n = 10
+    ("verify identity --q 5 --n 3",
+     "b28b60a0e16a64b01e82b797b9945fed821ad8ebd74ea8ece8a49d23f8287314"),
+    ("verify identity --q 3 --n 6",
+     "40ff63cf180ab77c556565a976145096088fab134a3f3a0c818bdcd57c0eb32d"),
+    ("verify identity --q 2 --n 10",
+     "7de7899955fc42c9bc2cd066f0afa29ed5c0956c91cbcbfc0f68959ba8c43aa9"),
 ])
 def test_golden_documents(argv, digest):
     """sha256 of the exit code and stdout, pinned across versions: the

@@ -871,11 +871,13 @@ def verify_disc_lemma(field, n):
 def verify_factor_identity(field, n):
     """Two facts behind the characteristic-2 criterion, checked over F_q:
     x^(q^n) - x factors into exactly the monic irreducibles of degree
-    dividing n with necklace-formula counts; and whenever a specialized
+    dividing n with necklace-formula counts, read off its squarefree
+    distinct-degree split (poly._ddf); and whenever a specialized
     L_alpha (a_0 = 0, alpha in F_q^*, L(alpha) != 0) has all factor
     degrees dividing n, it literally equals x^(q^n) - x.  L_alpha(x) is x
     times L_alpha(x)/x, whose degrees are linpoly.frobenius_cycle_type,
-    and it is compared with x^(q^n) - x on its n + 1 coefficients."""
+    and it is compared with x^(q^n) - x on its n + 1 coefficients.  Every
+    alpha of one L gives the same L_alpha: L(alpha)/alpha = a_1+...+a_n."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     q = field.order
@@ -883,16 +885,10 @@ def verify_factor_identity(field, n):
     f = (lin_mod.to_poly(lin_mod.LinPoly(
         field, [0] * n + [1]))
         - poly_mod.Poly.x(field))
-    factors = poly_mod.factor(f)
-    observed = {}
-    for g, mult in factors:
-        if mult != 1:
-            return {"check": "identity", "q": q, "n": n, "passed": False,
-                    "error": "repeated factor in x^(q^n) - x"}
-        observed[g.degree] = observed.get(g.degree, 0) + 1
+    observed = {d: h.degree // d for h, d in poly_mod._ddf(f)}
     expected = {d: poly_mod.num_irreducible(q, d)
                 for d in range(1, n + 1) if n % d == 0}
-    necklace_ok = observed == expected
+    necklace_ok = poly_mod.is_squarefree(f) and observed == expected
     # the forcing step
     target = (field.neg(field.one_rep),) + (field.zero_rep,) * (n - 1) \
         + (field.one_rep,)
@@ -902,12 +898,16 @@ def verify_factor_identity(field, n):
     forced = []
     for L in _monic_lins(field, n, [field.zero_rep]):
         usable = False
+        types = {}
         for ai in range(1, q):
             spec = lin_mod.specialize(L, field.element_at(ai))
             if spec.coeffs[0] == field.zero_rep:  # alpha is a root of L
                 continue
             usable = True
-            degs = (1,) + lin_mod.frobenius_cycle_type(spec)
+            if spec.coeffs not in types:
+                types[spec.coeffs] = \
+                    (1,) + lin_mod.frobenius_cycle_type(spec)
+            degs = types[spec.coeffs]
             checked += 1
             if all(n % d == 0 for d in degs):
                 if spec.coeffs == target:

@@ -2,9 +2,9 @@
 
 Coefficients are stored constant-first as raw field reps (trailing zeros
 stripped; the zero polynomial has an empty tuple).  Degree counting,
-division, gcd, distinct-degree factorization, full factorization with a
-seeded equal-degree split, and resultant-based discriminants all live
-here.  Everything is deterministic given the explicit seeds.
+division, gcd, distinct-degree factorization, full factorization with an
+equal-degree split on one fixed random stream (so every run is the
+same), and resultant-based discriminants all live here.
 
 Distinct-degree factoring builds one Frobenius base per input polynomial
 and takes each gcd against the shrinking cofactor, so the base is never
@@ -412,7 +412,8 @@ def _random_poly(K, deg_lt, rng):
 def _edf(f, d, rng):
     """Equal-degree split of monic squarefree f whose irreducible factors
     all have degree d.  Odd characteristic: power-((Q^d-1)/2) splitter;
-    characteristic 2: trace-map splitter."""
+    characteristic 2: trace-map splitter.  The trace acc is 0 or 1 mod each
+    factor, so gcd(f, acc - 1) splits only where gcd(f, acc) does."""
     if f.degree == d:
         return [f]
     K = f.field
@@ -433,27 +434,25 @@ def _edf(f, d, rng):
                 s = (s * s) % f
                 acc = acc + s
             g = gcd(f, acc)
-            if not 0 < g.degree < f.degree:
-                g = gcd(f, acc - Poly.constant(K, 1))
         if 0 < g.degree < f.degree:
             pieces = (g, f // g)
     left, right = pieces
     return _edf(left, d, rng) + _edf(right, d, rng)
 
 
-def factor(f, seed=0):
+def factor(f):
     """Full factorization: [(monic irreducible, multiplicity)], sorted by
     (degree, coefficient index tuple).  f = lc(f) * prod g^m.
 
-    Squarefree decomposition, then distinct-degree split, then seeded
-    equal-degree split; the same seed reproduces the identical run.
+    Squarefree decomposition, then distinct-degree split, then an
+    equal-degree split on one fixed stream: every run is identical.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return []
     K = f.field
-    rng = random.Random("linmono.factor:%d" % seed)
+    rng = random.Random("linmono.factor:0")
     out = []
     for g, mult in squarefree_decomposition(f):
         for h, d in _ddf(g):

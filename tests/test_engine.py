@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from linmono.group import gl_census, normalizer_census
 from linmono import linpoly as lin_mod
 from linmono.linpoly import (LinPoly, evaluate, parse_linpoly, reduced,
                              specialize)
-from linmono.poly import factor_degrees
+from linmono.poly import Poly, factor, factor_degrees
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -1144,6 +1145,24 @@ def test_verify_factor_identity():
         assert rep["necklace_ok"]
         assert rep["observed_counts"] == counts
         assert rep["forcing_violations"] == []
+
+
+# Each field's n_max keeps poly.factor under 1 s.  One step further,
+# (2, 10), (3, 6), (4, 4) and the tower at n = 2 take 2-8 s each; the
+# golden verify identity documents pin (2, 10), (3, 6) and the tower.
+@pytest.mark.parametrize("spec,n_max", [("2", 9), ("3", 5), ("4", 3),
+                                        ("5", 3), ("9", 2), ("2^2+2", 1)])
+def test_verify_identity_counts_match_full_factorization(spec, n_max):
+    """The necklace counts read off the distinct-degree split agree with
+    the degree multiset of poly.factor(x^(q^n) - x), the oracle."""
+    field = parse_field_spec(spec)
+    for n in range(1, n_max + 1):
+        f = (lin_mod.to_poly(LinPoly(field, [0] * n + [1]))
+             - Poly.x(field))
+        degs = Counter(g.degree for g, _ in factor(f))
+        rep = verify_factor_identity(field, n)
+        assert rep["observed_counts"] \
+            == {str(d): c for d, c in sorted(degs.items())}
 
 
 def test_verify_alternating_char2():

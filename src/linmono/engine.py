@@ -74,8 +74,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import compress
-from operator import eq
+from itertools import islice
 
 from . import group as group_mod
 from . import linpoly as lin_mod
@@ -683,21 +682,25 @@ def verify_normalizer(n, field, seed=0):
     n(q^n - 1), F S F^(-1) = S^q, and every nonzero vector's stabilizer
     has order exactly n.
 
-    One pass over the closure of <S, F>, on permutations: each element
-    is counted, and each position its permutation fixes adds one to that
-    vector's stabilizer order.  Violations are listed in rank order."""
+    One pass over the closure of <S, F>, on permutations, taken in
+    batches of at most about 2^18 positions, so memory stays bounded up
+    to GROUP_CAP: each element is counted, and zip(*batch) lines up the
+    images of each position across the batch, whose count of that
+    position adds to its vector's stabilizer order.  Violations are
+    listed in rank order."""
     q = field.order
     group_mod.check_vectors(q, n)
     S = group_mod.singer_generator(n, field, seed)
     F = group_mod.frobenius_matrix(n, field, seed)
-    expected = n * (q ** n - 1)
-    positions = range(q ** n - 1)
+    M = q ** n - 1
+    expected = n * M
+    perms = group_mod.closure(field, [S, F], cap=expected + 8)
     order = 0
-    fixed = Counter()
-    for perm in group_mod.closure(field, [S, F], cap=expected + 8):
-        order += 1
-        fixed.update(compress(positions, map(eq, perm, positions)))
-    orders = [fixed[i] for i in positions]
+    orders = [0] * M
+    while batch := list(islice(perms, max(1, (1 << 18) // M))):
+        order += len(batch)
+        orders = [so + images.count(i) for i, (so, images)
+                  in enumerate(zip(orders, zip(*batch)))]
     order_ok = order == expected
     conj_ok = group_mod.conjugation_ok(field, S, F)
     stab_bad = [{"vector": [field.rep_to_obj(c) for c in v], "order": so}

@@ -55,8 +55,12 @@ Integer arithmetic lives here alone.  prime_divisors, the one
 trial-division loop, backs is_prime, _prime_power_split, divisors,
 totient, mobius and every q^d - 1 factored elsewhere.  The one order
 search, multiplicative_order, backs poly.order_of_x, the linear-factor
-orders of linpoly.frobenius_cycle_type, group's Singer checks
-(singer_modulus, singer_generator, frobenius_matrix) and log_tables.
+orders of linpoly.frobenius_cycle_type and the order checks of
+group.singer_generator and frobenius_matrix.  Where the only question
+is whether the order is exactly e (the primitivity test of
+group.singer_modulus, log_tables' generator search), has_order asks it
+and stops at the first prime r with g^(e/r) = 1, so a rejected
+candidate does not pay for its full order.
 
 Elements have two faces.  The public one is FieldElement.  The internal
 one is a raw "rep": an int in [0, p) for a prime field, a tuple of base
@@ -153,6 +157,15 @@ def multiplicative_order(e, primes, is_one):
         while order % r == 0 and is_one(order // r):
             order //= r
     return None if order == e and not is_one(e) else order
+
+
+def has_order(e, primes, is_one):
+    """Whether an element g has order exactly e, is_one(m) telling whether
+    g^m = 1 and primes listing every prime divisor of e.  That is
+    g^(e/r) != 1 for each r, asked in turn up to the first r with
+    g^(e/r) = 1, and then g^e = 1; a rejected candidate usually costs
+    one power, where multiplicative_order would descend to its order."""
+    return not any(is_one(e // r) for r in primes) and is_one(e)
 
 
 def _high_powers(base, modulus, count):
@@ -778,8 +791,7 @@ def log_tables(field):
     one = field.one_rep
     primes = prime_divisors(n)
     g = next(g for g in map(field.rep_at, range(1, q))
-             if multiplicative_order(
-                 n, primes, lambda m: field.pow(g, m) == one) == n)
+             if has_order(n, primes, lambda m: field.pow(g, m) == one))
     powers = [one]
     for _ in range(n - 1):
         powers.append(field.mul(powers[-1], g))

@@ -2,9 +2,9 @@
 
 Matrices are plain tuples of row tuples of raw field reps; the Field
 travels alongside as an argument.  That keeps everything hashable and
-cheap.  mat_mul and mat_vec run one multiply-accumulate loop over
-field.muladd on every field; which product that step takes (prime,
-packed, tower or loop) is ff's choice alone.
+cheap.  mat_mul runs one multiply-accumulate loop over field.muladd on
+every field; which product that step takes (prime, packed, tower or
+loop) is ff's choice alone.
 
 The centerpiece is the Singer model: a companion matrix S of a primitive
 degree-n polynomial f (a generator of a cyclic group of order q^n - 1
@@ -13,23 +13,27 @@ field model F_q[x]/(f), so that F S F^(-1) = S^q holds on the nose
 (conjugation_ok checks it as F S = S^q F, with no inverse).  The model
 reuses the primitives every field is built with: f is drawn by
 ff._search_modulus, the seeded search behind every field modulus, with
-primitivity as its acceptance test (ff.multiplicative_order, which also
-checks the orders of S and F), and the columns of F are
-poly._frobenius_base(f), the Frobenius base distinct-degree factoring
-steps with.  The normalizer <S, F> has order n(q^n - 1) and every
-nonzero-vector stabilizer in it has order n; both facts are checked
-directly by the verification layer rather than trusted.
+primitivity as its acceptance test.  That test is ff.has_order, which
+stops at the first prime r of q^n - 1 with x^((q^n - 1)/r) = 1, on
+powers of x taken by ff's own product (poly.x_power_is_one); the orders
+of S and F are checked by ff.multiplicative_order.  The columns of F
+are poly._frobenius_base(f), the Frobenius base distinct-degree
+factoring steps with.  q^n above ff.CARDINALITY_CAP is refused before
+q^n - 1 is factored.  The normalizer <S, F> has order n(q^n - 1) and
+every nonzero-vector stabilizer in it has order n; both facts are
+checked directly by the verification layer rather than trusted.
 
 Permutation structure: a matrix acts on the q^n - 1 nonzero column
 vectors, ranked lexicographically; cycle types are sorted tuples of cycle
-lengths of that permutation.  permutation_of applies one matrix to every
-vector and looks the images up in a vector-to-position dict kept for the
-last (field, n).  A group generated by a few matrices is a permutation
-group on those positions, and closure walks it as one: it applies only
-the generators to vectors and multiplies no matrices.  The action on
-nonzero vectors is faithful and a matrix is fixed by where it sends the
-basis vectors, so the n positions of those images key an element, and
-generate_group reads each matrix back off them.
+lengths of that permutation.  permutation_of builds the images of all
+vectors in rank order by linearity, one vector add each, and looks them
+up in a vector-to-position dict kept for the last (field, n).  A group
+generated by a few matrices is a permutation group on those positions,
+and closure walks it as one: it applies only the generators to vectors
+and multiplies no matrices.  The action on nonzero vectors is faithful
+and a matrix is fixed by where it sends the basis vectors, so the n
+positions of those images key an element, and generate_group reads each
+matrix back off them.
 
 Censuses enumerate no group and build no matrix; both count fixed-space
 dimensions in closed form, and fixed_space_cycle_type, the Mobius step,
@@ -64,7 +68,7 @@ from operator import itemgetter
 
 from . import poly as poly_mod
 from .ff import (CapExceededError, _search_modulus, divisors, exceeds_cap,
-                 multiplicative_order, prime_divisors, totient)
+                 has_order, multiplicative_order, prime_divisors, totient)
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -113,23 +117,6 @@ def mat_mul(field, A, B):
     return tuple(out)
 
 
-def mat_vec(field, A, v):
-    n = len(A)
-    muladd, z = field.muladd, field.zero_rep
-    out = []
-    for i in range(n):
-        acc = z
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a != z:
-                b = v[k]
-                if b != z:
-                    acc = muladd(acc, a, b)
-        out.append(acc)
-    return tuple(out)
-
-
 def mat_pow(field, A, e):
     """A^e for e >= 0 by square and multiply."""
     if e < 0:
@@ -167,16 +154,21 @@ def companion_matrix(field, f):
 def singer_modulus(n, field, seed=0):
     """Monic primitive polynomial of degree n over field: the first
     irreducible candidate of ff._search_modulus's seeded "linmono.singer"
-    stream on which x has order q^n - 1 (poly.order_of_x, so
-    ff.multiplicative_order).  Shared by singer_generator and
-    frobenius_matrix so both live in the same field model."""
+    stream on which x has order q^n - 1 (ff.has_order on
+    poly.x_power_is_one).  Shared by singer_generator and
+    frobenius_matrix so both live in the same field model.  q^n above
+    ff.CARDINALITY_CAP is refused (CapExceededError) before q^n - 1 is
+    taken or trial-divided."""
     if n < 1:
         raise ValueError("degree must be >= 1")
+    if exceeds_cap(field.order, n):
+        raise CapExceededError("q^n = %d^%d exceeds the cardinality cap"
+                               % (field.order, n))
     N = field.order ** n - 1
     primes = prime_divisors(N)
     return poly_mod.Poly(field, _search_modulus(
         field, n, seed, stream="linmono.singer",
-        accept=lambda f: poly_mod.order_of_x(f, N, primes) == N))
+        accept=lambda f: has_order(N, primes, poly_mod.x_power_is_one(f))))
 
 
 def _check_order(field, A, order, what):
@@ -239,10 +231,24 @@ def _points(field, n):
 
 def permutation_of(field, A):
     """A acting on the nonzero vectors as a tuple of positions: the vector
-    at position i (rank i + 1) goes to position perm[i]."""
-    vecs, position = _points(field, len(A))
+    at position i (rank i + 1) goes to position perm[i].
+
+    The images are built in rank order by linearity, with no matrix
+    product: A v = sum_j v_j (A e_j).  Over the last t coordinates, the
+    images of the vectors c e_j + w, w ranked over the t - 1 after j,
+    are c (A e_j) + A w, so each new image costs one vector add.  A
+    singular A sends a nonzero vector to 0, which has no position
+    (ValueError)."""
+    _, position = _points(field, len(A))
+    add, mul = field.add, field.mul
+    scalars = [field.rep_at(i) for i in range(1, field.order)]
+    images = [(field.zero_rep,) * len(A)]
+    for col in reversed(list(zip(*A))):
+        images += [tuple(map(add, cv, w))
+                   for cv in [[mul(c, a) for a in col] for c in scalars]
+                   for w in images]
     try:
-        return tuple([position[mat_vec(field, A, v)] for v in vecs])
+        return tuple([position[w] for w in images[1:]])
     except KeyError:
         raise ValueError("matrix is singular") from None
 

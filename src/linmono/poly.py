@@ -10,7 +10,9 @@ Distinct-degree factoring builds one Frobenius base per input polynomial
 and takes each gcd against the shrinking cofactor, so the base is never
 rebuilt after a split.  The irreducibility test is that split too.
 Division by a monic polynomial needs no inverse.  order_of_x, the
-order of x modulo f, is ff.multiplicative_order on pow_mod.
+order of x modulo f, is ff.multiplicative_order on x_power_is_one, which
+powers x in K[x]/(f) with ff's own product (a Field whose modulus is
+the monic f) rather than pow_mod on Poly objects.
 """
 
 from __future__ import annotations
@@ -190,9 +192,14 @@ class Poly:
         return Poly._mk(K, [K.mul(inv, c) for c in self.coeffs])
 
     def derivative(self):
+        """f', with no product for a zero coefficient (a dense
+        L_alpha(x)/x has only a few nonzero terms)."""
         K = self.field
-        out = [K.mul(K.scalar_rep(i), c)
-               for i, c in enumerate(self.coeffs) if i >= 1]
+        z = K.zero_rep
+        out = [z] * max(len(self.coeffs) - 1, 0)
+        for i, c in enumerate(self.coeffs[1:], 1):
+            if c != z:
+                out[i - 1] = K.mul(K.scalar_rep(i), c)
         return Poly._mk(K, out)
 
     def evaluate(self, x):
@@ -244,14 +251,29 @@ def pow_mod(a, e, m):
     return r
 
 
+def x_power_is_one(f):
+    """The test m -> (x^m = 1 modulo f), m >= 0, for a nonconstant f.
+
+    x is powered in K[x]/(f) by Field.pow of a Field whose modulus is
+    the monic f, so with ff's own product (packed, tower or loop).  No
+    product needs the modulus irreducible, and pow with an exponent >= 0
+    only multiplies, so the test is right for every f."""
+    if f.degree < 1:
+        raise ValueError("modulus must be nonconstant")
+    f = f.monic()
+    K = f.field
+    ring = Field(K.p, K, f.degree, f.coeffs)
+    x = (Poly.x(K) % f).coeffs
+    x += (K.zero_rep,) * (f.degree - len(x))
+    return lambda m: ring.pow(x, m) == ring.one_rep
+
+
 def order_of_x(f, e, primes):
     """Multiplicative order of x modulo f by ff.multiplicative_order on
-    pow_mod, from a claimed e with x^e = 1 mod f and the primes that may
-    divide e over the order.  None when x^e != 1: the claim is false."""
-    x = Poly.x(f.field)
-    one = Poly.constant(f.field, 1)
-    return multiplicative_order(e, primes,
-                                lambda m: pow_mod(x, m, f) == one)
+    x_power_is_one, from a claimed e with x^e = 1 mod f and the primes
+    that may divide e over the order.  None when x^e != 1: the claim is
+    false."""
+    return multiplicative_order(e, primes, x_power_is_one(f))
 
 
 # -- squarefree structure --------------------------------------------------

@@ -11,7 +11,7 @@ from collections import Counter, deque
 
 from linmono.group import (CycleCensus, class_cycle_type, closure,
                            companion_matrix, frobenius_matrix, gl_order,
-                           mat_identity, mat_mul, mat_pow, mat_vec,
+                           mat_identity, mat_mul, mat_pow,
                            nonzero_vectors, partitions, perm_cycle_type,
                            primary_centralizer_order, singer_generator)
 from linmono.poly import Poly, order_of_x
@@ -236,9 +236,24 @@ def prime_mat_mul(field, A, B):
                  for i in range(n))
 
 
+def mat_vec(field, A, v):
+    """A v by one multiply-accumulate loop over field.muladd per entry:
+    the oracle for group.permutation_of, which builds its images by
+    linearity instead."""
+    z = field.zero_rep
+    out = []
+    for row in A:
+        acc = z
+        for a, b in zip(row, v):
+            if a != z and b != z:
+                acc = field.muladd(acc, a, b)
+        out.append(acc)
+    return tuple(out)
+
+
 def prime_mat_vec(field, A, v):
     """A v over a prime field by plain integer sums: the reference for
-    group.mat_vec there."""
+    mat_vec there."""
     assert field.base is None
     return tuple(sum(a * c for a, c in zip(row, v)) % field.p for row in A)
 

@@ -245,6 +245,19 @@ def test_singer_document():
     assert len(doc["singer"]) == 3 and len(doc["singer"][0]) == 3
 
 
+@pytest.mark.parametrize("q, n, spelled", [("2", "61", "2^61"),
+                                           ("3", "100000000", "3^100000000")])
+def test_singer_above_the_cardinality_cap_exit1(q, n, spelled):
+    """q^n above ff.CARDINALITY_CAP gets the usual error document before
+    q^n - 1 is factored, which at these sizes would not finish."""
+    code, out, err = run_cli("singer", "--q", q, "--n", n)
+    assert code == 1
+    assert out == json.dumps(
+        {"error": "q^n = %s exceeds the cardinality cap" % spelled},
+        indent=2) + "\n"
+    assert "error" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "disc", "--q", "3", "--n", "1"),
     ("verify", "normalizer", "--q", "3", "--n", "2"),

@@ -1072,6 +1072,35 @@ def test_verify_normalizer_orbits_match_brute_force(spec, n, power,
         if so != n]
 
 
+@pytest.mark.parametrize("spec, n, power", [("3", 5, 1), ("4", 5, 3)])
+def test_verify_normalizer_tally_spans_batches(spec, n, power,
+                                               monkeypatch):
+    """Groups of more elements than one batch of stabilizer counts holds
+    (2^18 // (q^n - 1) permutations: 1083 against 1210 elements for
+    q = 3, and 256 against 5 * 341 for <S^3, F> at q = 4): the order
+    and the violations equal a plain Counter tally of the fixed points
+    of every permutation of the closure."""
+    field = parse_field_spec(spec)
+    singer = group_mod.singer_generator
+    monkeypatch.setattr(group_mod, "singer_generator",
+                        lambda n, f, seed=0: group_mod.mat_pow(
+                            f, singer(n, f, seed), power))
+    report = verify_normalizer(n, field)
+    M = field.order ** n - 1
+    perms = list(group_mod.closure(
+        field, [group_mod.singer_generator(n, field),
+                group_mod.frobenius_matrix(n, field)]))
+    assert len(perms) > (1 << 18) // M
+    fixed = Counter(i for perm in perms for i, j in enumerate(perm)
+                    if i == j)
+    assert report["order"] == len(perms) == n * M // power
+    assert report["passed"] == (power == 1)
+    assert report["stabilizer_violations"] == [
+        {"vector": [field.rep_to_obj(c) for c in v], "order": fixed[i]}
+        for i, v in enumerate(group_mod.nonzero_vectors(field, n))
+        if fixed[i] != n]
+
+
 def test_verify_gmg_small():
     for field, expected in ((F3, 1), (F5, 2), (F9, 8)):
         rep = verify_gmg(field)

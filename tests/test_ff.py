@@ -10,7 +10,8 @@ from _oracles import (schoolbook_mul, square_and_multiply_pow,
                       trial_prime_divisors)
 from linmono.ff import (CARDINALITY_CAP, TABLE_CAP, CapExceededError, Field,
                         FieldElement, FieldMismatchError, _prime_power_split,
-                        divisors, embed, extend_field, frobenius, is_prime,
+                        divisors, embed, extend_field, frobenius, has_order,
+                        is_prime,
                         is_square, log_tables, make_field, mobius,
                         multiplicative_order, parse_field_spec,
                         prime_divisors, totient)
@@ -89,6 +90,29 @@ def test_multiplicative_order_of_matrices(q):
     _check_orders(elements, mat_identity(F, 2),
                   lambda A, B: mat_mul(F, A, B),
                   lambda A, m: mat_pow(F, A, m), gl_order(2, q))
+
+
+@pytest.mark.parametrize("spec", ["7", "9", "2^2+2", "27", "49"])
+def test_has_order_is_the_full_order_equal_to_e(spec):
+    """has_order(e, ...) is multiplicative_order(e, ...) == e for every
+    element, zero too, at every divisor e of q - 1 and at 2(q - 1); at
+    each divisor e it holds for exactly phi(e) elements."""
+    F = parse_field_spec(spec)
+    q = F.order
+    exponents = divisors(q - 1) + [2 * (q - 1)]
+    hits = dict.fromkeys(exponents, 0)
+    for g in map(F.rep_at, range(q)):
+
+        def is_one(m, g=g):
+            return F.pow(g, m) == F.one_rep
+
+        for e in exponents:
+            primes = trial_prime_divisors(e)
+            got = has_order(e, primes, is_one)
+            assert got == (multiplicative_order(e, primes, is_one) == e)
+            hits[e] += got
+    assert hits == {e: totient(e) if (q - 1) % e == 0 else 0
+                    for e in exponents}
 
 
 def test_divisors_totient_mobius_by_definition():

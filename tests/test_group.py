@@ -9,8 +9,9 @@ from _oracles import (brute_closure, brute_cycle_type,
                       brute_stabilizer_orders, class_census,
                       class_representative, closure_normalizer_census,
                       gl_classes, irreducible_orders, mat_det, mat_inv,
-                      mat_pow_signed, normalizer_elements, prime_mat_mul,
-                      prime_mat_vec, stabilizer_order, vector_rank)
+                      mat_pow_signed, mat_vec, normalizer_elements,
+                      prime_mat_mul, prime_mat_vec, stabilizer_order,
+                      vector_rank)
 from linmono import ff as ff_mod
 from linmono import group as group_mod
 from linmono import poly as poly_mod
@@ -21,9 +22,8 @@ from linmono.group import (CLASS_CENSUS_CAP, CycleCensus, _irreducible_types,
                            companion_matrix, conjugation_ok, cycle_type_of,
                            frobenius_matrix, generate_group, gl_census,
                            gl_elements, gl_order, mat_identity, mat_mul,
-                           mat_pow, mat_vec,
-                           normalizer_census, normalizer_fixed_point_types,
-                           nonzero_vectors,
+                           mat_pow, normalizer_census,
+                           normalizer_fixed_point_types, nonzero_vectors,
                            partitions, perm_cycle_type, perm_sign,
                            permutation_of, primary_centralizer_order,
                            singer_generator, singer_modulus)
@@ -59,9 +59,9 @@ def test_matrix_arithmetic_basics():
 
 @pytest.mark.parametrize("p", [2, 7, 13])
 def test_prime_field_matrix_ops_equal_integer_sums(p):
-    """mat_mul, mat_vec and mat_pow over F_p equal the integer-sum
-    reference (mat_pow against repeated reference products) on seeded
-    random 4 x 4 matrices and vectors."""
+    """mat_mul, mat_pow and the oracle mat_vec over F_p equal the
+    integer-sum reference (mat_pow against repeated reference products)
+    on seeded random 4 x 4 matrices and vectors."""
     import random
     F = make_field(p)
     rng = random.Random("matrix ops:%d" % p)
@@ -108,6 +108,17 @@ def test_singer_modulus_is_primitive():
     assert mat_pow(F3, S, 26) == I
     assert mat_pow(F3, S, 13) != I
     assert mat_pow(F3, S, 2) != I
+
+
+def test_singer_modulus_refuses_above_the_cardinality_cap():
+    """q^n above ff.CARDINALITY_CAP is refused before q^n - 1 is
+    trial-divided (2^61 - 1 would take about 7e8 steps, and 3^(10^8)
+    would not even be taken); q^n at the cap is still served."""
+    for n, field in ((41, F2), (61, F2), (10 ** 8, F3)):
+        with pytest.raises(CapExceededError, match="cardinality cap"):
+            singer_modulus(n, field)
+    assert 2 ** 40 == ff_mod.CARDINALITY_CAP
+    assert singer_modulus(40, F2).degree == 40
 
 
 def test_singer_deterministic_and_seed_sensitive():
@@ -223,6 +234,36 @@ def test_cycle_type_lengths_divide_element_order():
             order += 1
         for d in ct:
             assert order % d == 0
+
+
+@pytest.mark.parametrize("spec, n", [("5", 3), ("2^3", 3), ("2^2+2", 2)])
+def test_permutation_of_equals_mat_vec_on_random_matrices(spec, n):
+    """The images permutation_of builds by linearity equal the mat_vec
+    oracle's, on seeded random invertible matrices over a prime, a
+    packed and a tower field; a singular matrix still raises
+    ValueError."""
+    import random
+    field = parse_field_spec(spec)
+    rng = random.Random("permutation_of:%s:%d" % (spec, n))
+    vecs = nonzero_vectors(field, n)
+    invertible = 0
+    while invertible < 6:
+        A = tuple(tuple(field.random_rep(rng) for _ in range(n))
+                  for _ in range(n))
+        if mat_det(field, A) == field.zero_rep:
+            with pytest.raises(ValueError, match="singular"):
+                permutation_of(field, A)
+            continue
+        invertible += 1
+        perm = permutation_of(field, A)
+        assert [vecs[j] for j in perm] == [mat_vec(field, A, v)
+                                           for v in vecs]
+    c = field.random_rep(rng)
+    row = tuple(field.random_rep(rng) for _ in range(n))
+    singular = (row,) + tuple(tuple(field.mul(c, a) for a in row)
+                              for _ in range(n - 1))
+    with pytest.raises(ValueError, match="singular"):
+        permutation_of(field, singular)
 
 
 def test_permutation_of_and_cycle_type_against_brute_force():

@@ -147,6 +147,32 @@ def test_order_of_x_descends_from_a_true_claim_and_refuses_a_false_one():
                 assert order_of_x(f, e, prime_divisors(e)) is None, str(f)
 
 
+@pytest.mark.parametrize("spec", ["4", "9", "13"])
+def test_order_of_x_over_extension_fields_against_pow_mod(spec):
+    """order_of_x powers x with a Field whose modulus is f (a packed
+    tower over F_4 and F_9, the loop over F_13): against the least d
+    with pow_mod(x, d, f) = 1, for every monic f of degree <= 2 with
+    f(0) != 0, irreducible or not, a multiple of the order gives the
+    order and an exponent that is not one gives None.  A constant f is
+    refused, as pow_mod refuses it."""
+    K = parse_field_spec(spec)
+    x = Poly.x(K)
+    one = Poly.constant(K, 1)
+    for d in (1, 2):
+        for f in all_monic(K, d):
+            if f.coeffs[0] == K.zero_rep:
+                continue
+            order = next(e for e in itertools.count(1)
+                         if pow_mod(x, e, f) == one)
+            for e in (order, 2 * order, 7 * order):
+                assert order_of_x(f, e, prime_divisors(e)) == order, str(f)
+            for e in range(1, order):
+                assert order_of_x(f, e, prime_divisors(e)) is None, str(f)
+    for f in (Poly(K, []), Poly.constant(K, 1)):
+        with pytest.raises(ValueError, match="nonconstant"):
+            order_of_x(f, 2, [2])
+
+
 @pytest.mark.parametrize("field,max_deg", [
     (F2, 6), (F3, 4), (F5, 3), (F4, 3), (F9, 2), (F16, 2)])
 def test_irreducibility_matches_oracle(field, max_deg):

@@ -2,10 +2,10 @@
 
 Fields are built as towers: a prime field F_p at the bottom, and above it
 one-step extensions, each defined by a monic irreducible modulus over the
-field below.  Subfield membership, embedding and Frobenius maps are then
-structural walks down the tower instead of isomorphism searches.  Moduli
-are found by a seeded pseudorandom search, so the same (p, degrees, seed)
-always reconstructs bit-identical fields.
+field below.  Subfield membership and embedding are then structural
+walks down the tower instead of isomorphism searches.  Moduli are found
+by a seeded pseudorandom search, so the same (p, degrees, seed) always
+reconstructs bit-identical fields.
 
 Field arithmetic itself uses no lookup tables, and an inverse is an
 extended Euclidean algorithm against the modulus.  log_tables builds, on
@@ -54,10 +54,9 @@ towers over an unpacked base keep the loop over the base's muladd.
 Integer arithmetic lives here alone.  prime_divisors, the one
 trial-division loop, backs is_prime, _prime_power_split, divisors,
 totient, mobius and every q^d - 1 factored elsewhere.  The one order
-search, multiplicative_order, backs poly.order_of_x, the linear-factor
-orders of linpoly.frobenius_cycle_type and the order checks of
-group.singer_generator and frobenius_matrix.  Where the only question
-is whether the order is exactly e (the primitivity test of
+search, multiplicative_order, backs poly.order_of_x and the
+linear-factor orders of linpoly.frobenius_cycle_type.  Where the only
+question is whether the order is exactly e (the primitivity test of
 group.singer_modulus, log_tables' generator search), has_order asks it
 and stops at the first prime r with g^(e/r) = 1, so a rejected
 candidate does not pay for its full order.
@@ -807,16 +806,6 @@ def log_tables(field):
 
 # -- maps ------------------------------------------------------------------
 
-def frobenius(a, sub):
-    """a raised to the |sub| power: the Frobenius of a relative to the
-    tower layer sub, which must appear in a's tower."""
-    if not isinstance(a, FieldElement):
-        raise TypeError("frobenius expects a FieldElement")
-    if not a.field.has_layer(sub):
-        raise FieldMismatchError("%r is not a layer of %r" % (sub, a.field))
-    return a ** sub.order
-
-
 def is_square(a):
     """Euler criterion.  Errors in characteristic 2, where squaring is a
     bijection and the question signals a misuse."""
@@ -828,13 +817,6 @@ def is_square(a):
     if a.is_zero:
         return True
     return f.pow(a.rep, (f.order - 1) // 2) == f.one_rep
-
-
-def embed(a, target):
-    """Image of a in target, which must contain a's field as a tower layer."""
-    if not isinstance(a, FieldElement):
-        raise TypeError("embed expects a FieldElement")
-    return FieldElement(target, embed_rep(target, a.field, a.rep))
 
 
 def embed_rep(target, source, rep):

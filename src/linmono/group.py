@@ -15,13 +15,14 @@ reuses the primitives every field is built with: f is drawn by
 ff._search_modulus, the seeded search behind every field modulus, with
 primitivity as its acceptance test.  That test is ff.has_order, which
 stops at the first prime r of q^n - 1 with x^((q^n - 1)/r) = 1, on
-powers of x taken by ff's own product (poly.x_power_is_one); the orders
-of S and F are checked by ff.multiplicative_order.  The columns of F
-are poly._frobenius_base(f), the Frobenius base distinct-degree
-factoring steps with.  q^n above ff.CARDINALITY_CAP is refused before
-q^n - 1 is factored.  The normalizer <S, F> has order n(q^n - 1) and
-every nonzero-vector stabilizer in it has order n; both facts are
-checked directly by the verification layer rather than trusted.
+powers of x taken by ff's own product (poly.x_power_is_one).  That
+choice of f proves the orders of S and F, so no matrix is powered to
+check them.  The columns of F are poly._frobenius_base(f), the
+Frobenius base distinct-degree factoring steps with.  q^n above
+ff.CARDINALITY_CAP is refused before q^n - 1 is factored.  The
+normalizer <S, F> has order n(q^n - 1) and every nonzero-vector
+stabilizer in it has order n; both facts are checked directly by the
+verification layer rather than trusted.
 
 Permutation structure: a matrix acts on the q^n - 1 nonzero column
 vectors, ranked lexicographically; cycle types are sorted tuples of cycle
@@ -68,7 +69,7 @@ from operator import itemgetter
 
 from . import poly as poly_mod
 from .ff import (CapExceededError, _search_modulus, divisors, exceeds_cap,
-                 has_order, multiplicative_order, prime_divisors, totient)
+                 has_order, prime_divisors, totient)
 
 # Full general-linear enumeration (gl_elements, the brute-force oracle)
 # is refused above this many candidate entries (q^(n^2)); row-by-row
@@ -171,33 +172,27 @@ def singer_modulus(n, field, seed=0):
         accept=lambda f: has_order(N, primes, poly_mod.x_power_is_one(f))))
 
 
-def _check_order(field, A, order, what):
-    """AssertionError unless A has this order (ff.multiplicative_order)."""
-    ident = mat_identity(field, len(A))
-    if multiplicative_order(order, prime_divisors(order),
-                            lambda m: mat_pow(field, A, m) == ident) != order:
-        raise AssertionError("order is not " + what)
-
-
 def singer_generator(n, field, seed=0):
-    """Companion matrix of a primitive degree-n polynomial: a cyclic
-    generator of order exactly q^n - 1, verified on the matrix itself."""
-    S = companion_matrix(field, singer_modulus(n, field, seed))
-    _check_order(field, S, field.order ** n - 1, "q^n - 1")
-    return S
+    """Companion matrix S of the primitive modulus f (singer_modulus), a
+    cyclic generator of order exactly q^n - 1.  S multiplies by x on
+    field[x]/(f) in the power basis, so S^m e_j holds the coordinates of
+    x^(m+j) mod f.  Hence S^m = I exactly when x^m = 1 mod f, and S has
+    order q^n - 1 by the ff.has_order test singer_modulus accepted f on."""
+    return companion_matrix(field, singer_modulus(n, field, seed))
 
 
 def frobenius_matrix(n, field, seed=0):
-    """Matrix of v -> v^q on F_{q^n} = field[x]/(f) in the power basis,
+    """Matrix F of v -> v^q on F_{q^n} = field[x]/(f) in the power basis,
     with the same modulus f as singer_generator.  Column j is x^(jq) mod
     f, read off poly._frobenius_base(f), the base distinct-degree
-    factoring steps with.  Order is exactly n, checked on the matrix."""
+    factoring steps with.  ff._search_modulus accepts only irreducible
+    f, so field[x]/(f) is F_{q^n} and F, its Frobenius over F_q, has
+    order exactly n: F^m = I exactly when every v has v^(q^m) = v, that
+    is when n divides m."""
     base = poly_mod._frobenius_base(singer_modulus(n, field, seed))
     z = field.zero_rep
     cols = [g.coeffs + (z,) * (n - len(g.coeffs)) for g in base]
-    F = tuple(tuple(col[i] for col in cols) for i in range(n))
-    _check_order(field, F, n, "n")
-    return F
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 def conjugation_ok(field, S, F):

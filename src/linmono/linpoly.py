@@ -9,8 +9,8 @@ q^n polynomial, so the q-degree can be large even when to_poly would be
 refused.
 
 The additive structure is what the rest of the package leans on: the
-roots of L form an F_q-vector space (root_space computes it as a kernel),
-the Frobenius acts on that space as an n x n matrix, so the factor
+roots of L form an F_q-vector space, the Frobenius acts on that space
+as an n x n matrix, so the factor
 degrees of L(x)/x over the coefficient field are its cycle type on the
 nonzero roots (frobenius_cycle_type), and the square class of the
 discriminant of L(x)/x is readable off the constant coefficient
@@ -206,65 +206,7 @@ def specialize(L, alpha):
     return LinPoly(L.base, coeffs, field=E)
 
 
-# -- root space ------------------------------------------------------------
-
-def _flatten(ctx, stop, rep, out):
-    if ctx == stop:
-        out.append(rep)
-        return
-    b = ctx.base
-    if b is None:
-        raise FieldMismatchError("%r is not a layer of %r" % (stop, ctx))
-    for c in rep:
-        _flatten(b, stop, c, out)
-
-
-def _unflatten(ctx, stop, flat, pos):
-    if ctx == stop:
-        return flat[pos], pos + 1
-    b = ctx.base
-    coeffs = []
-    for _ in range(ctx.degree):
-        c, pos = _unflatten(b, stop, flat, pos)
-        coeffs.append(c)
-    return tuple(coeffs), pos
-
-
-def root_space(L, E):
-    """Basis (list of FieldElements of E) of the F_q-vector space
-    {v in E : L(v) = 0}, where q is L's base order.
-
-    E is flattened to an F_q-space of dimension [E : F_q]; v -> L(v) is
-    F_q-linear there, and the kernel is read off by Gaussian elimination.
-    """
-    if not isinstance(E, Field):
-        raise TypeError("E must be a Field")
-    if not E.has_layer(L.base):
-        raise FieldMismatchError(
-            "%r does not contain the base field %r" % (E, L.base))
-    if not E.has_layer(L.field):
-        raise FieldMismatchError(
-            "%r does not contain the coefficient field %r" % (E, L.field))
-    K = L.base
-    dim = _degree_over(E, K)
-    cols = []
-    for j in range(dim):
-        flat = [K.zero_rep] * dim
-        flat[j] = K.one_rep
-        e_rep, _ = _unflatten(E, K, flat, 0)
-        w = evaluate(L, FieldElement(E, e_rep))
-        out = []
-        _flatten(E, K, w.rep, out)
-        cols.append(out)
-    # matrix rows: M[i][j] = coordinate i of L(basis_j)
-    M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    kernel = _kernel_basis(K, M, dim)
-    roots = []
-    for vec in kernel:
-        rep, _ = _unflatten(E, K, vec, 0)
-        roots.append(FieldElement(E, rep))
-    return roots
-
+# -- linear algebra --------------------------------------------------------
 
 def _degree_over(E, K):
     """[E : K] for a tower layer K of E."""

@@ -589,10 +589,3 @@ def split_top_level(s):
         raise ValueError("unbalanced brackets in %r" % s)
     parts.append("".join(cur))
     return parts
-
-
-def parse_poly(field, s):
-    """Poly from its string form: comma-separated coefficients, constant
-    first, each an int or a bracketed vector."""
-    tokens = split_top_level(s)
-    return Poly(field, [_parse_element_obj(t) for t in tokens])

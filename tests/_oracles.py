@@ -9,11 +9,13 @@ import functools
 import itertools
 from collections import Counter, deque
 
+from linmono.ff import FieldElement, FieldMismatchError, multiplicative_order
 from linmono.group import (CycleCensus, class_cycle_type, closure,
                            companion_matrix, frobenius_matrix, gl_order,
                            mat_identity, mat_mul, mat_pow,
                            nonzero_vectors, partitions, perm_cycle_type,
                            primary_centralizer_order, singer_generator)
+from linmono.linpoly import _degree_over, _kernel_basis, evaluate
 from linmono.poly import Poly, order_of_x
 
 
@@ -313,6 +315,15 @@ def mat_inv(field, A):
     return tuple(tuple(row[n:]) for row in rows)
 
 
+def matrix_order(field, A, e):
+    """Order of the matrix A, a divisor of e, by ff.multiplicative_order
+    on powers of A taken by group.mat_pow, with the primes of e by trial
+    division; None unless A^e = I."""
+    ident = mat_identity(field, len(A))
+    return multiplicative_order(e, trial_prime_divisors(e),
+                                lambda m: mat_pow(field, A, m) == ident)
+
+
 def mat_pow_signed(field, A, e):
     """A^e for any integer e, negative powers through mat_inv."""
     if e < 0:
@@ -438,3 +449,54 @@ def square_and_multiply_pow(field, x, e):
         if bit == "1":
             r = field.mul(r, x)
     return r
+
+
+def _flatten(ctx, stop, rep, out):
+    if ctx == stop:
+        out.append(rep)
+        return
+    b = ctx.base
+    if b is None:
+        raise FieldMismatchError("%r is not a layer of %r" % (stop, ctx))
+    for c in rep:
+        _flatten(b, stop, c, out)
+
+
+def _unflatten(ctx, stop, flat, pos):
+    if ctx == stop:
+        return flat[pos], pos + 1
+    b = ctx.base
+    coeffs = []
+    for _ in range(ctx.degree):
+        c, pos = _unflatten(b, stop, flat, pos)
+        coeffs.append(c)
+    return tuple(coeffs), pos
+
+
+def root_space(L, E):
+    """Basis (list of FieldElements of E) of the F_q-vector space
+    {v in E : L(v) = 0}, where q is L's base order and E a field above
+    L's coefficient field.
+
+    E is flattened to an F_q-space of dimension [E : F_q]; v -> L(v) is
+    F_q-linear there, and the kernel is read off by Gaussian elimination
+    (linpoly._kernel_basis).  No characteristic polynomial, rank of a
+    Frobenius matrix or factoring is involved."""
+    K = L.base
+    dim = _degree_over(E, K)
+    cols = []
+    for j in range(dim):
+        flat = [K.zero_rep] * dim
+        flat[j] = K.one_rep
+        e_rep, _ = _unflatten(E, K, flat, 0)
+        w = evaluate(L, FieldElement(E, e_rep))
+        out = []
+        _flatten(E, K, w.rep, out)
+        cols.append(out)
+    # matrix rows: M[i][j] = coordinate i of L(basis_j)
+    M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    roots = []
+    for vec in _kernel_basis(K, M, dim):
+        rep, _ = _unflatten(E, K, vec, 0)
+        roots.append(FieldElement(E, rep))
+    return roots

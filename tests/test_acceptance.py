@@ -15,7 +15,7 @@ from linmono.engine import (Evidence, recheck, sample_cycle_types,
 from linmono.ff import make_field
 from linmono.group import gl_census, normalizer_census
 from linmono.linpoly import parse_linpoly
-from linmono.poly import factor, parse_poly
+from linmono.poly import Poly, factor
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -144,11 +144,11 @@ def _pm(q):
 def test_criterion_7_char2_results():
     t0 = time.monotonic()
     # (a) x^4 + x = x (x+1) (x^2+x+1), each factor once
-    f = parse_poly(F2, "0,1,0,0,1")
+    f = Poly(F2, [0, 1, 0, 0, 1])
     parts = factor(f)
-    expected = [(parse_poly(F2, "0,1"), 1),       # x
-                (parse_poly(F2, "1,1"), 1),       # x + 1
-                (parse_poly(F2, "1,1,1"), 1)]     # x^2 + x + 1
+    expected = [(Poly(F2, [0, 1]), 1),       # x
+                (Poly(F2, [1, 1]), 1),       # x + 1
+                (Poly(F2, [1, 1, 1]), 1)]    # x^2 + x + 1
     ok = parts == expected
     # (b) alternating containment for (3,2); q=n=2 exception detected
     rep32 = verify_alternating_char2(F2, 3)

@@ -258,6 +258,18 @@ def test_singer_above_the_cardinality_cap_exit1(q, n, spelled):
     assert "error" in err
 
 
+@pytest.mark.parametrize("q, n", [("2", "13"), ("2", "14"), ("3", "8")])
+def test_verify_normalizer_past_4096_vectors_exit1(q, n):
+    """Inside GROUP_CAP, but past the sizes whose closure fits in
+    memory: the usual error document, at once."""
+    code, out, err = run_cli("verify", "normalizer", "--q", q, "--n", n)
+    assert code == 1
+    assert out == json.dumps(
+        {"error": "normalizer closure refused above q^n = 4096 vectors"},
+        indent=2) + "\n"
+    assert "error" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "disc", "--q", "3", "--n", "1"),
     ("verify", "normalizer", "--q", "3", "--n", "2"),

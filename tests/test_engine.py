@@ -19,7 +19,8 @@ from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             verdict, verify_alternating_char2,
                             verify_disc_lemma, verify_factor_identity,
                             verify_gmg, verify_normalizer)
-from linmono.ff import make_field, parse_field_spec, prime_divisors
+from linmono.ff import (CapExceededError, make_field, parse_field_spec,
+                        prime_divisors)
 from linmono.group import gl_census, normalizer_census
 from linmono import linpoly as lin_mod
 from linmono.linpoly import (LinPoly, evaluate, parse_linpoly, reduced,
@@ -1099,6 +1100,42 @@ def test_verify_normalizer_tally_spans_batches(spec, n, power,
         {"vector": [field.rep_to_obj(c) for c in v], "order": fixed[i]}
         for i, v in enumerate(group_mod.nonzero_vectors(field, n))
         if fixed[i] != n]
+
+
+class _Built(Exception):
+    """Raised by a stand-in singer_generator: the size was admitted."""
+
+
+@pytest.mark.parametrize("spec, n", [("2", 12), ("4", 6), ("64", 2),
+                                     ("3", 7), ("5", 5)])
+def test_verify_normalizer_admits_walks_up_to_4096_vectors(spec, n,
+                                                           monkeypatch):
+    """q^n <= 2^12 reaches the Singer model; nothing is walked here."""
+    def built(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(group_mod, "singer_generator", built)
+    with pytest.raises(_Built):
+        verify_normalizer(n, parse_field_spec(spec))
+
+
+@pytest.mark.parametrize("spec, n", [("2", 13), ("2", 14), ("2", 20),
+                                     ("3", 8), ("4", 7), ("8192", 1)])
+def test_verify_normalizer_refuses_walks_past_4096_vectors(spec, n,
+                                                           monkeypatch):
+    """The closure's queue would outgrow memory (about 680 MiB at
+    q = 2, n = 13), so q^n above 2^12 is refused before any matrix is
+    built, inside GROUP_CAP too."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Singer model was built")
+
+    for name in ("singer_modulus", "singer_generator", "frobenius_matrix",
+                 "closure"):
+        monkeypatch.setattr(group_mod, name, refuse)
+    with pytest.raises(CapExceededError,
+                       match="normalizer closure refused above q\\^n = "
+                             "4096 vectors"):
+        verify_normalizer(n, parse_field_spec(spec))
 
 
 def test_verify_gmg_small():

@@ -10,9 +10,8 @@ from _oracles import (schoolbook_mul, square_and_multiply_pow,
                       trial_prime_divisors)
 from linmono.ff import (CARDINALITY_CAP, TABLE_CAP, CapExceededError, Field,
                         FieldElement, FieldMismatchError, _prime_power_split,
-                        divisors, embed, extend_field, frobenius, has_order,
-                        is_prime,
-                        is_square, log_tables, make_field, mobius,
+                        divisors, embed_rep, extend_field, has_order,
+                        is_prime, is_square, log_tables, make_field, mobius,
                         multiplicative_order, parse_field_spec,
                         prime_divisors, totient)
 from linmono.group import (gl_elements, gl_order, mat_identity, mat_mul,
@@ -359,27 +358,38 @@ def test_scalar_mixing_with_ints():
 
 
 def test_frobenius_is_field_automorphism_fixing_base():
+    """x -> x^9 on F_{9^3}, by Field.pow, is additive and
+    multiplicative and fixes the embedded F_9 pointwise."""
     F9 = make_field(3, 2)
     T = extend_field(F9, 3)
+
+    def frob(x):
+        return T.pow(x, F9.order)
+
     for i in (0, 1, 5, 100, 700):
-        a = T.element_at(i % T.order)
-        b = T.element_at((i * 7 + 3) % T.order)
-        assert frobenius(a + b, F9) == frobenius(a, F9) + frobenius(b, F9)
-        assert frobenius(a * b, F9) == frobenius(a, F9) * frobenius(b, F9)
-    # fixes the embedded base pointwise
-    for a in F9.elements():
-        assert frobenius(embed(a, T), F9) == embed(a, T)
+        a = T.rep_at(i % T.order)
+        b = T.rep_at((i * 7 + 3) % T.order)
+        assert frob(T.add(a, b)) == T.add(frob(a), frob(b))
+        assert frob(T.mul(a, b)) == T.mul(frob(a), frob(b))
+    for i in range(F9.order):
+        a = embed_rep(T, F9, F9.rep_at(i))
+        assert frob(a) == a
 
 
 def test_embedding_is_ring_homomorphism():
     F3 = make_field(3)
     T = parse_field_spec("3^2+2")
-    for i in range(3):
-        for j in range(3):
-            a, b = F3.element_at(i), F3.element_at(j)
-            assert embed(a + b, T) == embed(a, T) + embed(b, T)
-            assert embed(a * b, T) == embed(a, T) * embed(b, T)
-    assert embed(F3.one(), T) == T.one()
+
+    def embed(x):
+        return embed_rep(T, F3, x)
+
+    for a in range(3):
+        for b in range(3):
+            assert embed(F3.add(a, b)) == T.add(embed(a), embed(b))
+            assert embed(F3.mul(a, b)) == T.mul(embed(a), embed(b))
+    assert embed(F3.one_rep) == T.one_rep
+    with pytest.raises(FieldMismatchError):
+        embed_rep(F3, T, T.one_rep)
 
 
 def test_is_square_euler_counts():

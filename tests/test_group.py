@@ -9,9 +9,9 @@ from _oracles import (brute_closure, brute_cycle_type,
                       brute_stabilizer_orders, class_census,
                       class_representative, closure_normalizer_census,
                       gl_classes, irreducible_orders, mat_det, mat_inv,
-                      mat_pow_signed, mat_vec, normalizer_elements,
-                      prime_mat_mul, prime_mat_vec, stabilizer_order,
-                      vector_rank)
+                      mat_pow_signed, mat_vec, matrix_order,
+                      normalizer_elements, prime_mat_mul, prime_mat_vec,
+                      stabilizer_order, vector_rank)
 from linmono import ff as ff_mod
 from linmono import group as group_mod
 from linmono import poly as poly_mod
@@ -101,8 +101,7 @@ def test_singer_modulus_is_primitive():
     f = singer_modulus(3, F3)
     assert f.degree == 3
     assert is_irreducible(f)
-    # primitivity shows as the companion matrix having full order, which
-    # singer_generator asserts internally
+    # primitivity shows as the companion matrix having full order
     S = singer_generator(3, F3)
     I = mat_identity(F3, 3)
     assert mat_pow(F3, S, 26) == I
@@ -119,6 +118,39 @@ def test_singer_modulus_refuses_above_the_cardinality_cap():
             singer_modulus(n, field)
     assert 2 ** 40 == ff_mod.CARDINALITY_CAP
     assert singer_modulus(40, F2).degree == 40
+
+
+@pytest.mark.parametrize("spec, n", [("3", 3), ("5", 3), ("4", 3),
+                                     ("2^2+2", 2), ("2", 16), ("3", 8)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_singer_and_frobenius_orders_by_matrix_powers(spec, n, seed):
+    """S has order exactly q^n - 1 and F exactly n, found by the order
+    search on powers of the matrices themselves: the check that the
+    choice of the primitive modulus makes unnecessary at run time."""
+    field = parse_field_spec(spec)
+    N = field.order ** n - 1
+    assert matrix_order(field, singer_generator(n, field, seed), N) == N
+    assert matrix_order(field, frobenius_matrix(n, field, seed), n) == n
+
+
+def test_singer_model_powers_no_matrix(monkeypatch):
+    """singer_generator and frobenius_matrix take no matrix power and run
+    no order search: S is the companion matrix of the primitive modulus
+    and F is read off its Frobenius base, up to the cardinality cap."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Singer model powered a matrix")
+
+    assert not hasattr(group_mod, "multiplicative_order")
+    monkeypatch.setattr(group_mod, "mat_pow", refuse)
+    monkeypatch.setattr(ff_mod, "multiplicative_order", refuse)
+    monkeypatch.setattr(poly_mod, "multiplicative_order", refuse)
+    for n, field, seed in ((3, F3, 0), (2, F4, 3), (40, F2, 0)):
+        f = singer_modulus(n, field, seed)
+        assert singer_generator(n, field, seed) == companion_matrix(field, f)
+        want = pow_mod(Poly.x(field), field.order, f).coeffs
+        want += (field.zero_rep,) * (n - len(want))
+        assert tuple(row[1] for row in frobenius_matrix(n, field, seed)) \
+            == want
 
 
 def test_singer_deterministic_and_seed_sensitive():

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import root_space
 from linmono import group as group_mod
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
@@ -14,8 +15,7 @@ from linmono.ff import (FieldMismatchError, extend_field, make_field,
                         prime_divisors)
 from linmono.linpoly import (LinPoly, SquareClass, disc_square_class,
                              evaluate, frobenius_cycle_type, parse_linpoly,
-                             reduced, root_space, specialize, square_class,
-                             to_poly)
+                             reduced, specialize, square_class, to_poly)
 from linmono.poly import (Poly, discriminant, factor_degrees, is_irreducible,
                           order_of_x)
 

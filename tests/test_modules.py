@@ -1,0 +1,56 @@
+"""Static checks on the package source: every module-level import of
+src/linmono is used, and every name in linmono.__all__ is bound."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import linmono
+
+SRC = Path(linmono.__file__).parent
+
+
+def unused_imports(source):
+    """Names bound by a module-level import (from __future__ aside) that
+    the module never reads, names listed in its __all__ counting as
+    read; sorted."""
+    tree = ast.parse(source)
+    bound = set()
+    used = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    used.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+    return sorted(bound - used)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path\n"
+              "import sys as system\n"
+              "from math import gcd, lcm\n"
+              "from . import poly as poly_mod\n"
+              "__all__ = ['lcm']\n"
+              "def f():\n"
+              "    import json\n"
+              "    return poly_mod.Poly, gcd\n")
+    assert unused_imports(source) == ["os", "system"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_exported_name_is_bound():
+    assert len(set(linmono.__all__)) == len(linmono.__all__)
+    assert [name for name in linmono.__all__
+            if not hasattr(linmono, name)] == []

@@ -14,7 +14,7 @@ from linmono.ff import (Field, make_field, mobius, parse_field_spec,
                         prime_divisors)
 from linmono.poly import (Poly, discriminant, factor, factor_degrees, gcd,
                           is_irreducible, is_squarefree, num_irreducible,
-                          order_of_x, parse_poly, pow_mod, resultant,
+                          order_of_x, pow_mod, resultant,
                           squarefree_decomposition)
 
 from _oracles import (all_monic, brute_factor, brute_irreducibles,
@@ -474,10 +474,12 @@ def test_discriminant_zero_for_repeated_roots():
     assert discriminant(g).is_zero
 
 
-def test_parse_poly_and_elements():
-    f = parse_poly(F3, "1,2,1")
-    assert f == Poly(F3, [1, 2, 1])
-    g = parse_poly(F9, "[1,2],0,1")
+def test_poly_from_element_objects():
+    """Coefficients given as ints and as coordinate lists (the JSON
+    objects of field elements), constant first."""
+    f = Poly(F3, [1, 2, 1])
+    assert f == Poly(F3, [F3.element_at(1), F3.element_at(2), 1])
+    g = Poly(F9, [[1, 2], 0, 1])
     assert g.coefficient(0).to_obj() == [1, 2]
     assert g.degree == 2
 

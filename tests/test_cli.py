@@ -643,6 +643,11 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "b7dfb701974b9e1fdee1ecc803fb656db4e0dbc73b279a28294f8adcb3dc5628"),
     ("census --q 3 --n 6",
      "6e632ba3a884853dcce5d3874b1744f7c519d777f2e22b669702fe0ac27c06cf"),
+    ("census --q 5 --n 2",
+     "f2eda1cacaae2e8aaaffcf1cf6d671b8906c7cdd4c7e985867943d6b7f528615"),
+    # the Singer normalizer census, read off fixed-space counts
+    ("census --normalizer-only --q 5 --n 3",
+     "38026489d62f9eb450c00d3394131c5fce520da7c7cfff398f8bc0d0686acbe2"),
     # alternating containment, read off GL censuses
     ("verify alt2 --q 2 --n 3",
      "ad210133d1222edee4f54f78e69a3871014d977d68c362139a3f8d5d56dd643e"),
@@ -654,6 +659,10 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
     ("verify normalizer --q 9 --n 2",
      "302fc4de5c3f0920339328fdd25b665c1f09b439e47e16655f77154e22fc5d37"),
     # image-in-squares classification, the map cap and the odd-q refusal
+    ("verify gmg --q 9",
+     "e92d15c5a8c6e18660da1c284ce753a0bbc73be0a1dc02f29215f5bebb723455"),
+    ("verify gmg --q 25",
+     "5655e0c689f728148e888e0100bf105fd5770505ec0a19a9cf53efe7df409681"),
     ("verify gmg --q 27",
      "d1e7010362a5d86bd7f5ab8c676ba611b4123553333dd5d1bb9b4bc3ae93b1c7"),
     ("verify gmg --q 49",

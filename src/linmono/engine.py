@@ -79,8 +79,8 @@ from itertools import islice
 from . import group as group_mod
 from . import linpoly as lin_mod
 from . import poly as poly_mod
-from .ff import (CapExceededError, FieldElement, exceeds_cap, extend_field,
-                 is_prime, log_tables)
+from .ff import (CapExceededError, FieldElement, divisors, exceeds_cap,
+                 extend_field, is_prime, log_tables)
 
 # Fields no larger than this are sampled exhaustively.
 EXHAUST_LIMIT = 2000
@@ -730,7 +730,12 @@ def verify_gmg(field):
     """Image-in-squares classification over F_q, q = p^m odd: among all
     nonzero p-linearized maps sum c_i x^(p^i) (i < m), exactly the maps
     a x^(p^d) with a a nonzero square have image of x -> L(x)/x inside
-    the squares (with 0 allowed).  Refused above 20000 maps."""
+    the squares (with 0 allowed).  Refused above 20000 maps.
+
+    The search (_gmg_passing) sums one coefficient tail per orbit of the
+    nonzero squares acting by scaling, since a L passes exactly when L
+    does for a square a, and reads the rest of each orbit off its
+    representative."""
     p = field.p
     if p == 2:
         raise ValueError("squares classification needs odd characteristic")
@@ -772,6 +777,18 @@ def _gmg_passing(field, m, squares):
     at most q^(m-1) (q - 1) tail sums, one pass over the points per tail;
     a map-by-map search makes up to (q^m - 1) (q - 1) sums.
 
+    Only one tail per orbit is summed.  Let H be the stabilizer of the
+    target set squares (any set of nonzero elements), the a in F_q^*
+    with a * squares = squares.  For a in H the
+    map a L has (a L)(x)/x = a (L(x)/x), which is in squares or zero
+    exactly when L(x)/x is, since multiplying by a (or by 1/a, also in
+    H) maps squares onto itself and 0 to 0.  So (c_0, T) passes exactly
+    when (a c_0, a T) does, and the passing c_0 of a T are a times those
+    of T.  H is read off the target's logs, as the shifts j with t + j
+    in the target for every t; for the squares it is the squares, whose
+    orbits hold (q - 1)/2 tails apart from the zero tail, and a target
+    with H = {1} walks every tail.
+
     Tail sums work on ff.log_tables indices: the term c_i x^(p^i - 1) has
     log log c_i + (p^i - 1) log x mod q - 1, and terms are added by Zech
     addition.  Each translated set, a bitmask over enumeration indices,
@@ -779,20 +796,28 @@ def _gmg_passing(field, m, squares):
     g^(log s + (q - 1)/2) = -s.  A tail stops at the first point where
     its intersection is empty.  The zero map (c_0 = 0 with a zero tail)
     is left out.  With warm tables and the squares as target this takes
-    2-4 ms at q = 27, 0.6-1.0 ms at q = 49 and 3-5 ms at q = 121, against
-    61-63, 8 and 56-57 ms map by map (best of 7, 2-core Xeon VM, CPython
-    3.11)."""
+    0.8-1.0 ms at q = 27, 0.3-0.4 ms at q = 49 and 0.9-1.1 ms at q = 121,
+    against 3.5, 1.0 and 4.9 ms summing every tail and 61-63, 8 and
+    56-57 ms map by map (best of 7, 2-core Xeon VM, CPython 3.11)."""
     exp, log, zech = log_tables(field)
     q = field.order
     n = q - 1
     half = n // 2  # log(-1)
     p = field.p
     target = [k for k in range(n) if field.rep_at(exp[k]) in squares]
+    on_target = set(target)
+    # H is a subgroup of the cyclic F_q^*, so it is generated by g^h for
+    # the least divisor h of q - 1 that keeps the target
+    h = next(h for h in divisors(n)
+             if all((t + h) % n in on_target for t in target))
     translated = {None: 1 | sum(1 << exp[t] for t in target)}  # s = 0
     offsets = [tuple((p ** i - 1) * lx % n for i in range(1, m))
                for lx in range(n)]
+    seen = bytearray(q ** (m - 1))
     passing = set()
     for ti in range(q ** (m - 1)):
+        if seen[ti]:
+            continue
         digits = []
         v = ti
         for _ in range(m - 1):
@@ -820,13 +845,20 @@ def _gmg_passing(field, m, squares):
             allowed &= shifted
             if not allowed:
                 break
-        else:
-            if not terms:
-                allowed &= ~1
-            tail = tuple(field.rep_at(d) for d in digits)
-            for c0 in range(q):
-                if allowed >> c0 & 1:
-                    passing.add((field.rep_at(c0),) + tail)
+        if not terms:
+            allowed &= ~1
+        c0s = [log[c] for c in range(q) if allowed >> c & 1]
+        for j in range(0, n, h):  # the orbit of the tail under H
+            tj = sum(exp[(lc + j) % n] * q ** i for i, lc in terms)
+            if seen[tj]:
+                continue
+            seen[tj] = 1
+            if c0s:
+                tail = tuple(field.rep_at(tj // q ** i % q)
+                             for i in range(m - 1))
+                passing.update(
+                    (field.rep_at(0 if lc is None else exp[(lc + j) % n]),)
+                    + tail for lc in c0s)
     return passing
 
 

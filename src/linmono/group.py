@@ -445,10 +445,16 @@ def partitions(s, largest=None):
             yield (first,) + rest
 
 
+@functools.cache
 def primary_centralizer_order(Q, lam):
     """Order of the centralizer of the f-primary part with partition lam,
     where Q = q^deg f: Q^(sum lam'_i^2) prod_i prod_{j <= m_i} (1 - Q^-j),
-    m_i the multiplicity of part i (Macdonald, ch. IV, (2.7))."""
+    m_i the multiplicity of part i (Macdonald, ch. IV, (2.7)).
+
+    Cached: gl_census asks for the same (Q, lam) in every class type
+    that gives lam to an irreducible of degree d (Q = q^d), and one
+    census of GL(n, q) asks for at most one pair per d <= n and
+    partition lam of at most n/d."""
     conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
     mults = Counter(lam).values()
     out = Q ** (sum(c * c for c in conj)
@@ -469,10 +475,12 @@ def fixed_space_cycle_type(q, n, order, dim):
     inversion is one difference pass per prime r of the order: walking
     the divisors downwards, the count at d loses the count at d / r.
     Counts that are not a cycle type of F_q^n minus 0 are an internal
-    error (AssertionError)."""
-    divs = divisors(order)
+    error (AssertionError).  The divisors and primes of each order are
+    trial-divided once (_divisors_and_primes): many class types of a
+    census, and many t of normalizer_census, share an order."""
+    divs, primes = _divisors_and_primes(order)
     exact = {d: q ** dim(d) - 1 for d in divs}
-    for r in prime_divisors(order):
+    for r in primes:
         for d in reversed(divs):
             if d % r == 0:
                 exact[d] -= exact[d // r]
@@ -485,6 +493,12 @@ def fixed_space_cycle_type(q, n, order, dim):
         raise AssertionError("cycle lengths do not cover the nonzero "
                              "vectors")
     return tuple(lengths)
+
+
+@functools.cache
+def _divisors_and_primes(order):
+    """(divisors, prime divisors) of order >= 1 as ascending tuples."""
+    return tuple(divisors(order)), tuple(prime_divisors(order))
 
 
 def class_cycle_type(field, parts):

@@ -15,7 +15,7 @@ from linmono.group import (CycleCensus, class_cycle_type, closure,
                            mat_identity, mat_mul, mat_pow,
                            nonzero_vectors, partitions, perm_cycle_type,
                            primary_centralizer_order, singer_generator)
-from linmono.linpoly import _degree_over, _kernel_basis, evaluate
+from linmono.linpoly import _degree_over, evaluate
 from linmono.poly import Poly, order_of_x
 
 
@@ -315,6 +315,40 @@ def mat_inv(field, A):
     return tuple(tuple(row[n:]) for row in rows)
 
 
+def kernel_basis(field, A):
+    """Basis of {v : A v = 0} for a square matrix A (rows of reps), by
+    reduction to reduced row echelon form with field.sub and field.mul
+    as in mat_inv: one vector per free column c, 1 at c, 0 at the other
+    free columns and minus column c's entries at the pivots."""
+    n = len(A)
+    z, o = field.zero_rep, field.one_rep
+    rows = [list(r) for r in A]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if rows[i][c] != z), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c] != z:
+                f = rows[i][c]
+                rows[i] = [field.sub(vi, field.mul(f, vr))
+                           for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for c in range(n):
+        if c not in pivots:
+            v = [z] * n
+            v[c] = o
+            for r, pc in enumerate(pivots):
+                v[pc] = field.neg(rows[r][c])
+            basis.append(v)
+    return basis
+
+
 def matrix_order(field, A, e):
     """Order of the matrix A, a divisor of e, by ff.multiplicative_order
     on powers of A taken by group.mat_pow, with the primes of e by trial
@@ -479,9 +513,10 @@ def root_space(L, E):
     L's coefficient field.
 
     E is flattened to an F_q-space of dimension [E : F_q]; v -> L(v) is
-    F_q-linear there, and the kernel is read off by Gaussian elimination
-    (linpoly._kernel_basis).  No characteristic polynomial, rank of a
-    Frobenius matrix or factoring is involved."""
+    F_q-linear there, and the kernel is read off by the row reduction of
+    kernel_basis, written here apart from the elimination the program
+    ranks with.  No characteristic polynomial, rank of a Frobenius
+    matrix or factoring is involved."""
     K = L.base
     dim = _degree_over(E, K)
     cols = []
@@ -496,7 +531,7 @@ def root_space(L, E):
     # matrix rows: M[i][j] = coordinate i of L(basis_j)
     M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     roots = []
-    for vec in _kernel_basis(K, M, dim):
+    for vec in kernel_basis(K, M):
         rep, _ = _unflatten(E, K, vec, 0)
         roots.append(FieldElement(E, rep))
     return roots

@@ -13,6 +13,7 @@ from _oracles import (brute_closure, brute_gmg_passing,
                       brute_stabilizer_orders, closure_normalizer_census)
 from linmono import group as group_mod
 from linmono import engine
+from linmono import ff as ff_mod
 from linmono.cli import schema_text
 from linmono.engine import (Evidence, disc_nonsquare_witness, normalize,
                             order_lcm_evidence, recheck, sample_cycle_types,
@@ -1170,6 +1171,48 @@ def test_gmg_passing_other_target_sets(q, m):
     passing = engine._gmg_passing(field, m, target)
     assert passing == brute_gmg_passing(field, target)
     assert any(sum(c != field.zero_rep for c in cs) > 1 for cs in passing)
+
+
+def _powers_of_g(field, ks):
+    """The elements g^k, k in ks, of the log tables' generator g."""
+    exp = ff_mod.log_tables(field)[0]
+    return {field.rep_at(exp[k]) for k in ks}
+
+
+@pytest.mark.parametrize("q, m, stride, cosets", [
+    (25, 2, 3, (0,)),       # the cubes: stabilizer of order 8
+    (49, 2, 3, (0,)),       # the cubes: stabilizer of order 16
+    (49, 2, 4, (0, 1)),     # two cosets of the index-4 subgroup
+    (25, 2, 4, (0, 1, 2)),  # three of four cosets: multi-term maps pass
+    (27, 3, 13, tuple(range(10))),  # ten of thirteen cosets of {1, -1}
+])
+def test_gmg_orbit_walk_other_stabilizers(q, m, stride, cosets):
+    """The walk sums one tail per orbit of the target's stabilizer H.
+    Here H is neither trivial nor the squares: the union of the cosets
+    g^c <g^stride> has stabilizer <g^stride>, so orbits of the squares
+    would send passing maps to failing ones."""
+    field = parse_field_spec(str(q))
+    target = _powers_of_g(field, [k for k in range(q - 1)
+                                  if k % stride in cosets])
+    squares = {field.mul(x, x) for x in map(field.rep_at, range(1, q))}
+    assert target != squares
+    passing = engine._gmg_passing(field, m, target)
+    assert passing == brute_gmg_passing(field, target)
+
+    def scaled(a):
+        return {tuple(field.mul(a, c) for c in cs) for cs in passing}
+
+    stabilizer = _powers_of_g(field, range(0, q - 1, stride))
+    assert passing and all(scaled(a) == passing for a in stabilizer)
+    assert any(scaled(a) != passing for a in squares)
+
+
+def test_gmg_orbit_walk_squares_at_121():
+    field = parse_field_spec("121")
+    squares = {field.mul(x, x) for x in map(field.rep_at, range(1, 121))}
+    passing = engine._gmg_passing(field, 2, squares)
+    assert passing == brute_gmg_passing(field)
+    assert len(passing) == 2 * 60
 
 
 @pytest.mark.parametrize("q, m", [(9, 2), (25, 2), (27, 3), (49, 2),

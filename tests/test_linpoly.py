@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import root_space
+from _oracles import kernel_basis, root_space
 from linmono import group as group_mod
 from linmono import linpoly
 from linmono.ff import (FieldMismatchError, extend_field, make_field,
@@ -136,6 +136,38 @@ def test_root_space_dimension_and_membership():
     # and the monomial x^3 has trivial kernel
     N = LinPoly(F3, [0, 1])
     assert root_space(N, E) == []
+
+
+@pytest.mark.parametrize("spec", ["3", "4", "5"])
+def test_kernel_basis_counts_the_kernel(spec):
+    """The oracle's own elimination against counting every v with
+    A v = 0: q^len(basis) kernel vectors, each basis vector among them.
+    Random 3 x 3 matrices, some made singular by a repeated row."""
+    K = parse_field_spec(spec)
+    reps = [K.rep_at(i) for i in range(K.order)]
+    rng = random.Random(K.order)
+
+    def apply(A, v):
+        out = []
+        for row in A:
+            acc = K.zero_rep
+            for a, x in zip(row, v):
+                acc = K.add(acc, K.mul(a, x))
+            out.append(acc)
+        return out
+
+    zero = [K.zero_rep] * 3
+    for trial in range(12):
+        A = [[rng.choice(reps) for _ in range(3)] for _ in range(3)]
+        if trial % 3 == 0:
+            A[2] = list(A[0])
+        if trial % 4 == 0:
+            A = [[K.zero_rep] * 3] + A[1:]
+        kernel = [v for v in itertools.product(reps, repeat=3)
+                  if apply(A, v) == zero]
+        basis = kernel_basis(K, A)
+        assert len(kernel) == K.order ** len(basis)
+        assert all(apply(A, v) == zero for v in basis)
 
 
 def test_root_space_spans_distinct_elements():

@@ -70,6 +70,7 @@ one raises.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -734,8 +735,8 @@ def verify_gmg(field):
 
     The search (_gmg_passing) sums one coefficient tail per orbit of the
     nonzero squares acting by scaling, since a L passes exactly when L
-    does for a square a, and reads the rest of each orbit off its
-    representative."""
+    does for a nonzero square a, and reads the rest of each orbit off
+    its representative."""
     p = field.p
     if p == 2:
         raise ValueError("squares classification needs odd characteristic")
@@ -778,16 +779,18 @@ def _gmg_passing(field, m, squares):
     a map-by-map search makes up to (q^m - 1) (q - 1) sums.
 
     Only one tail per orbit is summed.  Let H be the stabilizer of the
-    target set squares (any set of nonzero elements), the a in F_q^*
-    with a * squares = squares.  For a in H the
-    map a L has (a L)(x)/x = a (L(x)/x), which is in squares or zero
-    exactly when L(x)/x is, since multiplying by a (or by 1/a, also in
-    H) maps squares onto itself and 0 to 0.  So (c_0, T) passes exactly
-    when (a c_0, a T) does, and the passing c_0 of a T are a times those
-    of T.  H is read off the target's logs, as the shifts j with t + j
-    in the target for every t; for the squares it is the squares, whose
-    orbits hold (q - 1)/2 tails apart from the zero tail, and a target
-    with H = {1} walks every tail.
+    target set squares (any set of nonzero elements): the a in F_q^*
+    with a * squares = squares.  For a in H, (a L)(x)/x = a (L(x)/x) is
+    in squares or zero exactly when L(x)/x is, since multiplying by a
+    (or by 1/a, also in H) maps squares onto itself and 0 to 0.  So
+    (c_0, T) passes exactly when (a c_0, a T) does, and the passing c_0
+    of the tail a T are a times those of T.  H is read off the target's
+    logs, as the shifts j with t + j in the target for every t; it is
+    generated by g^h for the least such h.  The walk sums the tails of
+    _orbit_tails, one per orbit, and copies each passing one to the
+    rest of its orbit.  For the squares H is the squares and a nonzero
+    tail's orbit holds (q - 1)/2 tails; a target with H = {1} walks
+    every tail.
 
     Tail sums work on ff.log_tables indices: the term c_i x^(p^i - 1) has
     log log c_i + (p^i - 1) log x mod q - 1, and terms are added by Zech
@@ -796,9 +799,10 @@ def _gmg_passing(field, m, squares):
     g^(log s + (q - 1)/2) = -s.  A tail stops at the first point where
     its intersection is empty.  The zero map (c_0 = 0 with a zero tail)
     is left out.  With warm tables and the squares as target this takes
-    0.8-1.0 ms at q = 27, 0.3-0.4 ms at q = 49 and 0.9-1.1 ms at q = 121,
-    against 3.5, 1.0 and 4.9 ms summing every tail and 61-63, 8 and
-    56-57 ms map by map (best of 7, 2-core Xeon VM, CPython 3.11)."""
+    0.3-0.5 ms at q = 27, 0.2-0.4 ms at q = 49 and 0.5-0.9 ms at
+    q = 121, against 1.8-3.5, 0.5-1.0 and 2.5-4.9 ms summing every tail
+    and 61-63, 8 and 56-57 ms map by map (best of 7, 2-core Xeon VM,
+    CPython 3.11)."""
     exp, log, zech = log_tables(field)
     q = field.order
     n = q - 1
@@ -806,24 +810,16 @@ def _gmg_passing(field, m, squares):
     p = field.p
     target = [k for k in range(n) if field.rep_at(exp[k]) in squares]
     on_target = set(target)
-    # H is a subgroup of the cyclic F_q^*, so it is generated by g^h for
-    # the least divisor h of q - 1 that keeps the target
+    # H is a subgroup of the cyclic F_q^*, so its least shift h divides
+    # q - 1
     h = next(h for h in divisors(n)
              if all((t + h) % n in on_target for t in target))
     translated = {None: 1 | sum(1 << exp[t] for t in target)}  # s = 0
     offsets = [tuple((p ** i - 1) * lx % n for i in range(1, m))
                for lx in range(n)]
-    seen = bytearray(q ** (m - 1))
+    zero = field.zero_rep
     passing = set()
-    for ti in range(q ** (m - 1)):
-        if seen[ti]:
-            continue
-        digits = []
-        v = ti
-        for _ in range(m - 1):
-            digits.append(v % q)
-            v //= q
-        terms = [(i, log[d]) for i, d in enumerate(digits) if d]
+    for terms in _orbit_tails(log, q, m - 1, h):
         allowed = (1 << q) - 1
         for offs in offsets:
             acc = None  # log of s(x), None for zero
@@ -845,21 +841,36 @@ def _gmg_passing(field, m, squares):
             allowed &= shifted
             if not allowed:
                 break
-        if not terms:
-            allowed &= ~1
-        c0s = [log[c] for c in range(q) if allowed >> c & 1]
-        for j in range(0, n, h):  # the orbit of the tail under H
-            tj = sum(exp[(lc + j) % n] * q ** i for i, lc in terms)
-            if seen[tj]:
-                continue
-            seen[tj] = 1
-            if c0s:
-                tail = tuple(field.rep_at(tj // q ** i % q)
-                             for i in range(m - 1))
+        else:
+            if not terms:
+                allowed &= ~1
+            c0s = [log[c] for c in range(q) if allowed >> c & 1]
+            # the zero tail is its own orbit
+            for j in range(0, n, h) if terms else (0,):
+                tail = [zero] * (m - 1)
+                for i, lc in terms:
+                    tail[i] = field.rep_at(exp[(lc + j) % n])
+                tail = tuple(tail)
                 passing.update(
                     (field.rep_at(0 if lc is None else exp[(lc + j) % n]),)
                     + tail for lc in c0s)
     return passing
+
+
+def _orbit_tails(log, q, width, h):
+    """One coefficient tail (c_1, ..., c_width) per orbit of the scalars
+    g^(jh) (h dividing q - 1) acting on F_q^width, as the pairs
+    (i, log c_(i+1)) of its nonzero entries: the zero tail, and each
+    tail whose first nonzero entry has log below h.  Scaling by g^(jh)
+    adds jh to every log, and exactly one of the (q - 1)/h shifts of a
+    log lies below h, so each nonzero tail's orbit has (q - 1)/h members
+    and exactly one of them is listed."""
+    yield []
+    for i in range(width):
+        for rest in itertools.product(range(q), repeat=width - 1 - i):
+            terms = [(i + 1 + k, log[d]) for k, d in enumerate(rest) if d]
+            for first in range(h):
+                yield [(i, first)] + terms
 
 
 def _monic_lins(field, n, a0_reps):

@@ -70,12 +70,11 @@ one raises.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
+from itertools import islice, product
 
 from . import group as group_mod
 from . import linpoly as lin_mod
@@ -867,7 +866,7 @@ def _orbit_tails(log, q, width, h):
     and exactly one of them is listed."""
     yield []
     for i in range(width):
-        for rest in itertools.product(range(q), repeat=width - 1 - i):
+        for rest in product(range(q), repeat=width - 1 - i):
             terms = [(i + 1 + k, log[d]) for k, d in enumerate(rest) if d]
             for first in range(h):
                 yield [(i, first)] + terms

@@ -658,6 +658,30 @@ _CHAR2_23 = _lin(0, 1, 1, *[0] * 20, 1)
      "0347a74071fc74fca2d4b75fa8fcf3d3a8ff12440eaf1d8ea394c72e45cae6a8"),
     ("verify normalizer --q 9 --n 2",
      "302fc4de5c3f0920339328fdd25b665c1f09b439e47e16655f77154e22fc5d37"),
+    # Singer moduli over prime fields and extensions, n = 2 to 5
+    ("singer --q 3 --n 5",
+     "fb1dc91fce6d66a0534bbaced7e56872203f5e29ed9fb6d340c978b85b980fc5"),
+    ("singer --q 4 --n 4",
+     "8384babda3ae0aad51f6c72a784c703832477276799669623fa5bd184a42dc71"),
+    ("singer --q 7 --n 3",
+     "2c9d6c3df5bed21611790a8148ade014905a494048347a1c04d1043df949f3b3"),
+    ("singer --q 9 --n 3",
+     "3599e761b26fbc93b4ead97f89daeaca05aa7946f3ed32732b99af9fe4971513"),
+    ("singer --q 25 --n 2",
+     "a94d7650e3363c2d84aecb8f8c2faf3ac3b53aba9332d57c5bd4a3d63311c2e3"),
+    # the normalizer walk up to the 2^12 refusal
+    ("verify normalizer --q 2 --n 10",
+     "cc6a70227282a8aabce22ec8cf0e4f2cffe49b4441a623ba666896aa892cc906"),
+    ("verify normalizer --q 3 --n 6",
+     "d9c9fe959d715c2f47b6898115771b9935493796715e2b314e666d7abb16245b"),
+    ("verify normalizer --q 4 --n 5",
+     "be3d388331fd3cf91bab9e9aded3746b5526b0c3efec0cec4941cc89cded4e34"),
+    ("verify normalizer --q 64 --n 2",
+     "e1d97616d6d6c8f0ee1dd180afcad9e9625b13cdde6a040af2e3a893e0b61190"),
+    ("verify normalizer --q 3 --n 7",
+     "515590fedc7fb2e71c6f9334b7ef602c88b8c48b95357d88149a02bafb72b929"),
+    ("verify normalizer --q 2 --n 12",
+     "4d1098263515dac2aebe5cb611a603416057d964711704db9d7316e52fcf190a"),
     # image-in-squares classification, the map cap and the odd-q refusal
     ("verify gmg --q 9",
      "e92d15c5a8c6e18660da1c284ce753a0bbc73be0a1dc02f29215f5bebb723455"),

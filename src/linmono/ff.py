@@ -717,22 +717,25 @@ def exceeds_cap(b, e, cap=CARDINALITY_CAP):
 
 
 def _search_modulus(base, k, seed, stream="linmono.modulus", accept=None):
-    """First monic irreducible of degree k over base, as a coefficient
-    tuple, in the seeded pseudorandom candidate stream named stream that
-    also passes accept (a Poly predicate) when one is given.  Candidates
-    have nonzero constant term (x itself is never wanted as a modulus).
-    Field moduli use the default stream; group.singer_modulus draws from
-    "linmono.singer" and accepts only primitive candidates."""
+    """First candidate of degree k over base, as a coefficient tuple, in
+    the seeded pseudorandom candidate stream named stream that passes
+    accept, the whole test (a Poly predicate, poly.is_irreducible by
+    default).  Candidates are monic with nonzero constant term (x itself
+    is never wanted as a modulus).  Field moduli use the default stream
+    and test; group.singer_modulus draws from "linmono.singer" and
+    accepts only primitive candidates, testing a cheap necessary
+    condition first."""
     from . import poly  # deferred: poly builds on this module
 
+    if accept is None:
+        accept = poly.is_irreducible
     rng = random.Random("%s:%s:%d:%d" % (stream, base.spec_string(), k, seed))
     bo = base.order
     for _ in range(_MODULUS_TRIES):
         coeffs = [base.rep_at(rng.randrange(1, bo))]
         coeffs += [base.rep_at(rng.randrange(bo)) for _ in range(k - 1)]
         coeffs.append(base.one_rep)
-        cand = poly.Poly(base, coeffs)
-        if poly.is_irreducible(cand) and (accept is None or accept(cand)):
+        if accept(poly.Poly(base, coeffs)):
             return tuple(coeffs)
     raise RuntimeError("no modulus found in stream %s (degree %d over %r)"
                        % (stream, k, base))

@@ -13,35 +13,38 @@ field model F_q[x]/(f), so that F S F^(-1) = S^q holds on the nose
 (conjugation_ok checks it as F S = S^q F, with no inverse).  The model
 reuses the primitives every field is built with: f is drawn by
 ff._search_modulus, the seeded search behind every field modulus, with
-primitivity as its acceptance test.  That test is ff.has_order, which
-stops at the first prime r of q^n - 1 with x^((q^n - 1)/r) = 1, on
-powers of x taken by ff's own product (poly.x_power_is_one).  That
-choice of f proves the orders of S and F, so no matrix is powered to
-check them.  The columns of F are poly._frobenius_base(f), the
-Frobenius base distinct-degree factoring steps with.  q^n above
-ff.CARDINALITY_CAP is refused before q^n - 1 is factored.  The
-normalizer <S, F> has order n(q^n - 1) and every nonzero-vector
-stabilizer in it has order n; both facts are checked directly by the
-verification layer rather than trusted.
+primitivity as its acceptance test.  That test first asks that
+(-1)^n f(0), the norm of a root, have order q - 1 in F_q (a cheap
+necessary condition, singer_modulus), then that f be irreducible, and
+then ff.has_order, which stops at the first prime r of q^n - 1 with
+x^((q^n - 1)/r) = 1, on powers of x taken by ff's own product
+(poly.x_power_is_one).  That choice of f proves the orders of S and
+F, so no matrix is powered to check them.  The columns of F are
+poly._frobenius_base(f), the Frobenius base distinct-degree factoring
+steps with.  q^n above ff.CARDINALITY_CAP is refused before q^n - 1 is
+factored.  The normalizer <S, F> has order n(q^n - 1) and every
+nonzero-vector stabilizer in it has order n; both facts are checked by
+the verification layer rather than trusted, the order by walking the
+group on keys and the stabilizers off its orbits.
 
 Permutation structure: a matrix acts on the q^n - 1 nonzero column
 vectors, ranked lexicographically; cycle types are sorted tuples of cycle
 lengths of that permutation.  permutation_of builds the images of all
 vectors in rank order by linearity, one vector add each, and looks them
 up in a vector-to-position dict kept for the last (field, n).  A group
-generated by a few matrices is a permutation group on those positions,
-and closure walks it as one: it applies only the generators to vectors
-and multiplies no matrices.  The action on nonzero vectors is faithful
-and a matrix is fixed by where it sends the basis vectors, so the n
-positions of those images key an element, and generate_group reads each
-matrix back off them.
+generated by a few matrices is walked on keys, not on matrices or whole
+permutations: the action on nonzero vectors is faithful and a matrix is
+fixed by where it sends the basis vectors, so the n positions of those
+images key an element.  closure turns only the generators into
+permutations and reads the key of g m off the key of m, n lookups in
+g's permutation; generate_group reads each matrix back off its key.
 
 Censuses enumerate no group and build no matrix; both count fixed-space
 dimensions in closed form, and fixed_space_cycle_type, the Mobius step,
 turns them into cycle lengths.  The Singer normalizer is GammaL(1, q^n),
 whose elements x -> g^t x^(q^i) have fixed spaces read off exponent
 arithmetic (normalizer_census); only engine.verify_normalizer, which
-checks the group that S and F generate, walks the closure; the census
+checks the group that S and F generate, walks it; the census
 flags need only its fixed-point types (normalizer_fixed_point_types).  For
 GL(n, q) a cycle type depends only on the similarity class (one
 partition lam_f per monic irreducible f != x, as in Green, "The
@@ -63,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -154,22 +157,40 @@ def companion_matrix(field, f):
 @functools.cache
 def singer_modulus(n, field, seed=0):
     """Monic primitive polynomial of degree n over field: the first
-    irreducible candidate of ff._search_modulus's seeded "linmono.singer"
-    stream on which x has order q^n - 1 (ff.has_order on
-    poly.x_power_is_one).  Shared by singer_generator and
+    candidate of ff._search_modulus's seeded "linmono.singer" stream
+    that is irreducible and on which x has order q^n - 1 (ff.has_order
+    on poly.x_power_is_one).  Shared by singer_generator and
     frobenius_matrix so both live in the same field model.  q^n above
     ff.CARDINALITY_CAP is refused (CapExceededError) before q^n - 1 is
-    taken or trial-divided."""
+    taken or trial-divided.
+
+    A cheap necessary condition is tested first, on F_q alone.  If f is
+    primitive with root alpha, its roots are alpha^(q^i), i < n, so
+    (-1)^n f(0) = prod_i alpha^(q^i) = alpha^((q^n - 1)/(q - 1)), the
+    norm of alpha, which has order exactly q - 1 since alpha has order
+    q^n - 1.  A candidate whose (-1)^n f(0) has a smaller order in F_q^*
+    is never primitive, so skipping it before the irreducibility and
+    x-order tests leaves the first accepted candidate unchanged.  For
+    q = 2 every candidate passes it."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if exceeds_cap(field.order, n):
         raise CapExceededError("q^n = %d^%d exceeds the cardinality cap"
                                % (field.order, n))
-    N = field.order ** n - 1
-    primes = prime_divisors(N)
+    q, one = field.order, field.one_rep
+    N = q ** n - 1
+    primes, unit_primes = prime_divisors(N), prime_divisors(q - 1)
+    sign = one if n % 2 == 0 else field.neg(one)
+
+    def primitive(f):
+        norm = field.mul(sign, f.coeffs[0])
+        return (has_order(q - 1, unit_primes,
+                          lambda m: field.pow(norm, m) == one)
+                and poly_mod.is_irreducible(f)
+                and has_order(N, primes, poly_mod.x_power_is_one(f)))
+
     return poly_mod.Poly(field, _search_modulus(
-        field, n, seed, stream="linmono.singer",
-        accept=lambda f: has_order(N, primes, poly_mod.x_power_is_one(f))))
+        field, n, seed, stream="linmono.singer", accept=primitive))
 
 
 def singer_generator(n, field, seed=0):
@@ -277,20 +298,22 @@ def _basis_positions(q, n):
 
 
 def closure(field, gens, cap=GROUP_CAP):
-    """Breadth-first closure of the generators under multiplication,
-    yielding each element's permutation_of as the element is expanded.
+    """Breadth-first closure of the generators under left multiplication,
+    yielding each element's key as the element is expanded: the tuple of
+    the n positions it sends e_0, ..., e_(n-1) to.
 
-    Only the generators are applied to vectors, and no matrix is
-    multiplied.  The action on the nonzero vectors is faithful, and a
-    matrix is fixed by where it sends the basis vectors, so an element
-    is keyed by the n positions its permutation sends e_0, ..., e_(n-1)
-    to.  The product w = m g acts as m after g: its key is read off the
-    two permutations, pm[pg[b]] for each basis position b, and its full
-    permutation is composed only when the key is new.  Generators must
-    be invertible square matrices of one size; for a finite group the
-    multiplicative closure is the generated subgroup; a singular
-    generator raises ValueError (from permutation_of).  Raises
-    CapExceededError if more than cap elements appear.
+    The action on the nonzero vectors is faithful, and a matrix is fixed
+    by where it sends the basis vectors, so keys are in bijection with
+    elements.  Only the generators become permutations (permutation_of);
+    (g m) e_b = g (m e_b), so the key of g m is pg[k] for each k in the
+    key of m, n lookups in g's permutation pg, and the walk holds keys
+    only (_walk).  Elements come in breadth-first order from the
+    identity, each new one found as g m for m in that order and g in
+    generator order.  Generators must be invertible square matrices of
+    one size; for a finite group the multiplicative closure is the
+    generated subgroup; a singular generator raises ValueError (from
+    permutation_of).  Raises CapExceededError if more than cap elements
+    appear.
     """
     gens = [tuple(tuple(row) for row in g) for g in gens]
     if not gens:
@@ -299,40 +322,40 @@ def closure(field, gens, cap=GROUP_CAP):
     for g in gens:
         if len(g) != n or any(len(r) != n for r in g):
             raise ValueError("generators must be square and of one size")
-    gen_perms = [permutation_of(field, g) for g in gens]
-    basis = _basis_positions(field.order, n)
-    # itemgetter(*idx)(pm) is the tuple of pm[i] for i in idx, or the
-    # bare pm[i] when idx has one entry: keys are bare ints for n = 1,
-    # the identity's too.  A single position (the trivial GL(1, 2)) is
-    # never composed, since its one key is already seen.
-    steps = [(itemgetter(*[pg[b] for b in basis]), itemgetter(*pg))
-             for pg in gen_perms]
-    ident = tuple(range(len(gen_perms[0])))
-    seen = {itemgetter(*basis)(ident)}
-    queue = deque([ident])
-    while queue:
-        pm = queue.popleft()
-        for key_of, compose in steps:
-            key = key_of(pm)
-            if key not in seen:
+    perms = [permutation_of(field, g) for g in gens]
+    return _walk(perms, _basis_positions(field.order, n), cap)
+
+
+def _walk(perms, basis, cap):
+    """Keys of the group the permutations generate, breadth-first from
+    the identity's key (the basis positions), as closure describes.  The
+    key list is the queue: it grows while it is walked, and each key is
+    yielded once its products are keyed."""
+    n = len(basis)
+    keys = [tuple(basis)]
+    seen = set(keys)
+    for key in keys:
+        # itemgetter(*key)(pg) is the tuple of pg[k] for k in key, or
+        # the bare pg[k] for a one-entry key.
+        get = itemgetter(*key)
+        for pg in perms:
+            new = get(pg) if n > 1 else (get(pg),)
+            if new not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(
                         "group closure exceeded cap %d" % cap)
-                seen.add(key)
-                queue.append(compose(pm))
-        yield pm
+                seen.add(new)
+                keys.append(new)
+        yield key
 
 
 def generate_group(field, gens, cap=GROUP_CAP):
-    """Every element of the group the generators generate, in
-    breadth-first order from the identity (see closure).  Each matrix is
-    read off its permutation: column j is the vector at position
-    perm[q^(n-1-j) - 1], the image of e_j."""
-    perms = list(closure(field, gens, cap))
-    n = len(gens[0])
-    vecs, _ = _points(field, n)
-    basis = _basis_positions(field.order, n)
-    return [tuple(zip(*[vecs[perm[b]] for b in basis])) for perm in perms]
+    """Every element of the group the generators generate, in closure's
+    breadth-first order from the identity.  Each matrix is read off its
+    key: column j is the vector at key position j, the image of e_j."""
+    keys = list(closure(field, gens, cap))
+    vecs, _ = _points(field, len(gens[0]))
+    return [tuple(zip(*[vecs[k] for k in key])) for key in keys]
 
 
 def nonzero_vectors(field, n):

@@ -8,13 +8,16 @@ results can be checked against an independent path.
 import functools
 import itertools
 from collections import Counter, deque
+from operator import itemgetter
 
-from linmono.ff import FieldElement, FieldMismatchError, multiplicative_order
-from linmono.group import (CycleCensus, class_cycle_type, closure,
+from linmono.ff import (CapExceededError, FieldElement, FieldMismatchError,
+                        multiplicative_order)
+from linmono.group import (GROUP_CAP, CycleCensus, class_cycle_type,
                            companion_matrix, frobenius_matrix, gl_order,
                            mat_identity, mat_mul, mat_pow,
                            nonzero_vectors, partitions, perm_cycle_type,
-                           primary_centralizer_order, singer_generator)
+                           permutation_of, primary_centralizer_order,
+                           singer_generator)
 from linmono.linpoly import _degree_over, evaluate
 from linmono.poly import Poly, order_of_x
 
@@ -161,7 +164,8 @@ def brute_gmg_passing(field, squares=None):
 
 def brute_closure(field, gens):
     """Breadth-first closure of invertible generators by matrix
-    multiplication, elements in discovery order."""
+    multiplication on the left (g m for each m in turn and each g),
+    elements in discovery order."""
     ident = mat_identity(field, len(gens[0]))
     seen = {ident}
     out = [ident]
@@ -169,12 +173,51 @@ def brute_closure(field, gens):
     while queue:
         m = queue.popleft()
         for g in gens:
-            w = mat_mul(field, m, g)
+            w = mat_mul(field, g, m)
             if w not in seen:
                 seen.add(w)
                 out.append(w)
                 queue.append(w)
     return out
+
+
+def perm_closure(field, gens, cap=GROUP_CAP):
+    """Breadth-first closure of the generators on whole permutations,
+    yielding each element's permutation_of in the order brute_closure
+    finds it: the oracle the census and fixed-point tallies read.
+
+    The product g m acts as m then g, so its permutation is pg[pm[i]]
+    for each position i, composed by one itemgetter over pm.  Elements
+    are keyed by the positions their permutations send the basis vectors
+    to, and composed only when the key is new.  Raises CapExceededError
+    past cap elements."""
+    gen_perms = [permutation_of(field, g) for g in gens]
+    basis = [field.order ** (len(gens[0]) - 1 - j) - 1
+             for j in range(len(gens[0]))]
+    ident = tuple(range(len(gen_perms[0])))
+    seen = {tuple(basis)}
+    queue = deque([ident])
+    while queue:
+        pm = queue.popleft()
+        # A single position (the trivial GL(1, 2)) is never composed,
+        # since its one key is already seen.
+        compose = itemgetter(*pm)
+        for pg in gen_perms:
+            key = tuple(pg[pm[b]] for b in basis)
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(
+                        "group closure exceeded cap %d" % cap)
+                seen.add(key)
+                queue.append(compose(pg))
+        yield pm
+
+
+def basis_key(field, A):
+    """The positions of A's columns, the images of e_0, ..., e_(n-1), in
+    nonzero_vectors order, by vector_rank: the key group.closure gives
+    the element A."""
+    return tuple(vector_rank(field, col) - 1 for col in zip(*A))
 
 
 def vector_rank(field, v):
@@ -349,6 +392,34 @@ def kernel_basis(field, A):
     return basis
 
 
+def x_order(f):
+    """Order of x modulo a monic f with nonzero constant term, by
+    multiplying by x one step at a time: x^k mod f is kept as its n
+    coefficients, and x x^k drops its top coefficient t into -t f.  x
+    has order q^n - 1 exactly when f is primitive: its powers are then
+    q^n - 1 units, so every nonzero residue is a unit, F_q[x]/(f) is a
+    field and f is irreducible."""
+    K, n = f.field, f.degree
+    low = f.coeffs[:n]
+    one = (K.one_rep,) + (K.zero_rep,) * (n - 1)
+    cur, k = one, 0
+    while True:
+        top = cur[-1]
+        cur = tuple(K.sub(prev, K.mul(top, c))
+                    for prev, c in zip((K.zero_rep,) + cur[:-1], low))
+        k += 1
+        if cur == one:
+            return k
+
+
+def unit_order(field, c):
+    """Multiplicative order of a nonzero c, by repeated multiplication."""
+    a, k = c, 1
+    while a != field.one_rep:
+        a, k = field.mul(a, c), k + 1
+    return k
+
+
 def matrix_order(field, A, e):
     """Order of the matrix A, a divisor of e, by ff.multiplicative_order
     on powers of A taken by group.mat_pow, with the primes of e by trial
@@ -440,12 +511,12 @@ def class_representative(field, parts):
 
 def closure_normalizer_census(n, field, seed=0):
     """Cycle-type census of <S, F>, each element's type read from the
-    permutation linmono.group.closure composes for it."""
+    permutation perm_closure composes for it."""
     S = singer_generator(n, field, seed)
     F = frobenius_matrix(n, field, seed)
     expected = n * (field.order ** n - 1)
     ctr = Counter(perm_cycle_type(perm)
-                  for perm in closure(field, [S, F], cap=expected + 1))
+                  for perm in perm_closure(field, [S, F], cap=expected + 1))
     return CycleCensus(order=sum(ctr.values()),
                        counts=tuple(sorted(ctr.items())))
 

@@ -10,7 +10,8 @@ from collections import Counter
 import pytest
 
 from _oracles import (brute_closure, brute_gmg_passing,
-                      brute_stabilizer_orders, closure_normalizer_census)
+                      brute_stabilizer_orders, closure_normalizer_census,
+                      perm_closure)
 from linmono import group as group_mod
 from linmono import engine
 from linmono import ff as ff_mod
@@ -1052,9 +1053,9 @@ def test_verify_normalizer_orbits_match_brute_force(spec, n, power,
                                                     monkeypatch):
     """Replace S by S^power, so <S^power, F> is a proper subgroup with
     several orbits whose stabilizers differ (power = q^n - 1 leaves <F>
-    alone): the order and the violations, read off the closure's
-    permutations, equal those from applying every element of the brute
-    closure to every vector."""
+    alone): the order, read off the walk's keys, and the violations,
+    read off its orbits, equal those from applying every element of the
+    brute closure to every vector."""
     field = parse_field_spec(spec)
     singer = group_mod.singer_generator
     monkeypatch.setattr(group_mod, "singer_generator",
@@ -1075,13 +1076,12 @@ def test_verify_normalizer_orbits_match_brute_force(spec, n, power,
 
 
 @pytest.mark.parametrize("spec, n, power", [("3", 5, 1), ("4", 5, 3)])
-def test_verify_normalizer_tally_spans_batches(spec, n, power,
-                                               monkeypatch):
-    """Groups of more elements than one batch of stabilizer counts holds
-    (2^18 // (q^n - 1) permutations: 1083 against 1210 elements for
-    q = 3, and 256 against 5 * 341 for <S^3, F> at q = 4): the order
-    and the violations equal a plain Counter tally of the fixed points
-    of every permutation of the closure."""
+def test_verify_normalizer_tally_equals_fixed_points(spec, n, power,
+                                                     monkeypatch):
+    """<S, F> at q = 3, n = 5 (1210 elements) and <S^3, F> at q = 4,
+    n = 5 (5 * 341): the order and the violations, read off the walk's
+    keys and orbits, equal a plain Counter tally of the fixed points of
+    every permutation perm_closure composes."""
     field = parse_field_spec(spec)
     singer = group_mod.singer_generator
     monkeypatch.setattr(group_mod, "singer_generator",
@@ -1089,10 +1089,9 @@ def test_verify_normalizer_tally_spans_batches(spec, n, power,
                             f, singer(n, f, seed), power))
     report = verify_normalizer(n, field)
     M = field.order ** n - 1
-    perms = list(group_mod.closure(
+    perms = list(perm_closure(
         field, [group_mod.singer_generator(n, field),
                 group_mod.frobenius_matrix(n, field)]))
-    assert len(perms) > (1 << 18) // M
     fixed = Counter(i for perm in perms for i, j in enumerate(perm)
                     if i == j)
     assert report["order"] == len(perms) == n * M // power
@@ -1101,6 +1100,25 @@ def test_verify_normalizer_tally_spans_batches(spec, n, power,
         {"vector": [field.rep_to_obj(c) for c in v], "order": fixed[i]}
         for i, v in enumerate(group_mod.nonzero_vectors(field, n))
         if fixed[i] != n]
+
+
+@pytest.mark.parametrize("spec, n", [("3", 2), ("2", 6), ("9", 2),
+                                     ("4", 3)])
+def test_verify_normalizer_builds_two_permutations(spec, n, monkeypatch):
+    """S and F become permutations once, and both the walk and the
+    orbits read them: no other matrix is turned into a permutation."""
+    built = []
+    permutation_of = group_mod.permutation_of
+
+    def counted(field, A):
+        built.append(A)
+        return permutation_of(field, A)
+
+    monkeypatch.setattr(group_mod, "permutation_of", counted)
+    field = parse_field_spec(spec)
+    assert verify_normalizer(n, field)["passed"]
+    assert built == [group_mod.singer_generator(n, field),
+                     group_mod.frobenius_matrix(n, field)]
 
 
 class _Built(Exception):
@@ -1124,14 +1142,15 @@ def test_verify_normalizer_admits_walks_up_to_4096_vectors(spec, n,
                                      ("3", 8), ("4", 7), ("8192", 1)])
 def test_verify_normalizer_refuses_walks_past_4096_vectors(spec, n,
                                                            monkeypatch):
-    """The closure's queue would outgrow memory (about 680 MiB at
-    q = 2, n = 13), so q^n above 2^12 is refused before any matrix is
-    built, inside GROUP_CAP too."""
+    """q^n above 2^12 is refused before any matrix is built, inside
+    GROUP_CAP too: the bound stays where the permutation walk needed it
+    (about 680 MiB at q = 2, n = 13), since lifting it would change
+    which argv are refused."""
     def refuse(*args, **kwargs):
         raise AssertionError("the Singer model was built")
 
     for name in ("singer_modulus", "singer_generator", "frobenius_matrix",
-                 "closure"):
+                 "closure", "_walk", "permutation_of"):
         monkeypatch.setattr(group_mod, name, refuse)
     with pytest.raises(CapExceededError,
                        match="normalizer closure refused above q\\^n = "

@@ -1,17 +1,19 @@
 """Matrix groups over finite fields: Singer cycles, Frobenius conjugation,
 group closure, cycle types, censuses."""
 
+import itertools
 from collections import Counter
 
 import pytest
 
-from _oracles import (brute_closure, brute_cycle_type,
+from _oracles import (basis_key, brute_closure, brute_cycle_type,
                       brute_stabilizer_orders, class_census,
                       class_representative, closure_normalizer_census,
                       gl_classes, irreducible_orders, mat_det, mat_inv,
                       mat_pow_signed, mat_vec, matrix_order,
-                      normalizer_elements, prime_mat_mul, prime_mat_vec,
-                      stabilizer_order, vector_rank)
+                      normalizer_elements, perm_closure, prime_mat_mul,
+                      prime_mat_vec, stabilizer_order, unit_order,
+                      vector_rank, x_order)
 from linmono import ff as ff_mod
 from linmono import group as group_mod
 from linmono import poly as poly_mod
@@ -107,6 +109,58 @@ def test_singer_modulus_is_primitive():
     assert mat_pow(F3, S, 26) == I
     assert mat_pow(F3, S, 13) != I
     assert mat_pow(F3, S, 2) != I
+
+
+def _singer_oracle_cases():
+    """(field spec, n) for q in {3, 4, 5, 7, 8, 9, 16, 25} and every
+    n >= 1 with q^n <= 1024."""
+    return [(str(q), n) for q in (3, 4, 5, 7, 8, 9, 16, 25)
+            for n in range(1, 7) if q ** n <= 1024]
+
+
+@pytest.mark.parametrize("spec, n", _singer_oracle_cases())
+def test_singer_modulus_equals_search_without_the_norm_test(spec, n,
+                                                            monkeypatch):
+    """At seeds 0-9, the modulus is the first candidate of the same
+    stream on which x has order q^n - 1 by stepping (x_order), with no
+    norm test; the norm test skips candidates before any irreducibility
+    test, and over the ten seeds at least one."""
+    field = parse_field_spec(spec)
+    N = field.order ** n - 1
+    drawn, tested = [], []
+    is_irr = poly_mod.is_irreducible
+    monkeypatch.setattr(poly_mod, "is_irreducible",
+                        lambda f: tested.append(f) or is_irr(f))
+    for seed in range(10):
+        want = ff_mod._search_modulus(
+            field, n, seed, stream="linmono.singer",
+            accept=lambda f: drawn.append(f) or x_order(f) == N)
+        assert singer_modulus.__wrapped__(n, field, seed).coeffs == want
+    assert 0 < len(tested) < len(drawn)
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "8", "9"])
+def test_norm_of_a_primitive_root_has_order_q_minus_1(spec):
+    """For every monic primitive f of degree n <= 3 over F_q (x of
+    order q^n - 1 by stepping), (-1)^n f(0), the norm of its root x,
+    has order q - 1 by repeated multiplication: the condition
+    singer_modulus tests first.  Some irreducible f fail it when
+    q > 2."""
+    field = parse_field_spec(spec)
+    q, one = field.order, field.one_rep
+    reps = [field.rep_at(i) for i in range(q)]
+    skipped = 0
+    for n in (1, 2, 3):
+        for low in itertools.product(reps, repeat=n):
+            if low[0] == field.zero_rep:
+                continue
+            f = Poly(field, low + (one,))
+            norm = low[0] if n % 2 == 0 else field.neg(low[0])
+            if x_order(f) == q ** n - 1:
+                assert unit_order(field, norm) == q - 1, f
+            elif unit_order(field, norm) != q - 1 and is_irreducible(f):
+                skipped += 1
+    assert (skipped > 0) == (q > 2)
 
 
 def test_singer_modulus_refuses_above_the_cardinality_cap():
@@ -226,7 +280,8 @@ def test_closure_refusals(spec, n):
 
 def test_generate_group_reads_tower_matrices_off_permutations():
     """Over the tower F_16 = F_4[x]/(m), n = 2: each matrix read back
-    off its permutation equals the one multiplied out."""
+    off its key, the positions of its basis images in the permutations
+    of the vectors, equals the one multiplied out."""
     field = parse_field_spec("2^2+2")
     gens = [singer_generator(2, field), frobenius_matrix(2, field)]
     elements = generate_group(field, gens)
@@ -339,14 +394,17 @@ def _normalizer_cases():
 def test_normalizer_census_equals_brute_census(spec, n):
     """The census read from composed permutations against matrices
     multiplied out one by one and applied to every vector.  The closure
-    yields each brute-force element's permutation, in the same order,
-    and generate_group reads the same matrices back off them."""
+    yields each brute-force element's basis images, in the same order,
+    perm_closure each one's permutation, and generate_group reads the
+    same matrices back off the keys."""
     field = parse_field_spec(spec)
     S = singer_generator(n, field)
     F = frobenius_matrix(n, field)
     elements = brute_closure(field, [S, F])
     assert len(elements) == n * (field.order ** n - 1)
-    perms = list(closure(field, [S, F]))
+    assert list(closure(field, [S, F])) == [basis_key(field, A)
+                                            for A in elements]
+    perms = list(perm_closure(field, [S, F]))
     assert perms == [permutation_of(field, A) for A in elements]
     assert generate_group(field, [S, F]) == elements
     brute = Counter()
@@ -438,16 +496,19 @@ def _non_transitive_gens(n, field):
                                      ("3", 3), ("4", 2), ("5", 2),
                                      ("9", 2)])
 def test_stabilizer_orders_of_non_transitive_groups(spec, n):
-    """Stabilizer orders as engine.verify_normalizer counts them, fixed
-    points of the closure's permutations, against every element applied
-    to every vector.  The permutations are the brute-force elements',
-    in order, and generate_group reads those elements back."""
+    """Stabilizer orders as fixed points of perm_closure's permutations,
+    against every element applied to every vector.  The permutations
+    are the brute-force elements', in order, the closure yields their
+    basis images in that order, and generate_group reads those elements
+    back."""
     field = parse_field_spec(spec)
     sizes_seen = set()
     for gens in _non_transitive_gens(n, field):
-        perms = list(closure(field, gens))
+        perms = list(perm_closure(field, gens))
         elements = brute_closure(field, gens)
         assert perms == [permutation_of(field, A) for A in elements]
+        assert list(closure(field, gens)) == [basis_key(field, A)
+                                              for A in elements]
         assert generate_group(field, gens) == elements
         orders = [sum(perm[i] == i for perm in perms)
                   for i in range(field.order ** n - 1)]

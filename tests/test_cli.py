@@ -107,6 +107,29 @@ def test_usage_errors_exit1():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("--help",
+     "5ce1cfa8cf9bda3fabc5591dac1549f7c8ebfd794d571b73694a3febe2dddf43"),
+    ("analyze --help",
+     "b711a5f2d9a35ab3792f92bc13e311da9f3c9903fc76134edd476406e4a285a0"),
+    ("sample --help",
+     "6a64493b640cf09e076a3d0e1c8161e1334690097d7457e1096e899bccee2fe6"),
+    ("census --help",
+     "dbd46f5b4b70e1e9c3ff9344ec504355dc48cc65aed9d3f7257104ecb1b03028"),
+    ("singer --help",
+     "c9ddd912ad87b903f114686b7df1ec668a0c5f64bc0c945ca6bdcba45b880dc1"),
+    ("verify --help",
+     "96cf95bd534c49e00cf9de7fa2fd1695c1a0333d6d13549be586acc1d9fb8de4"),
+])
+def test_help_text_pinned(argv, digest, monkeypatch):
+    """sha256 of each --help text at 80 columns: how the parsers are
+    built may change, the flags, order and wording they print may not."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = _call_main(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_runtime_error_is_json_exit1():
     code, out, err = run_cli("analyze", "--q", "3", "--lin", "0,1,0,2")
     assert code == 1

@@ -5,6 +5,12 @@ Subcommands: analyze, sample, census, singer, verify {gmg, disc,
 identity, alt2, normalizer}.  Exit codes: 0 decided/pass, 2 Inconclusive,
 1 error.  The same argv and seed always produce byte-identical output.
 
+A document, error documents included, is exactly
+json.dumps(doc, indent=2, sort_keys=True) + "\n", written by _dumps
+without json's pure-Python encoder; analyze --batch prints one compact
+line per document, json.dumps(doc, sort_keys=True,
+separators=(",", ":")).
+
 main(argv) returns the exit code and can be called repeatedly in one
 process: the parser is built on the first call and reused, which is safe
 because no action keeps state between parses (every default is an
@@ -42,7 +48,10 @@ def schema_text():
             .joinpath("report_schema.json").read_text(encoding="utf-8"))
 
 
-def _add_field_flags(p):
+def _field_flags():
+    """Parent parser of every subcommand: the field, seed and output
+    flags, built once and copied into each subparser by parents=."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--q", metavar="SPEC", default=None,
                    help='field spec: prime power or "p^m", with optional '
                         '"+k" tower steps (e.g. "3^2+3")')
@@ -54,6 +63,7 @@ def _add_field_flags(p):
                    help="seed for every pseudorandom choice (default 0)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the JSON document here instead of stdout")
+    return p
 
 
 def _resolve_field(args):
@@ -81,10 +91,10 @@ def build_parser():
                      help="print the JSON schema all reports validate "
                           "against, then exit")
     sub = top.add_subparsers(dest="command")
+    common = [_field_flags()]
 
-    pa = sub.add_parser("analyze",
+    pa = sub.add_parser("analyze", parents=common,
                         help="decide the Galois group of L(x) + tx")
-    _add_field_flags(pa)
     pa.add_argument("--lin", metavar="COEFFS", default=None,
                     help='q-linearized coefficients "a0,a1,...,an" '
                          "(bracketed vectors for extension elements)")
@@ -98,10 +108,9 @@ def build_parser():
                     help="read one coefficient list per line; emit one "
                          "compact JSON document per line")
 
-    ps = sub.add_parser("sample",
+    ps = sub.add_parser("sample", parents=common,
                         help="sample Frobenius cycle types by factoring "
                              "specializations")
-    _add_field_flags(ps)
     ps.add_argument("--lin", metavar="COEFFS", required=True)
     ps.add_argument("--n", type=int, default=None)
     ps.add_argument("--kmax", type=int, default=None,
@@ -109,22 +118,21 @@ def build_parser():
     ps.add_argument("--budget", type=int, default=100,
                     help="total samples (default 100)")
 
-    pc = sub.add_parser("census",
+    pc = sub.add_parser("census", parents=common,
                         help="cycle-type census of GL(n, q) or of the "
                              "Singer normalizer")
-    _add_field_flags(pc)
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--normalizer-only", action="store_true",
                     help="census of the Singer normalizer instead of "
                          "all of GL(n, q)")
 
-    pg = sub.add_parser("singer",
+    pg = sub.add_parser("singer", parents=common,
                         help="Singer generator, Frobenius matrix, and "
                              "their verified orders")
-    _add_field_flags(pg)
     pg.add_argument("--n", type=int, required=True)
 
-    pv = sub.add_parser("verify", help="exhaustive verifiers")
+    pv = sub.add_parser("verify", parents=common,
+                        help="exhaustive verifiers")
     pv.add_argument("check",
                     choices=["gmg", "disc", "identity", "alt2",
                              "normalizer"],
@@ -134,7 +142,6 @@ def build_parser():
                          "step; alt2: alternating containment in "
                          "characteristic 2; normalizer: Singer-"
                          "normalizer order and stabilizers")
-    _add_field_flags(pv)
     pv.add_argument("--n", type=int, default=None,
                     help="q-degree (required by every check except gmg, "
                          "which refuses it)")
@@ -244,8 +251,49 @@ def _verify_doc(field, args):
 
 # -- emission --------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad=""):
+    """json.dumps(obj, indent=2, sort_keys=True) for an obj nested at
+    indentation pad, laid out here and not by json's pure-Python
+    encoder, which indent selects: every scalar is written by a C-level
+    call, a flat list of ints by one join.  Dict keys must be str."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError("keys must be str, not %s"
+                                % type(k).__name__)
+        body = sep.join([_encode_str(k) + ": " + _dumps(obj[k], inner)
+                         for k in sorted(obj)])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_dumps(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -335,11 +383,11 @@ def main(argv=None):
             doc, code = _singer_doc(field, args)
         else:
             doc, code = _verify_doc(field, args)
+        _emit(doc, args.out)
     except _RUN_ERRORS as exc:
         _emit({"error": str(exc)}, None)
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    _emit(doc, args.out)
     print(_summary_line(doc, code), file=sys.stderr)
     return code
 

@@ -181,6 +181,13 @@ def _high_powers(base, modulus, count):
     return out
 
 
+@functools.cache
+def _mod_p_table(p):
+    """The bytes.translate table of a packed product: byte v to v mod p.
+    One per characteristic, shared by every packed field over F_p."""
+    return bytes(v % p for v in range(256))
+
+
 class Field:
     """A prime field or a one-step extension of another Field.
 
@@ -225,7 +232,7 @@ class Field:
         if base.base is None:
             if degree * (p - 1) ** 2 < 256:
                 self._packed = (
-                    bytes(v % p for v in range(256)),
+                    _mod_p_table(p),
                     tuple(int.from_bytes(bytes(r), "little")
                           for r in _high_powers(base, modulus, degree - 1)))
         elif (base._packed is not None

@@ -12,6 +12,7 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linmono import cli
 from linmono.cli import schema_text
@@ -128,6 +129,18 @@ def test_help_text_pinned(argv, digest, monkeypatch):
     code, out = _call_main(argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_unwritable_out_is_json_exit1(tmp_path):
+    """A document that cannot be written is a run error like any other:
+    one error document on stdout, exit 1, no traceback."""
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli("census", "--q", "3", "--n", "2",
+                             "--out", str(target))
+    assert code == 1
+    assert str(target) in check(json.loads(out))["error"]
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_runtime_error_is_json_exit1():
@@ -458,6 +471,62 @@ def test_batch_conflicts_with_lin(tmp_path):
                            "--batch", str(src))
     assert code == 1
     assert "error" in json.loads(out)
+
+
+# Strings that exercise every escape json writes: quotes, backslashes,
+# control characters, DEL, non-ASCII, non-BMP and a lone surrogate.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028'
+                                          '\ud800\U0001f600'),
+                          st.characters()))
+_SCALARS = st.one_of(_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200),
+                     st.booleans(), st.none(), st.floats())
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                           st.lists(st.integers(), min_size=1),
+                           st.dictionaries(_TEXT, kids)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_emitter_equals_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 0}}, [{(1,): 2}]])
+def test_emitter_refuses_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._dumps(doc)
+
+
+def test_error_document_reencodes_to_the_same_bytes():
+    code, out, _ = run_cli("analyze", "--q", "3", "--lin", '0,1,"\u00e9\\')
+    assert code == 1
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class _PurePythonEncoder(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [
+    "census --q 3 --n 2", "census --normalizer-only --q 2 --n 4",
+    "analyze --q 3 --lin 0,1,0,1", "sample --q 9 --lin 0,1,1 --budget 8",
+    "verify normalizer --q 9 --n 2",
+])
+def test_documents_never_reach_the_pure_python_encoder(argv, monkeypatch):
+    """json.dumps with indent runs json.encoder._make_iterencode, a
+    Python loop over every value; no document may take that path."""
+    def refuse(*args, **kwargs):
+        raise _PurePythonEncoder(argv)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out = _call_main(argv.split())
+    assert code in (0, 2)
+    doc = json.loads(out)
+    monkeypatch.undo()
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _call_main(argv):

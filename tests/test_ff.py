@@ -674,3 +674,15 @@ def test_packed_tower_product_equals_the_loop(spec):
         assert F.mul(x, y) == loop.mul(x, y), (x, y)
         assert F.muladd(full, x, y) == loop.muladd(full, x, y), (x, y)
         assert F.muladd(y, x, y) == loop.muladd(y, x, y), (x, y)
+
+
+def test_packed_fields_of_one_characteristic_share_the_mod_p_table():
+    """The 256-byte reduction table is built once per p, not once per
+    packed field; each is byte v to v mod p."""
+    F9, F243 = make_field(3, 2), make_field(3, 5, seed=7)
+    tower = parse_field_spec("3^2+3")
+    table = F9._packed[0]
+    assert F243._packed[0] is table
+    assert tower._tower[1] is table
+    assert table == bytes(v % 3 for v in range(256))
+    assert make_field(5, 2)._packed[0] == bytes(v % 5 for v in range(256))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import sys
 
@@ -44,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def schema_text():
+    import importlib.resources  # only --json-schema pays for its imports
     return (importlib.resources.files("linmono")
             .joinpath("report_schema.json").read_text(encoding="utf-8"))
 

@@ -72,8 +72,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from collections import Counter, namedtuple
 from itertools import product
 
 from . import group as group_mod
@@ -92,22 +91,17 @@ BASIS_CHAR2 = "Char2Theorem"
 BASIS_EVIDENCE = "EvidenceOnly"
 
 
-@dataclass(frozen=True)
-class Evidence:
-    kind: str
-    payload: dict
-    note: str = ""
+class Evidence(namedtuple("Evidence", "kind payload note", defaults=("",))):
+    __slots__ = ()
 
     def to_json(self):
         return {"kind": self.kind, "payload": self.payload, "note": self.note}
 
 
-@dataclass(frozen=True)
-class Sample:
-    k: int
-    alpha_index: int
-    alpha: object  # serialized element form
-    cycle_type: tuple
+class Sample(namedtuple("Sample", ["k", "alpha_index",
+                                   "alpha",  # serialized element form
+                                   "cycle_type"])):
+    __slots__ = ()
 
     def to_json(self):
         return {"k": self.k, "alpha_index": self.alpha_index,
@@ -122,22 +116,17 @@ class Sample:
                         "F_{q^%d} = cycle type of a group element" % self.k)
 
 
-@dataclass(frozen=True)
-class SampleRun:
-    samples: tuple
-    skipped: int
+class SampleRun(namedtuple("SampleRun", "samples skipped")):
+    __slots__ = ()
 
 
-@dataclass
-class Verdict:
-    family: str          # "GL" | "GammaL" | "Inconclusive"
-    n: int
-    q: int
-    order: object        # int or None
-    basis: str
-    evidence: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
-    skipped_alphas: int = 0
+class Verdict(namedtuple("Verdict", [
+        "family",  # "GL" | "GammaL" | "Inconclusive"
+        "n", "q",
+        "order",  # int or None
+        "basis", "evidence", "notes", "skipped_alphas"],
+        defaults=((), (), 0))):
+    __slots__ = ()
 
     @property
     def group_name(self):

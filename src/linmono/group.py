@@ -66,8 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from operator import itemgetter
 
 from . import poly as poly_mod
@@ -374,12 +373,11 @@ def perm_sign(cycle_type):
 
 # -- censuses --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CycleCensus:
+class CycleCensus(namedtuple("CycleCensus", "order counts")):
     """Cycle-type census of a set of matrices: total count plus a sorted
-    (cycle_type, count) table."""
-    order: int
-    counts: tuple
+    (cycle_type, count) table.  `t in census` asks whether cycle type t
+    occurs, not tuple membership."""
+    __slots__ = ()
 
     def types(self):
         return {t for t, _ in self.counts}

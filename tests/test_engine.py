@@ -6,6 +6,7 @@ import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -1310,3 +1311,29 @@ def test_char2_gl_verdict_vs_census_sign():
     run = sample_cycle_types(CHAR2_GOOD, range(1, 5), budget=40)
     for s in run.samples:
         assert perm_sign(s.cycle_type) == 1
+
+
+def test_readme_library_snippet_and_record_semantics():
+    """The README's Library example runs as written.  Its last line needs
+    CycleCensus's own __contains__: as plain tuple membership, `t in
+    census` would read False.  Records are immutable named tuples;
+    Evidence.note defaults to "", a Verdict's evidence and notes to
+    empty and its skipped_alphas to 0."""
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    scope = {}
+    exec(library.split("```python\n", 1)[1].split("```", 1)[0], scope)
+    v, run, census = scope["v"], scope["run"], scope["census"]
+    assert v.family == "GL" and v.order == 11232 and run.samples
+    assert (26,) in census and (26,) not in tuple(census)
+    ev = Evidence("Kind", {"a": 1})
+    assert ev.note == "" and ev == ("Kind", {"a": 1}, "")
+    bare = engine.Verdict("Inconclusive", 2, 3, None, engine.BASIS_EVIDENCE)
+    assert (bare.evidence, bare.notes, bare.skipped_alphas) == ((), (), 0)
+    assert bare.to_json()["evidence"] == bare.to_json()["notes"] == []
+    for record, name in ((ev, "note"), (v, "notes"), (run, "skipped"),
+                         (run.samples[0], "k"), (census, "order"),
+                         (ev, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

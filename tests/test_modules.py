@@ -1,7 +1,11 @@
-"""Static checks on the package source: every module-level import of
-src/linmono is used, and every name in linmono.__all__ is bound."""
+"""Checks on the package source: every module-level import of
+src/linmono is used, every name in linmono.__all__ is bound, and
+start-up imports neither dataclasses nor, outside --json-schema,
+importlib.resources."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,33 @@ def test_every_exported_name_is_bound():
     assert len(set(linmono.__all__)) == len(linmono.__all__)
     assert [name for name in linmono.__all__
             if not hasattr(linmono, name)] == []
+
+
+# Run in a fresh `python -S`: the modules an import of linmono.cli loads,
+# then those a census run loads, on one line; then --json-schema's output.
+STARTUP = """import io, sys
+sys.path.insert(0, sys.argv[1])
+heavy = ("dataclasses", "inspect", "importlib.resources")
+import linmono.cli as cli
+after_import = [m for m in heavy if m in sys.modules]
+out, err = sys.stdout, sys.stderr
+sys.stdout = sys.stderr = io.StringIO()
+code = cli.main(["census", "--q", "3", "--n", "2"])
+sys.stdout, sys.stderr = out, err
+print(after_import, code, [m for m in heavy if m in sys.modules])
+sys.exit(cli.main(["--json-schema"]))
+"""
+
+
+def test_startup_leaves_out_dataclasses_and_resources():
+    """linmono.cli and a census import neither dataclasses (with inspect
+    and ast behind it) nor importlib.resources (with pathlib, zipfile and
+    tempfile); --json-schema imports the latter on demand and still
+    prints the packaged schema byte for byte."""
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP,
+                           str(SRC.parent)],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, schema = proc.stdout.split(b"\n", 1)
+    assert header == b"[] 0 []"
+    assert schema == (SRC / "report_schema.json").read_bytes()

@@ -473,6 +473,59 @@ def test_batch_conflicts_with_lin(tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("q, lines", [
+    ("3", ["0,0,0,1", "0,1,0,1", "2,1,1", "0,2,1"]),
+    ("2", ["0,1,1,1", "0,1,0,1"]),
+])
+def test_batch_line_equals_single_analyze(q, lines, tmp_path):
+    """Each batch line, parsed, is the document analyze --lin prints for
+    that line with the same flags; the batch exit code puts 1 over 2
+    over 0 of theirs."""
+    src = tmp_path / "batch.txt"
+    src.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+    flags = ["--q", q, "--seed", "5", "--kmax", "4", "--budget", "7"]
+    code, out = _call_main(["analyze", "--batch", str(src), *flags])
+    batch = out.splitlines()
+    assert len(batch) == len(lines)
+    codes = []
+    for ln, got in zip(lines, batch):
+        single_code, single = _call_main(["analyze", "--lin", ln, *flags])
+        codes.append(single_code)
+        assert json.loads(got) == json.loads(single), ln
+    assert code == (1 if 1 in codes else 2 if 2 in codes else 0)
+
+
+def _error_run(*argv):
+    """The error of a run that must fail as a run error: exit 1, one
+    {"error": ...} document on stdout, no traceback on stderr."""
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    doc = check(json.loads(out))
+    assert list(doc) == ["error"]
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "Traceback" not in err
+    return doc["error"]
+
+
+def test_analyze_field_error_comes_before_missing_lin():
+    assert "extension degree" in _error_run("analyze", "--q", "3^0")
+
+
+def test_batch_missing_file_is_json_exit1(tmp_path):
+    missing = tmp_path / "absent.txt"
+    assert str(missing) in _error_run("analyze", "--q", "3",
+                                      "--batch", str(missing))
+
+
+def test_batch_unwritable_out_is_json_exit1(tmp_path):
+    src = tmp_path / "b.txt"
+    src.write_text("0,0,1\n", encoding="utf-8")
+    target = tmp_path / "missing" / "x.json"
+    assert str(target) in _error_run("analyze", "--q", "3", "--batch",
+                                     str(src), "--out", str(target))
+    assert not target.exists()
+
+
 # Strings that exercise every escape json writes: quotes, backslashes,
 # control characters, DEL, non-ASCII, non-BMP and a lone surrogate.
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028'

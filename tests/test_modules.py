@@ -1,9 +1,10 @@
 """Checks on the package source: every module-level import of
-src/linmono is used, every name in linmono.__all__ is bound, and
-start-up imports neither dataclasses nor, outside --json-schema,
-importlib.resources."""
+src/linmono is used, every function, method and class it defines is
+referenced, every name in linmono.__all__ is bound, and start-up imports
+neither dataclasses nor, outside --json-schema, importlib.resources."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import linmono
 
 SRC = Path(linmono.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source):
@@ -52,6 +54,64 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(source):
+    """Names of the functions, methods and classes a module defines,
+    nested ones included and dunders aside."""
+    return {n.name for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))}
+
+
+def referenced_names(source):
+    """Every name a module reads, every attribute it names and every
+    name it imports."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def test_dead_definitions_are_found():
+    source = ("class Used:\n"
+              "    def method(self):\n"
+              "        def inner():\n"
+              "            pass\n"
+              "        return self.other\n"
+              "    def other(self):\n"
+              "        pass\n"
+              "    def __repr__(self):\n"
+              "        pass\n"
+              "def dead():\n"
+              "    dead = 1\n"
+              "    return Used\n")
+    assert (defined_names(source) - referenced_names(source)
+            == {"method", "inner", "dead"})
+
+
+def test_every_definition_is_referenced():
+    """A function, method or class of src/linmono that nothing reads is
+    dead code: it needs a reference as a name, attribute or import in
+    src/ or tests/, or as a word in perfbench/, whose tracer looks
+    functions up by their names as strings."""
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in defined_names(path.read_text(encoding="utf-8")):
+            defined.setdefault(name, []).append(path.name)
+    seen = set()
+    for path in [*SRC.rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
+        seen |= referenced_names(path.read_text(encoding="utf-8"))
+    for path in (REPO / "perfbench").rglob("*.py"):
+        seen.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert {name: where for name, where in sorted(defined.items())
+            if name not in seen} == {}
 
 
 def test_every_exported_name_is_bound():

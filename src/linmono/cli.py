@@ -157,17 +157,18 @@ def _parse_lin(field, text):
     return L
 
 
-def _analyze_doc(field, L, args):
+def _analyze_doc(field, args, lin):
+    if lin is None:
+        raise ValueError("analyze needs --lin (or --batch)")
+    L = _parse_lin(field, lin)
     kmax = engine.checked_kmax(L, args.n, args.kmax)
     v = engine.verdict(L, kmax=kmax, budget=args.budget, seed=args.seed)
-    doc = {"command": "analyze", "field": field.spec_string(),
-           "lin": L.coeff_objs(), "kmax": kmax,
-           "budget": args.budget, "seed": args.seed}
-    doc.update(v.to_json())
-    return doc, (0 if v.family in ("GL", "GammaL") else 2)
+    return ({"lin": L.coeff_objs(), "kmax": kmax, "budget": args.budget,
+             **v.to_json()}, 0 if v.family in ("GL", "GammaL") else 2)
 
 
-def _sample_doc(field, L, args):
+def _sample_doc(field, args, lin):
+    L = _parse_lin(field, lin)
     kmax = engine.checked_kmax(L, args.n, args.kmax)
     run = engine.sample_cycle_types(L, range(1, kmax + 1),
                                     budget=args.budget, seed=args.seed)
@@ -175,9 +176,8 @@ def _sample_doc(field, L, args):
     if not run.samples and run.skipped > 0:
         notes.append("no samples: every drawn alpha had L(alpha) = 0")
     return {
-        "command": "sample", "field": field.spec_string(),
         "q": L.q, "n": L.qdeg, "lin": L.coeff_objs(),
-        "kmax": kmax, "budget": args.budget, "seed": args.seed,
+        "kmax": kmax, "budget": args.budget,
         "samples": [s.to_json() for s in run.samples],
         "skipped_alphas": run.skipped,
         "notes": notes,
@@ -191,7 +191,7 @@ def _positive_n(n):
     return n
 
 
-def _census_doc(field, args):
+def _census_doc(field, args, lin):
     n = args.n
     if args.normalizer_only:
         cen = group_mod.normalizer_census(n, field, args.seed)
@@ -199,21 +199,17 @@ def _census_doc(field, args):
     else:
         cen = group_mod.gl_census(_positive_n(n), field)
         label = "GL(%d,%d)" % (n, field.order)
-    doc = {"command": "census", "field": field.spec_string(),
-           "q": field.order, "n": n, "seed": args.seed, "group": label}
-    doc.update(cen.to_json())
-    return doc, 0
+    return {"q": field.order, "n": n, "group": label, **cen.to_json()}, 0
 
 
-def _singer_doc(field, args):
+def _singer_doc(field, args, lin):
     n = args.n
     q = field.order
     f = group_mod.singer_modulus(n, field, args.seed)
     S = group_mod.singer_generator(n, field, args.seed)
     F = group_mod.frobenius_matrix(n, field, args.seed)
     return {
-        "command": "singer", "field": field.spec_string(),
-        "q": q, "n": n, "seed": args.seed,
+        "q": q, "n": n,
         "modulus": [field.rep_to_obj(c) for c in f.coeffs],
         "singer": group_mod.mat_to_obj(field, S),
         "frobenius": group_mod.mat_to_obj(field, F),
@@ -224,7 +220,7 @@ def _singer_doc(field, args):
     }, 0
 
 
-def _verify_doc(field, args):
+def _verify_doc(field, args, lin):
     check = args.check
     if check == "gmg":
         if args.n is not None:
@@ -243,10 +239,21 @@ def _verify_doc(field, args):
                                                   _positive_n(args.n))
         else:
             rep = engine.verify_normalizer(args.n, field, args.seed)
-    doc = {"command": "verify", "field": field.spec_string(),
-           "seed": args.seed}
-    doc.update(rep)
-    return doc, (0 if rep["passed"] else 1)
+    return rep, (0 if rep["passed"] else 1)
+
+
+_BUILDERS = {"analyze": _analyze_doc, "sample": _sample_doc,
+             "census": _census_doc, "singer": _singer_doc,
+             "verify": _verify_doc}
+
+
+def _document(field, args, lin):
+    """(document, exit code) of args.command with lin for --lin (a line
+    of analyze --batch): the builder's (body, code), the body under the
+    command, field and seed."""
+    body, code = _BUILDERS[args.command](field, args, lin)
+    return {"command": args.command, "field": field.spec_string(),
+            "seed": args.seed, **body}, code
 
 
 # -- emission --------------------------------------------------------------
@@ -292,8 +299,7 @@ def _dumps(obj, pad=""):
     return json.dumps(obj)
 
 
-def _emit(doc, out_path):
-    text = _dumps(doc) + "\n"
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -323,36 +329,25 @@ def _summary_line(doc, code):
     return cmd or "?"
 
 
-def _run_batch(args):
-    field = _resolve_field(args)
-    codes = []
+def _run_batch(field, args):
     with open(args.batch, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
+    codes = []
     out_lines = []
     for ln in lines:
         if not ln or ln.startswith("#"):
             continue
         try:
-            L = _parse_lin(field, ln)
-            doc, code = _analyze_doc(field, L, args)
+            doc, code = _document(field, args, ln)
         except _RUN_ERRORS as exc:
             doc, code = {"error": str(exc), "lin_input": ln}, 1
         codes.append(code)
         out_lines.append(json.dumps(doc, sort_keys=True,
-                                    separators=(",", ":")))
-    text = "".join(ln + "\n" for ln in out_lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+                                    separators=(",", ":")) + "\n")
+    _write("".join(out_lines), args.out)
     print("batch: %d analyzed, %d errors, %d inconclusive"
           % (len(codes), codes.count(1), codes.count(2)), file=sys.stderr)
-    if 1 in codes:
-        return 1
-    if 2 in codes:
-        return 2
-    return 0
+    return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
 def main(argv=None):
@@ -363,29 +358,18 @@ def main(argv=None):
         return 0
     if args.command is None:
         parser.error("a subcommand is required (or --json-schema)")
+    lin = getattr(args, "lin", None)
+    batch = getattr(args, "batch", None)
     try:
-        if args.command == "analyze" and args.batch is not None:
-            if args.lin is not None:
-                raise ValueError("give --lin or --batch, not both")
-            return _run_batch(args)
+        if batch is not None and lin is not None:
+            raise ValueError("give --lin or --batch, not both")
         field = _resolve_field(args)
-        if args.command == "analyze":
-            if args.lin is None:
-                raise ValueError("analyze needs --lin (or --batch)")
-            doc, code = _analyze_doc(field, _parse_lin(field, args.lin),
-                                     args)
-        elif args.command == "sample":
-            doc, code = _sample_doc(field, _parse_lin(field, args.lin),
-                                    args)
-        elif args.command == "census":
-            doc, code = _census_doc(field, args)
-        elif args.command == "singer":
-            doc, code = _singer_doc(field, args)
-        else:
-            doc, code = _verify_doc(field, args)
-        _emit(doc, args.out)
+        if batch is not None:
+            return _run_batch(field, args)
+        doc, code = _document(field, args, lin)
+        _write(_dumps(doc) + "\n", args.out)
     except _RUN_ERRORS as exc:
-        _emit({"error": str(exc)}, None)
+        _write(_dumps({"error": str(exc)}) + "\n", None)
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print(_summary_line(doc, code), file=sys.stderr)

@@ -937,47 +937,39 @@ def verify_factor_identity(field, n):
     degrees dividing n, it literally equals x^(q^n) - x.  L_alpha(x) is x
     times L_alpha(x)/x, whose degrees are linpoly.frobenius_cycle_type,
     and it is compared with x^(q^n) - x on its n + 1 coefficients.  Every
-    alpha of one L gives the same L_alpha: L(alpha)/alpha = a_1+...+a_n."""
+    alpha of one L gives the same L_alpha, since L(alpha)/alpha =
+    a_1+...+a_n, so L is specialized once, at alpha = 1, and the result
+    stands for each of the q - 1 alphas in turn."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     q = field.order
     lin_mod.check_dense(q, n)
-    f = (lin_mod.to_poly(lin_mod.LinPoly(
-        field, [0] * n + [1]))
-        - poly_mod.Poly.x(field))
+    X = lin_mod.LinPoly(field, [-1] + [0] * (n - 1) + [1])  # x^(q^n) - x
+    f = lin_mod.to_poly(X)
     observed = {d: h.degree // d for h, d in poly_mod._ddf(f)}
     expected = {d: poly_mod.num_irreducible(q, d)
                 for d in range(1, n + 1) if n % d == 0}
     necklace_ok = poly_mod.is_squarefree(f) and observed == expected
     # the forcing step
-    target = (field.neg(field.one_rep),) + (field.zero_rep,) * (n - 1) \
-        + (field.one_rep,)
     checked = 0
     skipped_L = 0
     violations = []
     forced = []
     for L in _monic_lins(field, n, [field.zero_rep]):
-        usable = False
-        types = {}
-        for ai in range(1, q):
-            spec = lin_mod.specialize(L, field.element_at(ai))
-            if spec.coeffs[0] == field.zero_rep:  # alpha is a root of L
-                continue
-            usable = True
-            if spec.coeffs not in types:
-                types[spec.coeffs] = \
-                    (1,) + lin_mod.frobenius_cycle_type(spec)
-            degs = types[spec.coeffs]
-            checked += 1
-            if all(n % d == 0 for d in degs):
-                if spec.coeffs == target:
-                    forced.append({"lin": L.coeff_objs(), "alpha_index": ai})
-                else:
-                    violations.append({"lin": L.coeff_objs(),
-                                       "alpha_index": ai,
-                                       "degrees": list(degs)})
-        if not usable:
+        spec = lin_mod.specialize(L, field.one())
+        if spec.coeffs[0] == field.zero_rep:  # every alpha is a root of L
             skipped_L += 1
+            continue
+        checked += q - 1
+        degs = (1,) + lin_mod.frobenius_cycle_type(spec)
+        if not all(n % d == 0 for d in degs):
+            continue
+        if spec.coeffs == X.coeffs:
+            forced += [{"lin": L.coeff_objs(), "alpha_index": ai}
+                       for ai in range(1, q)]
+        else:
+            violations += [{"lin": L.coeff_objs(), "alpha_index": ai,
+                            "degrees": list(degs)} for ai in range(1, q)]
     return {
         "check": "identity",
         "q": q, "n": n,

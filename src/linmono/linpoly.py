@@ -196,9 +196,6 @@ def specialize(L, alpha):
     if L.qdeg < 1:
         raise ValueError("q-degree must be >= 1 to specialize")
     E = alpha.field
-    if not E.has_layer(L.field):
-        raise FieldMismatchError(
-            "point lies in %r which does not contain %r" % (E, L.field))
     ratio = (evaluate(L, alpha) / alpha).rep
     coeffs = [c if E == L.field else embed_rep(E, L.field, c)
               for c in L.coeffs]
@@ -218,46 +215,25 @@ def _degree_over(E, K):
     return dim
 
 
-def _kernel_basis(K, M, n):
-    """Kernel basis of a matrix over K with n columns (rows of raw reps):
-    one vector per free column c, 1 at c and 0 at every other free
-    column."""
+def _rank(K, M):
+    """Rank of a matrix over K given as rows of raw reps, by row
+    echelon form."""
     rows = [list(r) for r in M]
-    nrows = len(rows)
     z = K.zero_rep
-    pivots = []
     r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != z:
-                pr = i
-                break
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != z), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != z:
-                f = K.neg(rows[i][c])
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != z:
+                f = K.neg(K.mul(rows[i][c], inv))
                 rows[i] = [K.muladd(vi, f, vr)
                            for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        v = [z] * n
-        v[fc] = K.one_rep
-        for pi, pc in enumerate(pivots):
-            v[pc] = K.neg(rows[pi][fc])
-        basis.append(v)
-    return basis
+    return r
 
 
 # -- Frobenius cycle type --------------------------------------------------
@@ -370,7 +346,7 @@ def _primary_partition(E, N, f, m):
              for i, row in enumerate(group_mod.mat_mul(E, A, N))]
     steps, dim, P = [], 0, A
     while True:
-        d = len(_kernel_basis(E, P, n)) // f.degree
+        d = (n - _rank(E, P)) // f.degree
         steps.append(d - dim)
         dim = d
         if steps[-1] == 1 or dim == m:

@@ -1276,6 +1276,28 @@ def test_verify_factor_identity():
         assert rep["forcing_violations"] == []
 
 
+@pytest.mark.parametrize("spec, n", [("3", 3), ("5", 2)])
+def test_verify_identity_specializes_once_per_lin(spec, n, monkeypatch):
+    """Every alpha in F_q* gives one L the same L_alpha, so the forcing
+    step specializes each of the q^(n-1) monic L with a_0 = 0 once and
+    counts the result for all q - 1 alphas."""
+    field = parse_field_spec(spec)
+    q = field.order
+    calls = []
+    inner = engine.lin_mod.specialize
+
+    def counted(L, alpha):
+        calls.append(L)
+        return inner(L, alpha)
+
+    monkeypatch.setattr(engine.lin_mod, "specialize", counted)
+    rep = verify_factor_identity(field, n)
+    assert rep["passed"]
+    assert len(calls) == len(set(calls)) == q ** (n - 1)
+    assert rep["forcing_checked"] \
+        == (q - 1) * (q ** (n - 1) - rep["forcing_skipped_lin"])
+
+
 # Each field's n_max keeps poly.factor under 1 s.  One step further,
 # (2, 10), (3, 6), (4, 4) and the tower at n = 2 take 2-8 s each; the
 # golden verify identity documents pin (2, 10), (3, 6) and the tower.

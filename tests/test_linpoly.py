@@ -141,8 +141,9 @@ def test_root_space_dimension_and_membership():
 @pytest.mark.parametrize("spec", ["3", "4", "5"])
 def test_kernel_basis_counts_the_kernel(spec):
     """The oracle's own elimination against counting every v with
-    A v = 0: q^len(basis) kernel vectors, each basis vector among them.
-    Random 3 x 3 matrices, some made singular by a repeated row."""
+    A v = 0: q^len(basis) kernel vectors, each basis vector among them,
+    and linpoly._rank the rest of the 3 columns.  Random 3 x 3
+    matrices, some made singular by a repeated row."""
     K = parse_field_spec(spec)
     reps = [K.rep_at(i) for i in range(K.order)]
     rng = random.Random(K.order)
@@ -168,6 +169,7 @@ def test_kernel_basis_counts_the_kernel(spec):
         basis = kernel_basis(K, A)
         assert len(kernel) == K.order ** len(basis)
         assert all(apply(A, v) == zero for v in basis)
+        assert linpoly._rank(K, A) == 3 - len(basis)
 
 
 def test_root_space_spans_distinct_elements():

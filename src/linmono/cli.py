@@ -248,9 +248,9 @@ _BUILDERS = {"analyze": _analyze_doc, "sample": _sample_doc,
 
 
 def _document(field, args, lin):
-    """(document, exit code) of args.command with lin for --lin (a line
-    of analyze --batch): the builder's (body, code), the body under the
-    command, field and seed."""
+    """(document, exit code) of one run of args.command: its builder's
+    body under the command, field and seed.  lin stands for --lin;
+    analyze --batch passes each line of its file."""
     body, code = _BUILDERS[args.command](field, args, lin)
     return {"command": args.command, "field": field.spec_string(),
             "seed": args.seed, **body}, code
